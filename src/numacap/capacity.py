@@ -9,6 +9,7 @@ add up since no guest spans two of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import NumacapError, ResourceError, SchemaError
@@ -16,9 +17,18 @@ from .formulas import vmcap
 from .topology import TopologyId, as_topology_id, check_capacities
 
 
+def _is_int(value) -> bool:
+    """True for an int or int subclass other than bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Flavor:
-    """A VM size: guest NUMA shape plus per-guest-node resource demand."""
+    """A VM size: guest NUMA shape plus per-guest-node resource demand.
+
+    The demand is checked here and kept as a read-only copy, so later
+    changes to the caller's map cannot bypass the check.
+    """
 
     id: str
     vnuma: TopologyId
@@ -28,12 +38,19 @@ class Flavor:
         object.__setattr__(self, "vnuma", as_topology_id(self.vnuma))
         if not self.demand:
             raise ResourceError(f"flavor {self.id!r} demands no resources")
-        for name, amount in self.demand.items():
-            if isinstance(amount, bool) or not isinstance(amount, int) or amount < 1:
+        demand = dict(self.demand)
+        for name, amount in demand.items():
+            if not _is_int(amount) or amount < 1:
                 raise ResourceError(
                     f"flavor {self.id!r} demand {name!r} must be a positive"
-                    f" integer, got {amount!r}"
+                    f" integer, got {amount!r}",
+                    resource=name,
                 )
+        object.__setattr__(self, "demand", MappingProxyType(demand))
+
+    def __reduce__(self):
+        # a read-only map does not pickle; rebuild from a plain copy
+        return type(self), (self.id, self.vnuma, dict(self.demand))
 
 
 @dataclass(frozen=True)
@@ -42,6 +59,7 @@ class ServerComponent:
 
     Give `nodes` (per-node free resource maps, label order) to derive the
     capacity vector from a flavor's demand, or give `capacities` directly.
+    Both are checked here, and each node map is kept as a read-only copy.
     """
 
     topology: TopologyId
@@ -56,30 +74,41 @@ class ServerComponent:
             )
         count = self.topology.vertex_count
         if self.nodes is not None:
-            object.__setattr__(self, "nodes", tuple(self.nodes))
-            if len(self.nodes) != count:
+            nodes = tuple(self.nodes)
+            if len(nodes) != count:
                 raise SchemaError(
                     "component.nodes",
-                    f"expected {count} node entries, got {len(self.nodes)}",
+                    f"expected {count} node entries, got {len(nodes)}",
                 )
-            for i, free in enumerate(self.nodes):
+            copies = []
+            for i, free in enumerate(nodes):
+                if type(free) is not dict and not isinstance(free, Mapping):
+                    raise SchemaError(
+                        f"component.nodes[{i}]",
+                        f"expected a resource map, got {free!r}",
+                    )
+                free = dict(free)
                 for name, amount in free.items():
-                    if (
-                        isinstance(amount, bool)
-                        or not isinstance(amount, int)
-                        or amount < 0
-                    ):
+                    # a plain int skips the isinstance checks
+                    if (type(amount) is not int and not _is_int(amount)) or amount < 0:
                         raise SchemaError(
                             f"component.nodes[{i}].{name}",
                             f"free amount must be a non-negative integer,"
                             f" got {amount!r}",
                         )
+                copies.append(MappingProxyType(free))
+            object.__setattr__(self, "nodes", tuple(copies))
         else:
             object.__setattr__(
                 self,
                 "capacities",
                 check_capacities(self.capacities, count),
             )
+
+    def __reduce__(self):
+        # read-only maps do not pickle; rebuild from plain copies
+        nodes = None if self.nodes is None else tuple(map(dict, self.nodes))
+        return type(self), (self.topology, nodes, self.capacities)
 
 
 @dataclass(frozen=True)
@@ -103,14 +132,14 @@ def node_capacity(free: Mapping[str, int], demand: Mapping[str, int]) -> int:
     if not demand:
         raise ResourceError("demand map is empty")
     for name, amount in demand.items():
-        if isinstance(amount, bool) or not isinstance(amount, int) or amount < 1:
+        if not _is_int(amount) or amount < 1:
             raise ResourceError(
                 f"demand {name!r} must be a positive integer, got {amount!r}"
             )
         if name not in free:
             raise ResourceError(f"node is missing demanded resource {name!r}")
         have = free[name]
-        if isinstance(have, bool) or not isinstance(have, int) or have < 0:
+        if not _is_int(have) or have < 0:
             raise ResourceError(
                 f"free {name!r} must be a non-negative integer, got {have!r}"
             )
@@ -127,8 +156,23 @@ def component_capacity_vector(
     """Per-node guest counts for one component (canonical label order)."""
     if component.capacities is not None:
         return component.capacities
-    assert component.nodes is not None
-    return tuple(node_capacity(free, flavor.demand) for free in component.nodes)
+    nodes = component.nodes
+    # the component and the flavor checked every amount when they were built
+    try:
+        counts = None
+        for name, amount in flavor.demand.items():
+            column = [free[name] // amount for free in nodes]
+            counts = column if counts is None else list(map(min, counts, column))
+    except KeyError:
+        # name the first missing resource in node order, as node_capacity does
+        for free in nodes:
+            for name in flavor.demand:
+                if name not in free:
+                    raise ResourceError(
+                        f"node is missing demanded resource {name!r}"
+                    ) from None
+        raise
+    return tuple(counts)
 
 
 def server_capacity(server: ServerState, flavor: Flavor) -> int:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from typing import Optional
+
 
 class NumacapError(ValueError):
     """Base class for all errors raised by this package."""
@@ -26,7 +28,14 @@ class PlacementError(NumacapError):
 
 
 class ResourceError(NumacapError):
-    """Missing or non-positive resource amount in a demand or free-list."""
+    """Missing or non-positive resource amount in a demand or free-list.
+
+    `resource` names the resource at fault, when there is one.
+    """
+
+    def __init__(self, message: str, resource: Optional[str] = None):
+        super().__init__(message)
+        self.resource = resource
 
 
 class SchemaError(NumacapError):
@@ -35,3 +44,4 @@ class SchemaError(NumacapError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionError, TopologyError
@@ -18,6 +19,7 @@ from .topology import (
     Graph,
     TopologyId,
     as_topology_id,
+    canonical_id,
     check_capacities,
     expand_topology,
 )
@@ -151,14 +153,25 @@ def vmcap_cq3_k2(b: Sequence[int]) -> int:
         delta = hi
     elif delta < -lo:
         delta = -lo
-    return min(
-        sodd - delta,
-        seven + delta,
-        b2 + b3 + b4 + b5 + b7,
-        b1 + b3 + b5 + b6 + b8,
-        b2 + b4 + b5 + b6 + b7,
-        b1 + b3 + b4 + b6 + b8,
-    )
+    # the six-term minimum as compares: this is the hot path that
+    # criterion 8 times, and a min() call costs more than the compares
+    best = sodd - delta
+    term = seven + delta
+    if term < best:
+        best = term
+    term = b2 + b3 + b4 + b5 + b7
+    if term < best:
+        best = term
+    term = b1 + b3 + b5 + b6 + b8
+    if term < best:
+        best = term
+    term = b2 + b4 + b5 + b6 + b7
+    if term < best:
+        best = term
+    term = b1 + b3 + b4 + b6 + b8
+    if term < best:
+        best = term
+    return best
 
 
 def vmcap_cq3_c4(b: Sequence[int]) -> int:
@@ -194,6 +207,13 @@ def vmcap_q33_c4(b: Sequence[int]) -> int:
     if len(b) != 8:
         raise DimensionError(f"expected 8 capacities, got {len(b)}")
     return min(vmcap_k4_k2(b[0::2]), vmcap_k4_k2(b[1::2]))
+
+
+def _vmcap_same_shape(n: int, b: Sequence[int]) -> int:
+    """A guest shaped like its n-node host: every copy takes each node once."""
+    if len(b) != n:
+        raise DimensionError(f"expected {n} capacities, got {len(b)}")
+    return min(b)
 
 
 def normalize_capacities(
@@ -250,9 +270,14 @@ def closed_form_evaluator(
 
     The returned callable takes a capacity vector and returns the count.
     Formula functions are resolved per call so tests can substitute them.
+    The guest id is canonicalised first (k2_2 is c4, k1_1 is k2, k1_N is
+    starN); the host keeps its own id, whose labels index the vector.  A
+    guest of the host's own shape always has a formula: min(b).
     """
     pid = as_topology_id(pnuma)
-    gid = as_topology_id(vnuma)
+    gid = canonical_id(vnuma)
+    if canonical_id(pid) == gid:
+        return lambda caps, n=pid.vertex_count: _vmcap_same_shape(n, caps)
     pk, gk = pid.kind, gid.kind
     if gk == "kn" and gid.n == 2:
         if pk == "c4":
@@ -286,6 +311,24 @@ def closed_form_evaluator(
     return None
 
 
+@lru_cache(maxsize=1024)
+def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
+    """(host id, guest id, host vertex count, evaluator or None) for a pair.
+
+    Memoised, so vmcap() parses each id and picks its formula once per
+    pair.  An invalid id raises, and a raising call is never cached.  The
+    evaluator is None when the guest is too small or too large for a
+    formula, or when the pair has none.
+    """
+    pid = as_topology_id(pnuma)
+    gid = as_topology_id(vnuma)
+    n = pid.vertex_count
+    fn = None
+    if 2 <= gid.vertex_count <= n:
+        fn = closed_form_evaluator(pid, gid)
+    return pid, gid, n, fn
+
+
 def vmcap(
     pnuma: Union[TopologyId, str],
     vnuma: Union[TopologyId, str],
@@ -298,19 +341,22 @@ def vmcap(
     span at least two nodes; single-node guests are a plain sum and are
     handled by the server-level capacity functions.
     """
-    pid = as_topology_id(pnuma)
-    gid = as_topology_id(vnuma)
-    caps = check_capacities(capacities, pid.vertex_count)
+    try:
+        pid, gid, n, fn = _resolve(pnuma, vnuma)
+    except TypeError:
+        # an unhashable id cannot be a cache key; resolving it uncached
+        # raises the TopologyError that names it
+        pid, gid, n, fn = _resolve.__wrapped__(pnuma, vnuma)
+    caps = check_capacities(capacities, n)
+    if fn is not None:
+        return VmcapResult(fn(caps))
     if gid.vertex_count < 2:
         raise TopologyError(
             "guest shape needs >= 2 nodes; single-node capacity is the sum"
             " of node capacities"
         )
-    if gid.vertex_count > pid.vertex_count:
+    if gid.vertex_count > n:
         return VmcapResult(0)
-    fn = closed_form_evaluator(pid, gid)
-    if fn is not None:
-        return VmcapResult(fn(caps))
     host = expand_topology(pid)
     guest = expand_topology(gid)
     solution = oracle_vmcap(host, guest, caps)

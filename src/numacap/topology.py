@@ -43,6 +43,13 @@ def check_capacities(values: Sequence[int], expected_len: int) -> tuple[int, ...
         raise DimensionError(
             f"expected {expected_len} capacities, got {len(vals)}"
         )
+    # fast path: plain ints in range; anything else (int subclasses
+    # included) takes the per-entry loop, which names the entry at fault
+    for v in vals:
+        if type(v) is not int or v < 0 or v > MAX_CAPACITY:
+            break
+    else:
+        return vals
     for i, v in enumerate(vals):
         if isinstance(v, bool) or not isinstance(v, int):
             raise CapacityError(f"capacity b{i + 1} must be an integer, got {v!r}")
@@ -208,8 +215,12 @@ _KN_RE = re.compile(r"k(\d+)")
 _STAR_RE = re.compile(r"star(\d+)")
 
 
+@lru_cache(maxsize=1024)
 def parse_topology(text: str) -> TopologyId:
-    """Parse a lowercase topology id such as "cq3", "k4", "k2_3", "star8"."""
+    """Parse a lowercase topology id such as "cq3", "k4", "k2_3", "star8".
+
+    Memoised: ids are immutable and a state file repeats a few of them.
+    """
     s = text.strip().lower()
     if s in _FIXED_KINDS:
         return TopologyId(s)
@@ -231,6 +242,25 @@ def as_topology_id(value: Union[TopologyId, str]) -> TopologyId:
     if isinstance(value, str):
         return parse_topology(value)
     raise TopologyError(f"expected topology id or string, got {value!r}")
+
+
+def canonical_id(topology: Union[TopologyId, str]) -> TopologyId:
+    """The preferred id of the same graph up to relabeling.
+
+    k1_1 and star1 are k2, k1_N is starN, and k2_2 is c4.  Every other id
+    is its own canonical form.  k2_2 numbers its nodes differently from
+    c4 (its 4-cycle is 1-3-2-4), so only label-free questions, such as
+    which guest shape is asked for, may swap one id for the other.
+    """
+    tid = as_topology_id(topology)
+    if tid.kind == "km_n":
+        if tid.m == 1:
+            return K2 if tid.n == 1 else star(tid.n)
+        if tid.m == tid.n == 2:
+            return C4
+    elif tid.kind == "star" and tid.n == 1:
+        return K2
+    return tid
 
 
 _L4_EDGES = (

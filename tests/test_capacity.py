@@ -1,5 +1,8 @@
 """Resource vectors, per-server counts, and cluster aggregation."""
 
+import copy
+import pickle
+
 import pytest
 
 import numacap as nc
@@ -64,6 +67,93 @@ class TestConfigValidation:
     def test_server_needs_components(self):
         with pytest.raises(nc.SchemaError):
             nc.ServerState("empty", ())
+
+
+class TestCheckedOnce:
+    """Amounts are checked when a component or flavor is built, and the
+    objects keep their own copies, so later edits cannot skip the check."""
+
+    def test_node_maps_are_copied(self):
+        nodes = [{"cpu": 3}, {"cpu": 7}, {"cpu": 10}, {"cpu": 6}]
+        comp = nc.ServerComponent(topology="c4", nodes=nodes)
+        fl = nc.Flavor("pair", "k2", {"cpu": 1})
+        server = nc.ServerState("s", (comp,))
+        before = nc.server_capacity(server, fl)
+        nodes[0]["cpu"] = -5
+        nodes[1]["cpu"] = 1000
+        del nodes[2]["cpu"]
+        nodes.append({"cpu": 1})
+        assert component_capacity_vector(comp, fl) == (3, 7, 10, 6)
+        assert nc.server_capacity(server, fl) == before == 13
+        with pytest.raises(TypeError):
+            comp.nodes[0]["cpu"] = -5
+
+    def test_flavor_demand_is_copied(self):
+        demand = {"cpu": 2}
+        fl = nc.Flavor("pair", "k2", demand)
+        demand["cpu"] = 0
+        demand["ram"] = 1
+        comp = nc.ServerComponent(topology="c4", nodes=RING_NODES)
+        assert component_capacity_vector(comp, fl) == (1, 3, 5, 3)
+        with pytest.raises(TypeError):
+            fl.demand["cpu"] = 0
+
+    def test_copies_survive_pickle_and_deepcopy(self):
+        fl = nc.Flavor("pair", "k2", {"cpu": 2})
+        comps = (
+            nc.ServerComponent(topology="c4", nodes=RING_NODES),
+            nc.ServerComponent(topology="c4", capacities=(1, 2, 3, 4)),
+        )
+        for obj in (fl,) + comps:
+            assert pickle.loads(pickle.dumps(obj)) == obj
+            assert copy.deepcopy(obj) == obj
+        again = pickle.loads(pickle.dumps(comps[0]))
+        assert component_capacity_vector(again, fl) == (1, 3, 5, 3)
+
+    @pytest.mark.parametrize("amount", [-1, True, 1.5, "3", None])
+    def test_component_rejects_bad_free_amounts(self, amount):
+        with pytest.raises(nc.SchemaError) as info:
+            nc.ServerComponent(
+                topology="c4", nodes=({"cpu": 1}, {"cpu": amount}, {}, {})
+            )
+        assert info.value.path == "component.nodes[1].cpu"
+
+    def test_component_rejects_a_node_that_is_not_a_map(self):
+        with pytest.raises(nc.SchemaError) as info:
+            nc.ServerComponent(topology="c4", nodes=({"cpu": 1}, 7, {}, {}))
+        assert info.value.path == "component.nodes[1]"
+
+    def test_component_accepts_int_subclass_amounts(self):
+        class Count(int):
+            pass
+
+        comp = nc.ServerComponent(topology="c4", nodes=({"cpu": Count(4)},) * 4)
+        fl = nc.Flavor("pair", "k2", {"cpu": Count(2)})
+        assert component_capacity_vector(comp, fl) == (2, 2, 2, 2)
+
+    def test_flavor_names_the_bad_resource(self):
+        with pytest.raises(nc.ResourceError) as info:
+            nc.Flavor("bad", "k2", {"cpu": 1, "ram": 0})
+        assert info.value.resource == "ram"
+
+    def test_missing_resource_names_it(self):
+        comp = nc.ServerComponent(topology="c4", nodes=RING_NODES)
+        with pytest.raises(nc.ResourceError) as info:
+            component_capacity_vector(comp, nc.Flavor("f", "k2", {"cpu": 1, "ram": 2}))
+        assert str(info.value) == "node is missing demanded resource 'ram'"
+
+    def test_count_above_the_capacity_limit_is_an_error_row(self):
+        huge = nc.ServerState(
+            "huge",
+            (nc.ServerComponent(topology="c4", nodes=({"cpu": 2**40},) * 4),),
+        )
+        rows, total = nc.cluster_capacity(
+            [ring_server("ok"), huge], nc.Flavor("pair", "k2", {"cpu": 1})
+        )
+        assert rows[0].count == 13
+        assert rows[1].count is None
+        assert "outside [0, 4294967295]" in rows[1].error
+        assert total == 13
 
 
 class TestComponentVector:

@@ -3,6 +3,7 @@
 import math
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,7 +261,7 @@ class TestDispatch:
     def test_oracle_fallback(self):
         res = nc.vmcap("l4", "c4", (1,) * 8)
         assert res == nc.VmcapResult(2, "oracle")
-        assert nc.vmcap("c4", "c4", (1, 1, 1, 1)).via == "oracle"
+        assert nc.vmcap("k4", "c4", (1, 1, 1, 1)).via == "oracle"
 
     def test_guest_larger_than_host(self):
         assert nc.vmcap("k2", "c4", (3, 3)).count == 0
@@ -302,8 +303,9 @@ class TestEvaluatorTable:
         ("k7", "k3"),
         ("k2_3", "k2"),
         ("star5", "k2"),
+        ("c4", "c4"),
     ]
-    OPEN = [("l4", "c4"), ("c4", "c4"), ("cq3", "k3"), ("q33", "k3"), ("k4", "c4")]
+    OPEN = [("l4", "c4"), ("cq3", "k3"), ("q33", "k3"), ("k4", "c4")]
 
     @pytest.mark.parametrize("pname,gname", CLOSED)
     def test_registered_pairs(self, pname, gname):
@@ -324,3 +326,122 @@ class TestEvaluatorTable:
         assert fn((2, 5, 3, 1)) == 5
         monkeypatch.setattr(formulas, "vmcap_c4_k2", lambda b: 99)
         assert fn((2, 5, 3, 1)) == 99
+
+
+class TestCompiledDispatch:
+    """vmcap() resolves each (host, guest) pair once and reuses it."""
+
+    def test_invalid_id_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(nc.TopologyError):
+                nc.vmcap("pentagon", "k2", (1, 1, 1, 1))
+            with pytest.raises(nc.TopologyError):
+                nc.vmcap("c4", "k0", (1, 1, 1, 1))
+
+    @pytest.mark.parametrize(
+        "pnuma,vnuma", [(["c4"], "k2"), ("c4", ["k2"]), ({"c4": 1}, "k2")]
+    )
+    def test_unhashable_id_is_a_topology_error(self, pnuma, vnuma):
+        with pytest.raises(nc.TopologyError):
+            nc.vmcap(pnuma, vnuma, (1, 1, 1, 1))
+
+    def test_vmcap_sees_a_patched_formula(self, monkeypatch):
+        assert nc.vmcap("c4", "k2", (2, 5, 3, 1)).count == 5
+        monkeypatch.setattr(formulas, "vmcap_c4_k2", lambda b: 99)
+        assert nc.vmcap("c4", "k2", (2, 5, 3, 1)).count == 99
+
+    def test_string_and_parsed_ids_agree(self):
+        b = (1, 2, 3, 4, 5, 6, 7, 8)
+        assert nc.vmcap("cq3", "k2", b) == nc.vmcap(nc.CQ3, nc.K2, b)
+        assert nc.vmcap(" CQ3 ", "K2", b) == nc.vmcap(nc.CQ3, nc.K2, b)
+
+
+# Pairs that canonical guest ids close: k2_2 is c4, k1_1 and star1 are k2,
+# k1_N is starN, and a guest shaped like its host takes min(b).
+NEWLY_CLOSED_SMALL = [
+    ("c4", "c4"),
+    ("c4", "k2_2"),
+    ("k2_2", "c4"),
+    ("k2_2", "k2_2"),
+    ("c4", "k1_1"),
+    ("k4", "k1_1"),
+    ("k2_2", "k1_1"),
+    ("k4", "star1"),
+    ("k3", "k1_1"),
+    ("star3", "k1_3"),
+    ("k1_3", "star3"),
+    ("k1_3", "k1_3"),
+    ("star3", "star3"),
+    ("k2_3", "k1_1"),
+    ("star5", "k1_5"),
+]
+NEWLY_CLOSED_LARGE = [
+    ("q33", "k2_2"),
+    ("cq3", "k2_2"),
+    ("l4", "k1_1"),
+    ("cq3", "k1_1"),
+    ("q33", "k1_1"),
+    ("l4", "l4"),
+    ("cq3", "cq3"),
+    ("q33", "q33"),
+]
+
+
+def solver_mismatches(pname, gname, vectors):
+    host = nc.expand_topology(pname)
+    guest = nc.expand_topology(gname)
+    cache = {}
+    bad = []
+    for b in vectors:
+        result = nc.vmcap(pname, gname, b)
+        assert result.via == "closed-form"
+        if result.count != nc.oracle_vmcap(host, guest, b, cache=cache).count:
+            bad.append(b)
+    return bad
+
+
+class TestCanonicalIds:
+    def test_isomorphic_guests_leave_the_solver(self):
+        assert nc.vmcap("c4", "k2_2", (60,) * 4) == nc.VmcapResult(60)
+        assert nc.vmcap("c4", "c4", (60, 70, 80, 90)) == nc.VmcapResult(60)
+        assert nc.vmcap("q33", "k2_2", (30,) * 8).count == nc.vmcap_q33_c4(
+            (30,) * 8
+        )
+        assert nc.vmcap("k4", "k1_1", (60,) * 4).count == 120
+        big = nc.MAX_CAPACITY
+        assert nc.vmcap("l4", "l4", (big,) * 7 + (5,)).count == 5
+
+    def test_same_shape_evaluator_checks_the_dimension(self):
+        fn = nc.closed_form_evaluator("c4", "k2_2")
+        assert fn((4, 3, 9, 7)) == 3
+        with pytest.raises(nc.DimensionError):
+            fn((4, 3))
+
+    def test_host_keeps_its_own_labels(self):
+        # k2_2 pairs 1,2 with 3,4; read as a c4 vector this would give 5
+        assert nc.vmcap("k2_2", "k2", (5, 5, 0, 0)).count == 0
+        assert nc.vmcap("k2_2", "k1_1", (5, 5, 0, 0)).count == 0
+        assert nc.vmcap("k2_2", "c4", (5, 5, 0, 0)).count == 0
+
+    @pytest.mark.parametrize("pname,gname", NEWLY_CLOSED_SMALL)
+    def test_small_pairs_match_solver_exhaustively(self, pname, gname):
+        n = nc.parse_topology(pname).vertex_count
+        assert solver_mismatches(pname, gname, product(range(6), repeat=n)) == []
+
+    @pytest.mark.parametrize("pname,gname", NEWLY_CLOSED_LARGE)
+    def test_large_pairs_match_solver(self, pname, gname):
+        # [0..5]^8 is 1.7M solver runs; [0..2]^8 plus a sample stands in
+        vectors = list(product(range(3), repeat=8))
+        vectors += random_vectors(f"{pname}/{gname} canonical", 2000, 8, 5)
+        assert solver_mismatches(pname, gname, vectors) == []
+
+    @pytest.mark.parametrize("pname,gname", NEWLY_CLOSED_LARGE)
+    def test_solver_sees_the_canonical_pair(self, pname, gname):
+        # the solver reads only the embedding list, so equal lists mean
+        # equal solver counts for every b
+        host = nc.expand_topology(pname)
+        twin = nc.expand_topology(nc.canonical_id(gname))
+        guest = nc.expand_topology(gname)
+        assert nc.enumerate_embeddings(host, guest) == nc.enumerate_embeddings(
+            host, twin
+        )

@@ -25,6 +25,30 @@ def test_check_capacities_rejects_bad_input():
         nc.check_capacities([1, 2.0, 3], 3)
 
 
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        (True, "capacity b2 must be an integer, got True"),
+        (2.0, "capacity b2 must be an integer, got 2.0"),
+        (-1, "capacity b2=-1 outside [0, 4294967295]"),
+        (MAX_CAPACITY + 1, "capacity b2=4294967296 outside [0, 4294967295]"),
+    ],
+)
+def test_check_capacities_messages(value, message):
+    with pytest.raises(nc.CapacityError) as info:
+        nc.check_capacities([1, value, 2], 3)
+    assert str(info.value) == message
+
+
+def test_check_capacities_accepts_int_subclass():
+    class Count(int):
+        pass
+
+    vals = nc.check_capacities([Count(3), 4, MAX_CAPACITY], 3)
+    assert vals == (3, 4, MAX_CAPACITY)
+    assert type(vals[0]) is Count
+
+
 class TestGraph:
     def test_edges_are_normalized(self):
         g = nc.Graph(3, [(2, 1), (3, 2)])
@@ -117,6 +141,26 @@ class TestParsing:
     def test_rejects_unknown(self, text):
         with pytest.raises(nc.TopologyError):
             nc.parse_topology(text)
+
+    @pytest.mark.parametrize(
+        "text,canonical",
+        [
+            ("k2_2", "c4"),
+            ("k1_1", "k2"),
+            ("star1", "k2"),
+            ("k1_5", "star5"),
+            ("k2_3", "k2_3"),
+            ("k4_4", "k4_4"),
+            ("c4", "c4"),
+            ("star3", "star3"),
+        ],
+    )
+    def test_canonical_id(self, text, canonical):
+        assert str(nc.canonical_id(text)) == canonical
+        expanded = nc.expand_topology(text)
+        twin = nc.expand_topology(nc.canonical_id(text))
+        assert expanded.degree_sequence() == twin.degree_sequence()
+        assert len(expanded.edges) == len(twin.edges)
 
     def test_as_topology_id_passthrough(self):
         assert nc.as_topology_id(nc.CQ3) is nc.CQ3
