@@ -30,6 +30,8 @@ from typing import Optional, Sequence
 
 from .capacity import Flavor, ServerComponent, ServerState, cluster_capacity
 from .errors import (
+    CapacityError,
+    DimensionError,
     NumacapError,
     ResourceError,
     ScaleLimitError,
@@ -129,7 +131,6 @@ def _parse_component(doc, path: str) -> ServerComponent:
     caps = doc.get("capacities")
     if (nodes is None) == (caps is None):
         raise SchemaError(path, "expected exactly one of 'nodes' or 'capacities'")
-    count = tid.vertex_count
     if nodes is not None:
         if not isinstance(nodes, list):
             raise SchemaError(f"{path}.nodes", "expected an array")
@@ -148,17 +149,13 @@ def _parse_component(doc, path: str) -> ServerComponent:
             ) from None
     if not isinstance(caps, list):
         raise SchemaError(f"{path}.capacities", "expected an array")
-    if len(caps) != count:
-        raise SchemaError(
-            f"{path}.capacities", f"expected {count} entries, got {len(caps)}"
-        )
-    for k, v in enumerate(caps):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise SchemaError(
-                f"{path}.capacities[{k}]",
-                f"expected a non-negative integer, got {v!r}",
-            )
-    return ServerComponent(topology=tid, capacities=tuple(caps))
+    # ServerComponent checks the length and every entry
+    try:
+        return ServerComponent(topology=tid, capacities=caps)
+    except DimensionError as exc:
+        raise SchemaError(f"{path}.capacities", str(exc)) from None
+    except CapacityError as exc:
+        raise SchemaError(f"{path}.capacities[{exc.index}]", str(exc)) from None
 
 
 def load_flavors(path: str) -> dict[str, Flavor]:

@@ -16,7 +16,14 @@ class DimensionError(NumacapError):
 
 
 class CapacityError(NumacapError):
-    """Capacity entry is not an integer in [0, 2**32 - 1]."""
+    """Capacity entry is not an integer in [0, 2**32 - 1].
+
+    `index` is the 0-based position of the entry at fault, when there is one.
+    """
+
+    def __init__(self, message: str, index: Optional[int] = None):
+        super().__init__(message)
+        self.index = index
 
 
 class ScaleLimitError(NumacapError):

@@ -78,17 +78,23 @@ def oracle_vmcap(
 
     Branches on each embedding's multiplicity from high to low and
     memoizes subproblems keyed on the residual capacities of vertices
-    still touched by the remaining embeddings.  Nodes are pruned with
-    counting bounds: floor(residual sum / |V(guest)|), plus one bound per
-    maximal independent set I of the host, since a guest copy can occupy
-    at most independence_number(guest) vertices of I and therefore uses
-    at least |V(guest)| - that many vertices outside I.
+    still touched by the remaining embeddings (the alive vertices).
+    Nodes are pruned with the subset-cover bound: for a set R of alive
+    vertices let c(R) be the most vertices that one remaining embedding
+    has in R.  Every remaining copy takes k = |V(guest)| alive vertices,
+    at most c(R) of them in R, so at most
+    floor((residual(alive) - residual(R)) / (k - c(R))) copies still fit
+    whenever c(R) < k.  The bound is the minimum over the closed sets R,
+    those where adding any alive vertex raises c(R); the others are
+    dominated.  R = {} gives floor(residual sum / k), and on a complete
+    host R = any r vertices gives the clique bound, so there the root
+    bound is already the optimum.
 
     Passing a dict as `cache` reuses the memo across calls for the same
     (host, guest) pair; entries are independent of the starting
     capacities, so sweeps share most of the work.  With memoize=False a
-    plain recursion with only the base bound runs instead (slow; meant
-    for cross-checking the memoized search on tiny inputs).
+    plain recursion with only floor(residual sum / k) runs instead (slow;
+    meant for cross-checking the memoized search on tiny inputs).
     """
     caps = check_capacities(capacities, host.vertex_count)
     if host.vertex_count > MAX_ORACLE_VERTICES:
@@ -141,9 +147,32 @@ class _PairStatics:
     embeddings: tuple[tuple[int, ...], ...]
     verts: tuple[tuple[int, ...], ...]  # 0-based copies of embeddings
     alive: tuple[tuple[int, ...], ...]  # vertices appearing in verts[i:]
-    bound_terms: tuple  # per index: ((vertex tuple, divisor), ...)
+    # per index: ((vertices of R, k - c(R)), ...) over the closed sets R
+    bound_terms: tuple
     k: int
-    spare: int  # vertices a copy must take outside any host independent set
+
+
+@lru_cache(maxsize=16)
+def _subset_tables(n: int):
+    """Bit sets over the 2^n vertex subsets of an n-vertex host.
+
+    A family of subsets is one int whose bit R is set when subset R (a
+    vertex bitmask) belongs to it.  Returns the full family, per vertex v
+    the family of subsets without v, and per subset its vertex tuple.
+    """
+    full = (1 << (1 << n)) - 1
+    without = []
+    for v in range(n):
+        # subsets without v form runs of 2^v set bits, 2^v apart
+        run = (1 << (1 << v)) - 1
+        fam = 0
+        for start in range(0, 1 << n, 2 << v):
+            fam |= run << start
+        without.append(fam)
+    members = tuple(
+        tuple(v for v in range(n) if r >> v & 1) for r in range(1 << n)
+    )
+    return full, tuple(without), members
 
 
 @lru_cache(maxsize=256)
@@ -152,34 +181,50 @@ def _pair_statics(host: Graph, guest: Graph) -> _PairStatics:
     m = len(embeddings)
     k = guest.vertex_count
     verts = tuple(tuple(v - 1 for v in emb) for emb in embeddings)
+    full, without, members = _subset_tables(host.vertex_count)
+    # below[j] is the family {R : c(R) <= j}, where c(R) is the largest
+    # number of vertices that one remaining embedding has in R; it starts
+    # as every subset (no embedding left) and shrinks as embeddings join
+    below = [full] * k
     alive: list[tuple[int, ...]] = [()] * (m + 1)
-    seen: set[int] = set()
+    bound_terms: list[tuple] = [(((), k),)] * (m + 1)
+    alive_mask = 0
     for i in range(m - 1, -1, -1):
-        seen.update(verts[i])
-        alive[i] = tuple(sorted(seen))
-    spare = k - independence_number(guest)
-    complements = []
-    if spare >= 1:
-        for ind in maximal_independent_sets(host):
-            complements.append(
-                tuple(v - 1 for v in host.vertices() if v not in ind)
-            )
-    bound_terms = []
-    for idx in range(m + 1):
-        keep = set(alive[idx])
-        terms = [(alive[idx], k)]
-        for comp in complements:
-            cut = tuple(v for v in comp if v in keep)
-            if len(cut) < len(alive[idx]):
-                terms.append((cut, spare))
-        bound_terms.append(tuple(terms))
+        # within[j]: subsets that meet embedding i in at most j vertices
+        within = [full] * k
+        for v in verts[i]:
+            alive_mask |= 1 << v
+            has_v = full ^ without[v]
+            within = [
+                (w & without[v]) | (within[j - 1] & has_v if j else 0)
+                for j, w in enumerate(within)
+            ]
+        below = [b & w for b, w in zip(below, within)]
+        alive[i] = members[alive_mask]
+        # only subsets of the alive vertices; R is closed at level j when
+        # c(R) = j and adding any alive vertex takes it out of below[j]
+        inside = full
+        for v, fam in enumerate(without):
+            if not alive_mask >> v & 1:
+                inside &= fam
+        terms = []
+        lower = 0
+        for j in range(k):
+            level = below[j] & ~lower & inside
+            for v in alive[i]:
+                level &= ~((below[j] >> (1 << v)) & without[v])
+            lower = below[j]
+            while level:
+                low = level & -level
+                level ^= low
+                terms.append((members[low.bit_length() - 1], k - j))
+        bound_terms[i] = tuple(terms)
     return _PairStatics(
         embeddings=embeddings,
         verts=verts,
         alive=tuple(alive),
         bound_terms=tuple(bound_terms),
         k=k,
-        spare=spare,
     )
 
 
@@ -189,7 +234,6 @@ def _make_solver(statics: _PairStatics, memoize: bool, cache: Optional[dict]):
     bound_terms = statics.bound_terms
     m = len(verts)
     k = statics.k
-    spare = statics.spare
 
     if not memoize:
 
@@ -223,44 +267,48 @@ def _make_solver(statics: _PairStatics, memoize: bool, cache: Optional[dict]):
 
         return solve_plain
 
-    # with spare >= 2 a copy still needs spare - 1 outside vertices besides
-    # any one fixed vertex, which is what rules out lopsided sides
-    deep = spare >= 2
     memo = cache if cache is not None else {}
 
-    def node_bound(idx: int, residual: tuple[int, ...]) -> int:
-        best = -1
+    def node_bound(idx: int, residual: tuple[int, ...], floor: int) -> int:
+        """Smallest subset-cover term at idx, or the first one <= floor."""
+        total = 0
+        for v in alive[idx]:
+            total += residual[v]
+        stop = floor if floor > 0 else 0
+        best = total
         for vs, div in bound_terms[idx]:
-            s = 0
+            s = total
             for v in vs:
-                s += residual[v]
-            cur = s // div
-            if best < 0 or cur < best:
-                best = cur
-                if best == 0:
-                    return 0
-            if deep and div == spare:
-                for v in vs:
-                    cur = (s - residual[v]) // (spare - 1)
-                    if cur < best:
-                        best = cur
-                if best == 0:
-                    return 0
+                s -= residual[v]
+            s //= div
+            if s < best:
+                best = s
+                if s <= stop:
+                    break
         return best
 
-    def solve(idx: int, residual: tuple[int, ...]) -> int:
-        if idx == m:
-            return 0
+    def pack(idx: int, residual: Sequence[int]) -> int:
         # pack the alive residuals into one int: entries stay under 256
         # because total capacity is capped at 200; the nonzero idx+1
         # prefix byte keeps keys of different lengths distinct
         key = idx + 1
         for v in alive[idx]:
             key = (key << 8) | residual[v]
+        return key
+
+    def solve(idx: int, residual: tuple[int, ...], bound: int = -1) -> int:
+        if idx == m:
+            return 0
+        key = pack(idx, residual)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        bound = node_bound(idx, residual)
+        if bound < 0:
+            bound = node_bound(idx, residual, 0)
+        return expand(idx, residual, key, bound)
+
+    def expand(idx: int, residual: tuple[int, ...], key: int, bound: int) -> int:
+        """Search node idx, not in the memo yet, whose bound is given."""
         if bound == 0:
             memo[key] = 0
             return 0
@@ -270,22 +318,32 @@ def _make_solver(statics: _PairStatics, memoize: bool, cache: Optional[dict]):
             if residual[v] < tmax:
                 tmax = residual[v]
         if tmax == 0:
-            best = solve(idx + 1, residual)
+            # embedding idx is unusable, so idx + 1 has this node's value
+            # and this node's bound still holds there
+            best = solve(idx + 1, residual, bound)
             memo[key] = best
             return best
         work = list(residual)
         for v in vs:
             work[v] -= tmax
+        nxt = idx + 1
         best = 0
         t = tmax
         while True:
-            child = tuple(work)
-            if t + node_bound(idx + 1, child) > best:
-                val = t + solve(idx + 1, child)
-                if val > best:
-                    best = val
-                    if best >= bound:
-                        break
+            child_key = pack(nxt, work)
+            val = memo.get(child_key)
+            if val is None:
+                child = tuple(work)
+                floor = best - t
+                # the child's bound is computed once: here, for the
+                # pruning test, and passed on to the child's own search
+                child_bound = node_bound(nxt, child, floor)
+                if child_bound > floor:
+                    val = expand(nxt, child, child_key, child_bound)
+            if val is not None and t + val > best:
+                best = t + val
+                if best >= bound:
+                    break
             if t == 0:
                 break
             t -= 1

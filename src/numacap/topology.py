@@ -52,9 +52,13 @@ def check_capacities(values: Sequence[int], expected_len: int) -> tuple[int, ...
         return vals
     for i, v in enumerate(vals):
         if isinstance(v, bool) or not isinstance(v, int):
-            raise CapacityError(f"capacity b{i + 1} must be an integer, got {v!r}")
+            raise CapacityError(
+                f"capacity b{i + 1} must be an integer, got {v!r}", index=i
+            )
         if v < 0 or v > MAX_CAPACITY:
-            raise CapacityError(f"capacity b{i + 1}={v} outside [0, {MAX_CAPACITY}]")
+            raise CapacityError(
+                f"capacity b{i + 1}={v} outside [0, {MAX_CAPACITY}]", index=i
+            )
     return vals
 
 

@@ -206,6 +206,20 @@ class TestCluster:
                 ),
                 "servers[1].components[0].capacities[7]",
             ),
+            pytest.param(
+                lambda d: d["servers"][1]["components"][0].update(
+                    {"capacities": [3] * 7 + [2**33]}
+                ),
+                "servers[1].components[0].capacities[7]",
+                id="capacity-above-2^32-1",
+            ),
+            pytest.param(
+                lambda d: d["servers"][1]["components"][0].update(
+                    {"capacities": [3] * 7}
+                ),
+                "servers[1].components[0].capacities: expected 8",
+                id="capacities-wrong-length",
+            ),
             (
                 lambda d: d["servers"][1]["components"][0].update(
                     {"nodes": [{"cpu": 1}] * 8}

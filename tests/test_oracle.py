@@ -1,10 +1,17 @@
 """Exhaustive-search reference oracle and its cross-checks."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import numacap as nc
-from numacap.oracle import independence_number, maximal_independent_sets
+from numacap.formulas import vmcap_kn_kk_rec
+from numacap.oracle import (
+    _pair_statics,
+    independence_number,
+    maximal_independent_sets,
+)
 from conftest import (
     CQ3_SWAP,
     LARGE_PAIRS,
@@ -192,3 +199,116 @@ class TestMatchingExpansion:
                 continue
             blown_up = nc.expand_to_simple_matching(host, caps)
             assert nc.maximum_matching_size(blown_up) == reference, caps
+
+
+# eight pairs with no closed form and two with one (cq3/k2, q33/c4); the
+# tests below call the solver directly, so all ten reach it
+SOLVER_PAIRS = [
+    ("l4", "c4"),
+    ("k5", "c4"),
+    ("k6", "k2_3"),
+    ("k6", "c4"),
+    ("star4", "k1_2"),
+    ("cq3", "k1_2"),
+    ("l4", "k1_2"),
+    ("k2_3", "c4"),
+    ("cq3", "k2"),
+    ("q33", "c4"),
+]
+
+
+def root_terms(host, guest, caps):
+    """Value of every subset-cover term at the root of the search."""
+    statics = _pair_statics(host, guest)
+    total = sum(caps[v] for v in statics.alive[0])
+    return [
+        (total - sum(caps[v] for v in vs)) // div
+        for vs, div in statics.bound_terms[0]
+    ]
+
+
+def closed_sets_by_definition(statics, idx):
+    """(R, k - c(R)) for every closed R at idx, straight from the definition."""
+    k = statics.k
+    alive = statics.alive[idx]
+    remaining = [set(vs) for vs in statics.verts[idx:]]
+
+    def cover(r):
+        return max((len(s & r) for s in remaining), default=0)
+
+    out = set()
+    for size in range(len(alive) + 1):
+        for sub in combinations(alive, size):
+            r = set(sub)
+            c = cover(r)
+            if c < k and all(cover(r | {v}) > c for v in alive if v not in r):
+                out.add((sub, k - c))
+    return out
+
+
+class TestSubsetCoverBound:
+    @pytest.mark.parametrize(
+        "pname,gname",
+        [("c4", "k2"), ("k4", "k3"), ("cq3", "k1_2"), ("l4", "c4"),
+         ("k6", "k2_3"), ("star4", "k1_2")],
+    )
+    def test_terms_are_the_closed_sets(self, pname, gname):
+        statics = _pair_statics(expanded(pname), expanded(gname))
+        for idx in range(len(statics.verts) + 1):
+            assert set(statics.bound_terms[idx]) == closed_sets_by_definition(
+                statics, idx
+            ), idx
+
+    @pytest.mark.parametrize("pname,gname", SOLVER_PAIRS)
+    def test_memoized_search_matches_plain_search(self, pname, gname):
+        host, guest = expanded(pname), expanded(gname)
+        for caps in random_vectors(f"{pname}/{gname} cover", 60, host.vertex_count, 4):
+            fast = nc.oracle_vmcap(host, guest, caps).count
+            slow = nc.oracle_vmcap(host, guest, caps, memoize=False).count
+            assert fast == slow, caps
+
+    @pytest.mark.parametrize("pname,gname", SOLVER_PAIRS)
+    def test_every_root_term_bounds_the_optimum(self, pname, gname):
+        host, guest = expanded(pname), expanded(gname)
+        for caps in random_vectors(f"{pname}/{gname} terms", 40, host.vertex_count, 20):
+            best = nc.oracle_vmcap(host, guest, caps).count
+            assert all(term >= best for term in root_terms(host, guest, caps)), caps
+
+    @pytest.mark.parametrize(
+        "n,gname",
+        [(4, "k2"), (4, "k3"), (4, "k1_2"), (4, "c4"), (5, "k3"), (5, "c4"),
+         (5, "k4"), (6, "k3"), (6, "c4"), (6, "k2_3"), (6, "k5")],
+    )
+    def test_root_bound_is_the_clique_formula(self, n, gname):
+        host, guest = expanded(f"k{n}"), expanded(gname)
+        k = guest.vertex_count
+        for top in (6, 200, nc.MAX_CAPACITY):
+            for caps in random_vectors(f"k{n}/{gname} clique {top}", 200, n, top):
+                assert min(root_terms(host, guest, caps)) == vmcap_kn_kk_rec(
+                    n, k, caps
+                ), caps
+
+    def test_hard_inputs_stay_small(self):
+        # the search under the earlier bound family stored more than two
+        # million memo entries on these five and did not finish the third
+        cases = [
+            ("cq3", "k1_2", (16, 1, 31, 5, 3, 9, 19, 36), 27),
+            ("cq3", "k1_2", (2, 30, 66, 28, 45, 1, 16, 12), 43),
+            ("cq3", "k1_2", (81, 29, 33, 40, 8, 4, 5, 0), 59),
+            ("l4", "k1_2", (15, 19, 6, 9, 12, 78, 14, 7), 31),
+            ("l4", "k1_2", (0, 18, 29, 11, 7, 31, 16, 48), 41),
+        ]
+        states = 0
+        for pname, gname, caps, want in cases:
+            host, guest = expanded(pname), expanded(gname)
+            cache = {}
+            sol = nc.oracle_vmcap(host, guest, caps, cache=cache)
+            states += len(cache)
+            assert sol.count == want, caps
+            assert sum(m for _, m in sol.multiplicities) == want
+            used = usage_from_witness(host, guest, sol)
+            assert all(u <= c for u, c in zip(used, caps)), caps
+        assert states <= 50_000
+        # 59 needs no search to trust: the witness meets a root bound term
+        cq3, path = expanded("cq3"), expanded("k1_2")
+        assert min(root_terms(cq3, path, cases[2][2])) == 59

@@ -38,6 +38,7 @@ def test_check_capacities_messages(value, message):
     with pytest.raises(nc.CapacityError) as info:
         nc.check_capacities([1, value, 2], 3)
     assert str(info.value) == message
+    assert info.value.index == 1
 
 
 def test_check_capacities_accepts_int_subclass():
