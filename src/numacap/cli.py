@@ -8,7 +8,13 @@ files, formula-vs-solver verification sweeps, and a small benchmark:
     numacap cluster --state cluster.json --flavors flavors.json --flavor m2
     numacap verify --topology c4 --vnuma k2 --max-cap 5
     numacap verify --topology cq3 --vnuma k2 --samples 10000 --seed 7
+    numacap verify
     numacap bench --topology cq3 --vnuma k2 --iters 1000000
+    numacap bench
+
+Without --topology and --vnuma, verify and bench run every instance of
+the pair registry, verify over each entry's range unless --max-cap or
+--samples is given.  `place` has a witness for every closed pair.
 
 Capacity lists are always given in canonical label order 1..n (see the
 topology module for the labelings).  Exit codes: 0 success, 1 verification
@@ -24,7 +30,6 @@ import random
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
@@ -38,9 +43,8 @@ from .errors import (
     SchemaError,
     TopologyError,
 )
-from .formulas import closed_form_evaluator, vmcap
+from .formulas import INSTANCES, closed_form_evaluator, place_vnuma, vmcap
 from .oracle import oracle_vmcap
-from .placement import Placement, place_c4_vnuma, place_k2, place_kn_kk
 from .topology import TopologyId, expand_topology, parse_topology
 
 _ORACLE_CACHE_LIMIT = 2_000_000
@@ -217,23 +221,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _placement_for(
-    tid: TopologyId, gid: TopologyId, caps: tuple[int, ...]
-) -> Placement:
-    if gid.kind == "kn" and gid.n == 2:
-        return place_k2(tid, caps)
-    if gid.kind == "c4":
-        return place_c4_vnuma(tid, caps)
-    if gid.kind == "kn" and tid.kind == "kn":
-        return place_kn_kk(tid.n, gid.n, caps)
-    raise TopologyError(f"no placement routine for pair {tid}/{gid}")
-
-
 def cmd_place(args) -> int:
     caps = _parse_caps(args.caps)
-    tid = parse_topology(args.topology)
-    gid = parse_topology(args.vnuma)
-    placement = _placement_for(tid, gid, caps)
+    placement = place_vnuma(args.topology, args.vnuma, caps)
     print(
         json.dumps({"count": placement.count, "matches": placement.as_lists()})
     )
@@ -277,156 +267,144 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-@dataclass
-class VerifyReport:
-    cases: int
-    mismatch_count: int
-    samples: list[tuple[tuple[int, ...], int, int]]  # (caps, formula, oracle)
+def _pairs(args) -> list:
+    """(host, guest, registry entry) for each registry instance when no id
+    is given, else for the named pair alone, with the entry None."""
+    if args.topology is None and args.vnuma is None:
+        return [(parse_topology(host), parse_topology(guest), pair)
+                for host, guest, pair in INSTANCES]
+    if args.topology is None or args.vnuma is None:
+        raise SchemaError(
+            "--topology" if args.topology is None else "--vnuma",
+            "give --topology and --vnuma together, or neither",
+        )
+    tid, gid = parse_topology(args.topology), parse_topology(args.vnuma)
+    if closed_form_evaluator(tid, gid) is None:
+        raise TopologyError(f"no closed-form evaluator for pair {tid}/{gid}")
+    return [(tid, gid, None)]
 
 
-def run_verification(
-    tid: TopologyId, gid: TopologyId, vectors, fn
-) -> VerifyReport:
-    """Compare a closed form against the solver over an iterable of vectors."""
-    host = expand_topology(tid)
-    guest = expand_topology(gid)
+def _print_docs(args, docs: list[dict], lines) -> None:
+    """One JSON document for a named pair, a JSON array for the registry,
+    or the text lines of each document."""
+    if args.json:
+        print(json.dumps(docs if args.topology is None else docs[0]))
+    else:
+        for doc in docs:
+            for line in lines(doc):
+                print(line)
+
+
+def _sweep(n: int, max_cap: Optional[int], samples: Optional[int], seed: int):
+    """The capacity vectors of one verify sweep, and its mode."""
+    if samples is not None:
+        if samples < 1:
+            raise SchemaError("--samples", "must be >= 1")
+        cap = max_cap if max_cap is not None else 20
+        rng = random.Random(seed)
+        vectors = (
+            tuple(rng.randint(0, cap) for _ in range(n)) for _ in range(samples)
+        )
+        return vectors, "random"
+    if max_cap is None:
+        raise SchemaError(
+            "verify", "give --max-cap for an exhaustive sweep or --samples"
+        )
+    total = (max_cap + 1) ** n
+    if total > _EXHAUSTIVE_LIMIT:
+        raise ScaleLimitError(
+            f"exhaustive sweep of {total} vectors is too large; use --samples"
+        )
+    return product(range(max_cap + 1), repeat=n), "exhaustive"
+
+
+def _verify(tid: TopologyId, gid: TopologyId, vectors, mode: str) -> dict:
+    """Compare the pair's closed form against the solver on every vector."""
+    fn = closed_form_evaluator(tid, gid)
+    host, guest = expand_topology(tid), expand_topology(gid)
     cache: dict = {}
-    cases = 0
-    mismatch_count = 0
-    samples: list[tuple[tuple[int, ...], int, int]] = []
+    doc = {"topology": str(tid), "vnuma": str(gid), "mode": mode,
+           "cases": 0, "mismatches": 0, "examples": []}
     for bv in vectors:
-        cases += 1
+        doc["cases"] += 1
         want = oracle_vmcap(host, guest, bv, cache=cache).count
         got = fn(bv)
         if got != want:
-            mismatch_count += 1
-            if len(samples) < 5:
-                samples.append((bv, got, want))
+            doc["mismatches"] += 1
+            if len(doc["examples"]) < 5:
+                doc["examples"].append(
+                    {"caps": list(bv), "formula": got, "oracle": want}
+                )
         if len(cache) > _ORACLE_CACHE_LIMIT:
             cache.clear()
-    return VerifyReport(cases=cases, mismatch_count=mismatch_count, samples=samples)
+    return doc
 
 
 def cmd_verify(args) -> int:
-    tid = parse_topology(args.topology)
-    gid = parse_topology(args.vnuma)
-    fn = closed_form_evaluator(tid, gid)
-    if fn is None:
-        raise TopologyError(f"no closed-form evaluator for pair {tid}/{gid}")
-    n = tid.vertex_count
-    if args.samples is not None:
-        if args.samples < 1:
-            raise SchemaError("--samples", "must be >= 1")
-        cap = args.max_cap if args.max_cap is not None else 20
-        rng = random.Random(args.seed)
-        vectors = (
-            tuple(rng.randint(0, cap) for _ in range(n))
-            for _ in range(args.samples)
-        )
-        mode = "random"
-    else:
-        if args.max_cap is None:
-            raise SchemaError(
-                "verify", "give --max-cap for an exhaustive sweep or --samples"
-            )
-        total = (args.max_cap + 1) ** n
-        if total > _EXHAUSTIVE_LIMIT:
-            raise ScaleLimitError(
-                f"exhaustive sweep of {total} vectors is too large;"
-                f" use --samples"
-            )
-        vectors = product(range(args.max_cap + 1), repeat=n)
-        mode = "exhaustive"
-    report = run_verification(tid, gid, vectors, fn)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "topology": str(tid),
-                    "vnuma": str(gid),
-                    "mode": mode,
-                    "cases": report.cases,
-                    "mismatches": report.mismatch_count,
-                    "examples": [
-                        {"caps": list(bv), "formula": got, "oracle": want}
-                        for bv, got, want in report.samples
-                    ],
-                }
-            )
-        )
-    else:
-        print(
-            f"{tid}/{gid} {mode}: {report.cases} cases,"
-            f" {report.mismatch_count} mismatches"
-        )
-        for bv, got, want in report.samples:
-            print(f"  caps={list(bv)} formula={got} oracle={want}")
-    return 1 if report.mismatch_count else 0
+    docs = []
+    for tid, gid, pair in _pairs(args):
+        max_cap, samples = args.max_cap, args.samples
+        if pair is not None and max_cap is None and samples is None:
+            max_cap, samples = pair.max_cap, pair.samples
+        vectors, mode = _sweep(tid.vertex_count, max_cap, samples, args.seed)
+        docs.append(_verify(tid, gid, vectors, mode))
+
+    def lines(doc):
+        yield (f"{doc['topology']}/{doc['vnuma']} {doc['mode']}:"
+               f" {doc['cases']} cases, {doc['mismatches']} mismatches")
+        for ex in doc["examples"]:
+            yield f"  caps={ex['caps']} formula={ex['formula']} oracle={ex['oracle']}"
+
+    _print_docs(args, docs, lines)
+    return 1 if any(doc["mismatches"] for doc in docs) else 0
 
 
-def cmd_bench(args) -> int:
-    tid = parse_topology(args.topology)
-    gid = parse_topology(args.vnuma)
-    fn = closed_form_evaluator(tid, gid)
-    if fn is None:
-        raise TopologyError(f"no closed-form evaluator for pair {tid}/{gid}")
-    n = tid.vertex_count
-    rng = random.Random(args.seed)
-    pool = [tuple(rng.randint(0, 20) for _ in range(n)) for _ in range(256)]
-    iters = args.iters
+def _timed_rate(fn, pool: list, iters: int) -> dict:
+    """Call fn on the pool round-robin `iters` times."""
     start = time.perf_counter()
     i = 0
     for _ in range(iters):
         fn(pool[i & 255])
         i += 1
-    formula_elapsed = time.perf_counter() - start
+    elapsed = time.perf_counter() - start
+    return {
+        "evals": iters,
+        "seconds": elapsed,
+        "evals_per_second": iters / elapsed if elapsed else None,
+    }
 
-    oracle_iters = 0
-    oracle_elapsed = None
-    if n <= 8:
-        host = expand_topology(tid)
-        guest = expand_topology(gid)
-        oracle_iters = max(1, iters // 1000)
-        start = time.perf_counter()
-        i = 0
-        for _ in range(oracle_iters):
-            oracle_vmcap(host, guest, pool[i & 255])
-            i += 1
-        oracle_elapsed = time.perf_counter() - start
 
-    pair = f"{tid}/{gid}"
-    if args.json:
+def cmd_bench(args) -> int:
+    docs = []
+    for tid, gid, _ in _pairs(args):
+        n = tid.vertex_count
+        rng = random.Random(args.seed)
+        pool = [tuple(rng.randint(0, 20) for _ in range(n)) for _ in range(256)]
         doc = {
-            "pair": pair,
-            "formula": {
-                "evals": iters,
-                "seconds": formula_elapsed,
-                "evals_per_second": iters / formula_elapsed if formula_elapsed else None,
-            },
+            "pair": f"{tid}/{gid}",
+            "formula": _timed_rate(
+                closed_form_evaluator(tid, gid), pool, args.iters
+            ),
         }
-        if oracle_elapsed is not None:
-            doc["oracle"] = {
-                "evals": oracle_iters,
-                "seconds": oracle_elapsed,
-                "evals_per_second": (
-                    oracle_iters / oracle_elapsed if oracle_elapsed else None
-                ),
-            }
-        print(json.dumps(doc))
-    else:
-        rate = iters / formula_elapsed if formula_elapsed else float("inf")
-        print(
-            f"closed-form {pair}: {iters} evals in {formula_elapsed:.3f} s"
-            f" ({rate:,.0f} evals/s)"
-        )
-        if oracle_elapsed is not None:
-            rate = oracle_iters / oracle_elapsed if oracle_elapsed else float("inf")
-            print(
-                f"oracle {pair}: {oracle_iters} evals in {oracle_elapsed:.3f} s"
-                f" ({rate:,.0f} evals/s)"
+        if n <= 8:
+            host, guest = expand_topology(tid), expand_topology(gid)
+            doc["oracle"] = _timed_rate(
+                lambda b: oracle_vmcap(host, guest, b), pool,
+                max(1, args.iters // 1000),
             )
-        else:
-            print(f"oracle {pair}: skipped (host too large)")
+        docs.append(doc)
+
+    def lines(doc):
+        for label, key in (("closed-form", "formula"), ("oracle", "oracle")):
+            if key not in doc:
+                yield f"{label} {doc['pair']}: skipped (host too large)"
+                continue
+            run = doc[key]
+            rate = run["evals_per_second"] or float("inf")
+            yield (f"{label} {doc['pair']}: {run['evals']} evals in"
+                   f" {run['seconds']:.3f} s ({rate:,.0f} evals/s)")
+
+    _print_docs(args, docs, lines)
     return 0
 
 
@@ -461,9 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("verify", help="compare a formula against the solver")
-    p.add_argument("--topology", required=True)
-    p.add_argument("--vnuma", required=True)
+    p = sub.add_parser("verify", help="compare formulas against the solver")
+    p.add_argument("--topology", help="host id; omit both ids for every pair")
+    p.add_argument("--vnuma", help="guest id")
     p.add_argument(
         "--max-cap",
         type=int,
@@ -475,9 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="time the formula and the solver")
-    p.add_argument("--topology", required=True)
-    p.add_argument("--vnuma", required=True)
+    p = sub.add_parser("bench", help="time formulas and the solver")
+    p.add_argument("--topology", help="host id; omit both ids for every pair")
+    p.add_argument("--vnuma", help="guest id")
     p.add_argument("--iters", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")

@@ -2,20 +2,34 @@
 
 Each evaluator answers, in constant time, how many guest shapes of one
 kind fit a host topology given per-node counts b (canonical label order).
-Every formula here is checked against the exhaustive solver in the test
-suite; pairs without a formula fall back to that solver through vmcap().
+PAIRS registers each formula with its witness placement and the sweep
+that checks it against the exhaustive solver; pairs without a formula
+fall back to that solver through vmcap().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional, Sequence, Union
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DimensionError, TopologyError
 from .oracle import oracle_vmcap
+from .placement import (
+    Placement,
+    place_bipartite_k2,
+    place_cq3_c4,
+    place_cq3_k2,
+    place_kmn_k2,
+    place_kn_kk,
+    place_l4_k2,
+    place_q33_c4,
+)
 from .topology import (
+    C4,
+    K2,
+    K3,
     Graph,
     TopologyId,
     as_topology_id,
@@ -118,27 +132,6 @@ def vmcap_l4_k2(b: Sequence[int]) -> int:
     return min(n1 + b3 + b5 + n7, n2 + b4 + b6 + n8)
 
 
-def cq3_delta(b: Sequence[int]) -> int:
-    """Cross-link usage offset for the crossed cube.
-
-    Half the odd-minus-even capacity surplus, clamped to what the two
-    cross links (1,7) and (2,8) can carry.  Floor and ceiling rounding
-    give the same final count; floor is used throughout.
-    """
-    if len(b) != 8:
-        raise DimensionError(f"expected 8 capacities, got {len(b)}")
-    b1, b2, b3, b4, b5, b6, b7, b8 = b
-    delta = (b1 + b3 + b5 + b7 - b2 - b4 - b6 - b8) // 2
-    lo = -(b2 if b2 < b8 else b8)
-    hi = b1 if b1 < b7 else b7
-    assert lo <= 0 <= hi
-    if delta < lo:
-        return lo
-    if delta > hi:
-        return hi
-    return delta
-
-
 def vmcap_cq3_k2(b: Sequence[int]) -> int:
     """Pairs on the crossed cube: six-term minimum with the clamped offset."""
     if len(b) != 8:
@@ -198,6 +191,14 @@ def vmcap_kmn_k2(m: int, n: int, b: Sequence[int]) -> int:
     return min(sum(b[:m]), sum(b[m:]))
 
 
+def vmcap_q33_k2(b: Sequence[int]) -> int:
+    """Pairs in the odd/even complete bipartite host: min of the side sums."""
+    if len(b) != 8:
+        raise DimensionError(f"expected 8 capacities, got {len(b)}")
+    b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return min(b1 + b3 + b5 + b7, b2 + b4 + b6 + b8)
+
+
 def vmcap_q33_c4(b: Sequence[int]) -> int:
     """4-cycles in the odd/even complete bipartite host.
 
@@ -207,13 +208,6 @@ def vmcap_q33_c4(b: Sequence[int]) -> int:
     if len(b) != 8:
         raise DimensionError(f"expected 8 capacities, got {len(b)}")
     return min(vmcap_k4_k2(b[0::2]), vmcap_k4_k2(b[1::2]))
-
-
-def _vmcap_same_shape(n: int, b: Sequence[int]) -> int:
-    """A guest shaped like its n-node host: every copy takes each node once."""
-    if len(b) != n:
-        raise DimensionError(f"expected {n} capacities, got {len(b)}")
-    return min(b)
 
 
 def normalize_capacities(
@@ -263,70 +257,137 @@ def partial_means(values: Sequence[int], k: int) -> list[Fraction]:
     return [Fraction(prefix[n - i], k - i) for i in range(k)]
 
 
+class Pair(NamedTuple):
+    """One closed form: its count, its witness and the sweep that checks both.
+
+    count(*args, b) and witness(*args, b) read b in the host's labels;
+    args is params(host, guest) for an entry that covers a host family,
+    and empty otherwise.  instances are the (host, guest) ids that
+    `numacap verify` and `numacap bench` run when no pair is named; verify
+    draws `samples` random vectors from [0..max_cap]^n for each, or takes
+    all of them when samples is None.
+    """
+
+    count: Callable[..., int]
+    witness: Callable[..., Placement]
+    instances: tuple[tuple[str, str], ...]
+    max_cap: int = 20
+    samples: Optional[int] = 10_000
+    params: Optional[Callable[[TopologyId, TopologyId], tuple]] = None
+
+
+# Keyed by (host key, canonical guest).  The host key is the host's kind as
+# parsed, not its canonical form, as host labels index b; "k4" keys two
+# special cases.  Guest None on "kn" is any guest that fits: each k-subset
+# of K_n carries every k-node guest, so the count is the k-clique's.
+PAIRS: dict[tuple[str, Optional[TopologyId]], Pair] = {
+    ("c4", K2): Pair(
+        vmcap_c4_k2, partial(place_bipartite_k2, (1, 3), (2, 4)),
+        (("c4", "k2"),), 5, None,
+    ),
+    ("l4", K2): Pair(vmcap_l4_k2, place_l4_k2, (("l4", "k2"),)),
+    ("cq3", K2): Pair(vmcap_cq3_k2, place_cq3_k2, (("cq3", "k2"),)),
+    ("q33", K2): Pair(
+        vmcap_q33_k2, partial(place_bipartite_k2, (1, 3, 5, 7), (2, 4, 6, 8)),
+        (("q33", "k2"),),
+    ),
+    ("cq3", C4): Pair(vmcap_cq3_c4, place_cq3_c4, (("cq3", "c4"),)),
+    ("q33", C4): Pair(vmcap_q33_c4, place_q33_c4, (("q33", "c4"),)),
+    ("km_n", K2): Pair(
+        vmcap_kmn_k2, place_kmn_k2, (("k2_3", "k2"),), 5, None,
+        params=lambda host, guest: (host.m, host.n),
+    ),
+    ("star", K2): Pair(
+        vmcap_kmn_k2, place_kmn_k2, (("star5", "k2"),),
+        params=lambda host, guest: (1, host.n),
+    ),
+    ("k4", K2): Pair(
+        vmcap_k4_k2, partial(place_kn_kk, 4, 2), (("k4", "k2"),), 5, None
+    ),
+    ("k4", K3): Pair(
+        vmcap_k4_k3, partial(place_kn_kk, 4, 3), (("k4", "k3"),), 5, None
+    ),
+    ("kn", None): Pair(
+        vmcap_kn_kk_rec, place_kn_kk,
+        (("k4", "c4"), ("k5", "k3"), ("k5", "k2_3"), ("k6", "k2"), ("k6", "c4")),
+        12,
+        params=lambda host, guest: (host.n, guest.vertex_count),
+    ),
+}
+
+# A guest of its host's shape has one embedding, all n nodes, as the n-clique
+# has in K_n: min(b) copies of (1..n).
+SAME_SHAPE = Pair(
+    vmcap_kn_kk_rec, place_kn_kk,
+    (("c4", "c4"), ("c4", "k2_2"), ("star3", "k1_3"), ("l4", "l4")),
+    params=lambda host, guest: (host.vertex_count, host.vertex_count),
+)
+
+# (host, guest, entry) for every instance the no-pair sweeps run
+INSTANCES = tuple(
+    (host, guest, pair)
+    for pair in (*PAIRS.values(), SAME_SHAPE)
+    for host, guest in pair.instances
+)
+
+
+def _bind(pair: Pair, pid: TopologyId, gid: TopologyId):
+    if pair.params is None:
+        return pair.count, pair.witness
+    args = pair.params(pid, gid)
+    return partial(pair.count, *args), partial(pair.witness, *args)
+
+
+def pair_entry(pid: TopologyId, gid: TopologyId):
+    """(count, witness) of the PAIRS entry for a host and a canonical guest,
+    or None.  _resolve applies the same-shape rule before this lookup."""
+    if not 2 <= gid.vertex_count <= pid.vertex_count:
+        return None
+    pair = (
+        PAIRS.get((str(pid), gid))
+        or PAIRS.get((pid.kind, gid))
+        or PAIRS.get((pid.kind, None))
+    )
+    return None if pair is None else _bind(pair, pid, gid)
+
+
+@lru_cache(maxsize=1024)
+def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
+    """(host id, guest id, host vertex count, count, witness) for a pair.
+
+    Memoised, so vmcap() parses each id and binds its formula once per
+    pair.  An invalid id raises, and a raising call is never cached.  The
+    guest id is canonicalised for the lookup (k2_2 is c4, k1_1 is k2, k1_N
+    is starN); the host keeps its own id, whose labels index the vector.
+    count and witness are None when the pair has no closed form.
+    """
+    pid = as_topology_id(pnuma)
+    gid = as_topology_id(vnuma)
+    n = pid.vertex_count
+    guest = canonical_id(gid)
+    if n >= 2 and guest == canonical_id(pid):
+        return (pid, gid, n, *_bind(SAME_SHAPE, pid, guest))
+    return (pid, gid, n, *(pair_entry(pid, guest) or (None, None)))
+
+
+def _resolved(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
+    try:
+        return _resolve(pnuma, vnuma)
+    except TypeError:
+        # an unhashable id cannot be a cache key; resolving it uncached
+        # raises the TopologyError that names it
+        return _resolve.__wrapped__(pnuma, vnuma)
+
+
 def closed_form_evaluator(
     pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]
 ):
     """The formula for a host/guest pair, or None when only the solver works.
 
     The returned callable takes a capacity vector and returns the count.
-    Formula functions are resolved per call so tests can substitute them.
-    The guest id is canonicalised first (k2_2 is c4, k1_1 is k2, k1_N is
-    starN); the host keeps its own id, whose labels index the vector.  A
-    guest of the host's own shape always has a formula: min(b).
+    A guest of the host's own shape always has a formula: min(b).
     """
-    pid = as_topology_id(pnuma)
-    gid = canonical_id(vnuma)
-    if canonical_id(pid) == gid:
-        return lambda caps, n=pid.vertex_count: _vmcap_same_shape(n, caps)
-    pk, gk = pid.kind, gid.kind
-    if gk == "kn" and gid.n == 2:
-        if pk == "c4":
-            return lambda caps: vmcap_c4_k2(caps)
-        if pk == "l4":
-            return lambda caps: vmcap_l4_k2(caps)
-        if pk == "cq3":
-            return lambda caps: vmcap_cq3_k2(caps)
-        if pk == "q33":
-            return lambda caps: vmcap_kmn_k2(
-                4, 4, tuple(caps[0::2]) + tuple(caps[1::2])
-            )
-        if pk == "km_n":
-            return lambda caps, m=pid.m, n=pid.n: vmcap_kmn_k2(m, n, caps)
-        if pk == "star":
-            return lambda caps, n=pid.n: vmcap_kmn_k2(1, n, caps)
-        if pk == "kn" and pid.n == 4:
-            return lambda caps: vmcap_k4_k2(caps)
-        if pk == "kn" and pid.n >= 2:
-            return lambda caps, n=pid.n: vmcap_kn_kk_rec(n, 2, caps)
-        return None
-    if gk == "kn" and pk == "kn" and 2 <= gid.n <= pid.n:
-        if pid.n == 4 and gid.n == 3:
-            return lambda caps: vmcap_k4_k3(caps)
-        return lambda caps, n=pid.n, k=gid.n: vmcap_kn_kk_rec(n, k, caps)
-    if gk == "c4":
-        if pk == "cq3":
-            return lambda caps: vmcap_cq3_c4(caps)
-        if pk == "q33":
-            return lambda caps: vmcap_q33_c4(caps)
-    return None
-
-
-@lru_cache(maxsize=1024)
-def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
-    """(host id, guest id, host vertex count, evaluator or None) for a pair.
-
-    Memoised, so vmcap() parses each id and picks its formula once per
-    pair.  An invalid id raises, and a raising call is never cached.  The
-    evaluator is None when the guest is too small or too large for a
-    formula, or when the pair has none.
-    """
-    pid = as_topology_id(pnuma)
-    gid = as_topology_id(vnuma)
-    n = pid.vertex_count
-    fn = None
-    if 2 <= gid.vertex_count <= n:
-        fn = closed_form_evaluator(pid, gid)
-    return pid, gid, n, fn
+    return _resolved(pnuma, vnuma)[3]
 
 
 def vmcap(
@@ -341,12 +402,7 @@ def vmcap(
     span at least two nodes; single-node guests are a plain sum and are
     handled by the server-level capacity functions.
     """
-    try:
-        pid, gid, n, fn = _resolve(pnuma, vnuma)
-    except TypeError:
-        # an unhashable id cannot be a cache key; resolving it uncached
-        # raises the TopologyError that names it
-        pid, gid, n, fn = _resolve.__wrapped__(pnuma, vnuma)
+    pid, gid, n, fn, _ = _resolved(pnuma, vnuma)
     caps = check_capacities(capacities, n)
     if fn is not None:
         return VmcapResult(fn(caps))
@@ -361,3 +417,19 @@ def vmcap(
     guest = expand_topology(gid)
     solution = oracle_vmcap(host, guest, caps)
     return VmcapResult(solution.count, via="oracle")
+
+
+def place_vnuma(
+    pnuma: Union[TopologyId, str],
+    vnuma: Union[TopologyId, str],
+    capacities: Sequence[int],
+) -> Placement:
+    """A placement of vmcap(pnuma, vnuma, capacities).count guests.
+
+    Every pair that has a closed form has one; any other pair raises.
+    """
+    pid, gid, n, _, witness = _resolved(pnuma, vnuma)
+    caps = check_capacities(capacities, n)
+    if witness is None:
+        raise TopologyError(f"no placement routine for pair {pid}/{gid}")
+    return witness(caps)

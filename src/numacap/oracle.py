@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import ScaleLimitError
@@ -31,40 +30,6 @@ class OracleSolution:
 
     count: int
     multiplicities: tuple[tuple[int, int], ...]
-
-
-@lru_cache(maxsize=256)
-def independence_number(graph: Graph) -> int:
-    """Largest set of pairwise non-adjacent vertices (brute force)."""
-    best = 1
-    verts = list(graph.vertices())
-    for size in range(2, graph.vertex_count + 1):
-        found = False
-        for sub in combinations(verts, size):
-            if all(not graph.has_edge(u, v) for u, v in combinations(sub, 2)):
-                found = True
-                break
-        if found:
-            best = size
-        else:
-            break
-    return best
-
-
-@lru_cache(maxsize=256)
-def maximal_independent_sets(graph: Graph) -> tuple[frozenset[int], ...]:
-    """All maximal independent vertex sets (hosts here have <= 12 vertices)."""
-    verts = list(graph.vertices())
-    independent = []
-    for size in range(1, graph.vertex_count + 1):
-        for sub in combinations(verts, size):
-            if all(not graph.has_edge(u, v) for u, v in combinations(sub, 2)):
-                independent.append(frozenset(sub))
-    return tuple(
-        s
-        for s in independent
-        if not any(s < other for other in independent)
-    )
 
 
 def oracle_vmcap(

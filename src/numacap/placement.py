@@ -2,7 +2,9 @@
 
 Each routine returns concrete node groups, one per placed guest, whose
 cardinality equals the corresponding formula.  Groups reference nodes by
-canonical label; a node appears in at most b_i groups overall.
+canonical label; a node appears in at most b_i groups overall.  The
+pair registry in the formulas module names the routine for each pair;
+the routines here take a vector already checked against the host.
 """
 
 from __future__ import annotations
@@ -10,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import PlacementError, TopologyError
-from .formulas import cq3_delta
+from .errors import DimensionError, PlacementError, TopologyError
 from .topology import (
+    C4,
+    K2,
     Graph,
     TopologyId,
     as_topology_id,
@@ -80,39 +83,40 @@ def _greedy_cliques(
 
 def place_k2(topology: Union[TopologyId, str], b: Sequence[int]) -> Placement:
     """Pair placement achieving the pair-capacity formula for the host."""
+    return _registered(topology, K2, b)
+
+
+def place_c4_vnuma(
+    topology: Union[TopologyId, str], b: Sequence[int]
+) -> Placement:
+    """4-cycle guest placement on the crossed cube, the odd/even host or a
+    complete host."""
+    return _registered(topology, C4, b)
+
+
+def _registered(
+    topology: Union[TopologyId, str], guest: TopologyId, b: Sequence[int]
+) -> Placement:
+    """The witness of the registry entry for a host and a guest."""
+    from .formulas import pair_entry  # the registry imports this module
+
     tid = as_topology_id(topology)
     caps = check_capacities(b, tid.vertex_count)
-    kind = tid.kind
-    if kind == "kn":
-        return place_kn_kk(tid.n, 2, caps)
-    if kind == "c4":
-        pairs = _greedy_bipartite((1, 3), (2, 4), caps)
-    elif kind == "q33":
-        pairs = _greedy_bipartite((1, 3, 5, 7), (2, 4, 6, 8), caps)
-    elif kind == "km_n":
-        left = tuple(range(1, tid.m + 1))
-        right = tuple(range(tid.m + 1, tid.m + tid.n + 1))
-        pairs = _greedy_bipartite(left, right, caps)
-    elif kind == "star":
-        pairs = _greedy_bipartite((1,), tuple(range(2, tid.n + 2)), caps)
-    elif kind == "l4":
-        pairs = _place_l4_pairs(caps)
-    elif kind == "cq3":
-        pairs = _place_cq3_pairs(caps)
-    else:
-        raise TopologyError(f"no pair placement for topology {tid}")
-    return Placement(tuple(pairs))
+    _, witness = pair_entry(tid, guest) or (None, None)
+    if witness is None:
+        raise TopologyError(f"no placement routine for pair {tid}/{guest}")
+    return witness(caps)
 
 
-def _greedy_bipartite(
-    left: tuple[int, ...], right: tuple[int, ...], caps: Sequence[int]
-) -> list[tuple[int, int]]:
-    """Match current maxima of each side until one side drains.
+def place_bipartite_k2(
+    left: tuple[int, ...], right: tuple[int, ...], b: Sequence[int]
+) -> Placement:
+    """Pairs across two sides whose nodes are all adjacent across.
 
-    Any two nodes from opposite sides are adjacent here, so this reaches
-    min(left sum, right sum) regardless of tie handling.
+    Matches the current maxima of each side until one side drains, which
+    reaches min(left sum, right sum) regardless of tie handling.
     """
-    residual = {v: caps[v - 1] for v in left + right}
+    residual = {v: b[v - 1] for v in left + right}
     pairs: list[tuple[int, int]] = []
     while True:
         a = max((v for v in left if residual[v] > 0),
@@ -120,14 +124,21 @@ def _greedy_bipartite(
         c = max((v for v in right if residual[v] > 0),
                 key=lambda v: (residual[v], -v), default=None)
         if a is None or c is None:
-            return pairs
+            return Placement(tuple(pairs))
         step = min(residual[a], residual[c])
         pairs.extend([(a, c) if a < c else (c, a)] * step)
         residual[a] -= step
         residual[c] -= step
 
 
-def _place_l4_pairs(b: Sequence[int]) -> list[tuple[int, int]]:
+def place_kmn_k2(m: int, n: int, b: Sequence[int]) -> Placement:
+    """Pairs across a complete bipartite host, left part 1..m."""
+    left = tuple(range(1, m + 1))
+    right = tuple(range(m + 1, m + n + 1))
+    return place_bipartite_k2(left, right, b)
+
+
+def place_l4_k2(b: Sequence[int]) -> Placement:
     """Pair placement on the ladder.
 
     Drains the end rungs first (each end node pairs with its rung mate,
@@ -158,15 +169,13 @@ def _place_l4_pairs(b: Sequence[int]) -> list[tuple[int, int]]:
         c[5] -= n8 - t
     # clipped ends never overdraw the middle
     assert c[3] >= 0 and c[4] >= 0 and c[5] >= 0 and c[6] >= 0
-    mid = [0] * 8
-    for v in (3, 4, 5, 6):
-        mid[v - 1] = c[v]
-    pairs.extend(_greedy_bipartite((3, 5), (4, 6), mid))
-    return pairs
+    # the middle 4-cycle reads only labels 3..6 of what is left
+    pairs.extend(place_bipartite_k2((3, 5), (4, 6), c[1:]).matches)
+    return Placement(tuple(pairs))
 
 
-def _place_cq3_pairs(b: Sequence[int]) -> list[tuple[int, int]]:
-    """Pair placement on the crossed cube.
+def place_cq3_k2(b: Sequence[int]) -> Placement:
+    """Pairs on the crossed cube.
 
     Uses the cross links (1,7)/(2,8) exactly as often as the formula's
     offset says, then the remainder is a ladder instance.
@@ -179,9 +188,30 @@ def _place_cq3_pairs(b: Sequence[int]) -> list[tuple[int, int]]:
     c[6] -= x
     c[1] -= y
     c[7] -= y
-    pairs = [(1, 7)] * x + [(2, 8)] * y
-    pairs.extend(_place_l4_pairs(c))
-    return pairs
+    return Placement(
+        ((1, 7),) * x + ((2, 8),) * y + place_l4_k2(c).matches
+    )
+
+
+def cq3_delta(b: Sequence[int]) -> int:
+    """Cross-link usage offset for the crossed cube.
+
+    Half the odd-minus-even capacity surplus, clamped to what the two
+    cross links (1,7) and (2,8) can carry.  Floor and ceiling rounding
+    give the same final count; floor is used throughout.
+    """
+    if len(b) != 8:
+        raise DimensionError(f"expected 8 capacities, got {len(b)}")
+    b1, b2, b3, b4, b5, b6, b7, b8 = b
+    delta = (b1 + b3 + b5 + b7 - b2 - b4 - b6 - b8) // 2
+    lo = -(b2 if b2 < b8 else b8)
+    hi = b1 if b1 < b7 else b7
+    assert lo <= 0 <= hi
+    if delta < lo:
+        return lo
+    if delta > hi:
+        return hi
+    return delta
 
 
 # how each rung-level pair of the collapsed 4-cycle maps back to crossed
@@ -194,30 +224,26 @@ _CQ3_RUNG_CYCLES = {
 }
 
 
-def place_c4_vnuma(
-    topology: Union[TopologyId, str], b: Sequence[int]
-) -> Placement:
-    """4-cycle guest placement on the crossed cube or the odd/even host."""
-    tid = as_topology_id(topology)
-    caps = check_capacities(b, tid.vertex_count)
-    if tid.kind == "cq3":
-        rung_caps = (
-            min(caps[0], caps[1]),
-            min(caps[2], caps[3]),
-            min(caps[4], caps[5]),
-            min(caps[6], caps[7]),
-        )
-        collapsed = place_k2("c4", rung_caps)
-        groups = [_CQ3_RUNG_CYCLES[pair] for pair in collapsed.matches]
-        return Placement(tuple(groups))
-    if tid.kind == "q33":
-        odd = place_kn_kk(4, 2, caps[0::2])
-        even = place_kn_kk(4, 2, caps[1::2])
-        groups = []
-        for (i, j), (p, q) in zip(odd.matches, even.matches):
-            groups.append(tuple(sorted((2 * i - 1, 2 * j - 1, 2 * p, 2 * q))))
-        return Placement(tuple(groups))
-    raise TopologyError(f"no 4-cycle placement for topology {tid}")
+def place_cq3_c4(b: Sequence[int]) -> Placement:
+    """4-cycles on the crossed cube: pairs on the 4-cycle of rung minima."""
+    rung_caps = (
+        min(b[0], b[1]),
+        min(b[2], b[3]),
+        min(b[4], b[5]),
+        min(b[6], b[7]),
+    )
+    collapsed = place_bipartite_k2((1, 3), (2, 4), rung_caps)
+    return Placement(tuple(_CQ3_RUNG_CYCLES[pair] for pair in collapsed.matches))
+
+
+def place_q33_c4(b: Sequence[int]) -> Placement:
+    """4-cycles on the odd/even host: a pair from each side per cycle."""
+    odd = place_kn_kk(4, 2, b[0::2])
+    even = place_kn_kk(4, 2, b[1::2])
+    return Placement(tuple(
+        tuple(sorted((2 * i - 1, 2 * j - 1, 2 * p, 2 * q)))
+        for (i, j), (p, q) in zip(odd.matches, even.matches)
+    ))
 
 
 def verify_placement(

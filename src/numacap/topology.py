@@ -103,9 +103,6 @@ class Graph:
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adjacency[v]
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
 

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 import numacap as nc
+from numacap import formulas
 
 # closed-form pairs grouped by host size; used by sweep-style tests
 SMALL_PAIRS = [("c4", "k2"), ("k4", "k2"), ("k4", "k3")]
@@ -60,3 +63,24 @@ def closed_form(pname: str, gname: str):
     fn = nc.closed_form_evaluator(nc.parse_topology(pname), nc.parse_topology(gname))
     assert fn is not None, f"no closed form registered for {pname}/{gname}"
     return fn
+
+
+@pytest.fixture
+def patch_formula(monkeypatch):
+    """Swap the count function of one registry entry for one test.
+
+    patch(host key, guest id, fn) replaces PAIRS[host key, guest]; the
+    resolver cache is cleared after the swap and again once the entry is
+    restored, so no other test sees a pair bound to the substitute.
+    """
+
+    def patch(host_key: str, guest: str, fn) -> None:
+        key = (host_key, nc.parse_topology(guest))
+        monkeypatch.setitem(
+            formulas.PAIRS, key, formulas.PAIRS[key]._replace(count=fn)
+        )
+        formulas._resolve.cache_clear()
+
+    yield patch
+    monkeypatch.undo()
+    formulas._resolve.cache_clear()

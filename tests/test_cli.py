@@ -120,7 +120,7 @@ class TestPlace:
         code, _, err = run(capsys, "place", "--topology", "l4", "--vnuma", "c4",
                            "--caps", "1,1,1,1,1,1,1,1")
         assert code == 2
-        assert "no 4-cycle placement" in err
+        assert "no placement routine for pair l4/c4" in err
 
         code, _, err = run(capsys, "place", "--topology", "cq3", "--vnuma", "k3",
                            "--caps", "1,1,1,1,1,1,1,1")
@@ -298,19 +298,17 @@ class TestVerify:
                            "--samples", "40", "--seed", "3", "--json")
         assert first == second
 
-    def test_broken_formula_is_caught(self, capsys, monkeypatch):
-        monkeypatch.setattr(formulas, "vmcap_c4_k2", lambda b: 999)
+    def test_broken_formula_is_caught(self, capsys, patch_formula):
+        patch_formula("c4", "k2", lambda b: 999)
         code, out, _ = run(capsys, "verify", "--topology", "c4", "--vnuma", "k2",
                            "--max-cap", "1")
         assert code == 1
         assert "16 cases, 16 mismatches" in out
         assert "formula=999" in out
 
-    def test_off_by_one_formula_is_caught(self, capsys, monkeypatch):
+    def test_off_by_one_formula_is_caught(self, capsys, patch_formula):
         real = formulas.vmcap_cq3_k2
-        monkeypatch.setattr(
-            formulas, "vmcap_cq3_k2", lambda b: real(b) + (1 if sum(b) > 9 else 0)
-        )
+        patch_formula("cq3", "k2", lambda b: real(b) + (1 if sum(b) > 9 else 0))
         code, out, _ = run(capsys, "verify", "--topology", "cq3", "--vnuma", "k2",
                            "--samples", "80", "--seed", "1")
         assert code == 1
@@ -332,6 +330,32 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--topology", "c4", "--vnuma", "k2")
         assert code == 2
         assert "--max-cap" in err
+
+
+class TestRegistrySweeps:
+    """verify and bench with no pair run every registry instance."""
+
+    INSTANCES = [(host, guest) for host, guest, _ in formulas.INSTANCES]
+
+    def test_verify_every_instance(self, capsys):
+        code, out, _ = run(capsys, "verify", "--samples", "30", "--max-cap", "3",
+                           "--json")
+        assert code == 0
+        docs = json.loads(out)
+        assert [(d["topology"], d["vnuma"]) for d in docs] == self.INSTANCES
+        assert all(d["cases"] == 30 and d["mismatches"] == 0 for d in docs)
+
+    def test_bench_every_instance(self, capsys):
+        code, out, _ = run(capsys, "bench", "--iters", "2000", "--json")
+        assert code == 0
+        docs = json.loads(out)
+        assert [d["pair"] for d in docs] == [f"{h}/{g}" for h, g in self.INSTANCES]
+        assert all(d["formula"]["evals"] == 2000 and "oracle" in d for d in docs)
+
+    def test_one_id_alone_is_an_error(self, capsys):
+        code, _, err = run(capsys, "verify", "--topology", "c4", "--max-cap", "1")
+        assert code == 2
+        assert "--vnuma" in err
 
 
 class TestBench:

@@ -10,7 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 import numacap as nc
 from numacap import formulas
-from conftest import CQ3_SWAP, apply_vertex_map, random_vectors
+from conftest import (
+    CQ3_SWAP,
+    LARGE_PAIRS,
+    SMALL_PAIRS,
+    apply_vertex_map,
+    random_vectors,
+)
 
 # (label, evaluator, host size, guest size); used by the property tests
 EVALUATORS = [
@@ -261,7 +267,7 @@ class TestDispatch:
     def test_oracle_fallback(self):
         res = nc.vmcap("l4", "c4", (1,) * 8)
         assert res == nc.VmcapResult(2, "oracle")
-        assert nc.vmcap("k4", "c4", (1, 1, 1, 1)).via == "oracle"
+        assert nc.vmcap("k2_3", "c4", (1, 1, 1, 1, 1)).via == "oracle"
 
     def test_guest_larger_than_host(self):
         assert nc.vmcap("k2", "c4", (3, 3)).count == 0
@@ -273,7 +279,7 @@ class TestDispatch:
 
     def test_oracle_fallback_scale_limit(self):
         with pytest.raises(nc.ScaleLimitError):
-            nc.vmcap("k9", "c4", (1,) * 9)
+            nc.vmcap("star8", "k1_2", (1,) * 9)
 
     def test_capacity_validation(self):
         with pytest.raises(nc.DimensionError):
@@ -304,8 +310,9 @@ class TestEvaluatorTable:
         ("k2_3", "k2"),
         ("star5", "k2"),
         ("c4", "c4"),
+        ("k4", "c4"),
     ]
-    OPEN = [("l4", "c4"), ("cq3", "k3"), ("q33", "k3"), ("k4", "c4")]
+    OPEN = [("l4", "c4"), ("cq3", "k3"), ("q33", "k3")]
 
     @pytest.mark.parametrize("pname,gname", CLOSED)
     def test_registered_pairs(self, pname, gname):
@@ -321,10 +328,15 @@ class TestEvaluatorTable:
         )
         assert fn is None
 
-    def test_evaluator_reflects_patched_formula(self, monkeypatch):
+    def test_conftest_pairs_are_registry_instances(self):
+        registered = {(host, guest) for host, guest, _ in formulas.INSTANCES}
+        assert set(SMALL_PAIRS + LARGE_PAIRS) <= registered
+
+    def test_evaluator_reflects_patched_formula(self, patch_formula):
         fn = nc.closed_form_evaluator(nc.C4, nc.K2)
         assert fn((2, 5, 3, 1)) == 5
-        monkeypatch.setattr(formulas, "vmcap_c4_k2", lambda b: 99)
+        patch_formula("c4", "k2", lambda b: 99)
+        fn = nc.closed_form_evaluator(nc.C4, nc.K2)
         assert fn((2, 5, 3, 1)) == 99
 
 
@@ -345,9 +357,9 @@ class TestCompiledDispatch:
         with pytest.raises(nc.TopologyError):
             nc.vmcap(pnuma, vnuma, (1, 1, 1, 1))
 
-    def test_vmcap_sees_a_patched_formula(self, monkeypatch):
+    def test_vmcap_sees_a_patched_formula(self, patch_formula):
         assert nc.vmcap("c4", "k2", (2, 5, 3, 1)).count == 5
-        monkeypatch.setattr(formulas, "vmcap_c4_k2", lambda b: 99)
+        patch_formula("c4", "k2", lambda b: 99)
         assert nc.vmcap("c4", "k2", (2, 5, 3, 1)).count == 99
 
     def test_string_and_parsed_ids_agree(self):
@@ -445,3 +457,34 @@ class TestCanonicalIds:
         assert nc.enumerate_embeddings(host, guest) == nc.enumerate_embeddings(
             host, twin
         )
+
+
+# guest shapes used across the tests; on a kN host each one that fits
+# takes the clique count
+COMPLETE_HOST_PAIRS = [
+    (pname, gname)
+    for pname in ("k4", "k5", "k6")
+    for gname in ("k2", "k3", "k4", "k5", "k6", "k1_2", "k1_3", "k1_4",
+                  "k1_5", "c4", "k2_2", "k2_3", "star3", "l4")
+    if nc.parse_topology(gname).vertex_count
+    <= nc.parse_topology(pname).vertex_count
+]
+
+
+class TestCompleteHost:
+    @pytest.mark.parametrize("pname,gname", COMPLETE_HOST_PAIRS)
+    def test_matches_solver_with_a_witness(self, pname, gname):
+        host = nc.expand_topology(pname)
+        guest = nc.expand_topology(gname)
+        cache = {}
+        for b in random_vectors(f"{pname}/{gname} complete", 300,
+                                host.vertex_count, 12):
+            result = nc.vmcap(pname, gname, b)
+            assert result.via == "closed-form"
+            assert result.count == nc.oracle_vmcap(host, guest, b, cache=cache).count, b
+            placement = nc.place_vnuma(pname, gname, b)
+            nc.verify_placement(host, guest, b, placement)
+            assert placement.count == result.count, b
+
+    def test_beyond_the_solver_range(self):
+        assert nc.vmcap("k6", "c4", (300,) * 6) == nc.VmcapResult(450)

@@ -7,11 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import numacap as nc
 from numacap.formulas import vmcap_kn_kk_rec
-from numacap.oracle import (
-    _pair_statics,
-    independence_number,
-    maximal_independent_sets,
-)
+from numacap.oracle import _pair_statics
 from conftest import (
     CQ3_SWAP,
     LARGE_PAIRS,
@@ -35,32 +31,6 @@ def usage_from_witness(host, guest, solution):
         for v in groups[idx]:
             used[v - 1] += mult
     return used
-
-
-class TestIndependentSets:
-    def test_independence_numbers(self):
-        assert independence_number(expanded("k2")) == 1
-        assert independence_number(expanded("k4")) == 1
-        assert independence_number(expanded("c4")) == 2
-        assert independence_number(expanded("l4")) == 4
-        # the cross edges break up {1,3,5,7}, so only three fit
-        assert independence_number(expanded("cq3")) == 3
-        assert independence_number(expanded("q33")) == 4
-
-    def test_maximal_sets_of_cycle(self):
-        sets = maximal_independent_sets(expanded("c4"))
-        assert set(sets) == {frozenset({1, 3}), frozenset({2, 4})}
-
-    def test_maximal_sets_are_independent_and_maximal(self):
-        g = expanded("cq3")
-        sets = maximal_independent_sets(g)
-        for s in sets:
-            for u in s:
-                for v in s:
-                    assert u == v or not g.has_edge(u, v)
-            for w in g.vertices():
-                if w not in s:
-                    assert any(g.has_edge(w, u) for u in s)
 
 
 class TestOracleBasics:

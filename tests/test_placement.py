@@ -1,8 +1,11 @@
 """Witness constructions behind each closed-form count."""
 
+import json
+
 import pytest
 
 import numacap as nc
+from numacap import cli, formulas
 from numacap.placement import _greedy_cliques
 from conftest import random_vectors
 
@@ -113,6 +116,32 @@ class TestRingGuestPlacement:
             nc.place_c4_vnuma("c4", (1, 1, 1, 1))
         with pytest.raises(nc.TopologyError):
             nc.place_c4_vnuma("l4", (1,) * 8)
+
+
+# every registry instance, pairs closed through canonical guest ids or the
+# same-shape rule, and guests that only the complete-host rule covers
+WITNESS_PAIRS = sorted(
+    {(host, guest) for host, guest, _ in formulas.INSTANCES}
+    | {("c4", "c4"), ("c4", "k2_2"), ("q33", "k2_2"), ("k4", "k1_1"),
+       ("star3", "k1_3"), ("l4", "l4"), ("k6", "c4"), ("k5", "k2_3")}
+)
+
+
+class TestEveryClosedPair:
+    @pytest.mark.parametrize("pname,gname", WITNESS_PAIRS)
+    def test_cli_and_library_witnesses(self, capsys, pname, gname):
+        n = nc.parse_topology(pname).vertex_count
+        for caps in random_vectors(f"{pname}/{gname} witness", 20, n, 256):
+            want = nc.vmcap(pname, gname, caps).count
+            code = cli.main(["place", "--topology", pname, "--vnuma", gname,
+                             "--caps", ",".join(map(str, caps))])
+            assert code == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["count"] == want, caps
+            printed = nc.Placement(tuple(tuple(m) for m in doc["matches"]))
+            for pl in (printed, nc.place_vnuma(pname, gname, caps)):
+                check(pname, gname, caps, pl)
+                assert pl.count == want, caps
 
 
 class TestVerification:
