@@ -1,7 +1,7 @@
 """Command line front end.
 
 Capacity counts, witness placements, cluster aggregation from JSON state
-files, formula-vs-solver verification sweeps, and a small benchmark:
+files, and formula-vs-solver verification sweeps:
 
     numacap eval --topology cq3 --vnuma k2 --caps 30,30,30,30,30,30,30,30
     numacap place --topology k4 --vnuma k2 --caps 3,2,1,0
@@ -9,12 +9,11 @@ files, formula-vs-solver verification sweeps, and a small benchmark:
     numacap verify --topology c4 --vnuma k2 --max-cap 5
     numacap verify --topology cq3 --vnuma k2 --samples 10000 --seed 7
     numacap verify
-    numacap bench --topology cq3 --vnuma k2 --iters 1000000
-    numacap bench
 
-Without --topology and --vnuma, verify and bench run every instance of
-the pair registry, verify over each entry's range unless --max-cap or
---samples is given.  `place` has a witness for every closed pair.
+Without --topology and --vnuma, verify runs every instance of the pair
+registry over each entry's range unless --max-cap or --samples is given.
+`place` has a witness for every closed pair.  Timing is the benchmark's
+job (capbench/run.py), not this command's.
 
 Capacity lists are always given in canonical label order 1..n (see the
 topology module for the labelings).  Exit codes: 0 success, 1 verification
@@ -28,7 +27,6 @@ import gc
 import json
 import random
 import sys
-import time
 from contextlib import contextmanager
 from itertools import product
 from typing import Optional, Sequence
@@ -284,19 +282,10 @@ def _pairs(args) -> list:
     return [(tid, gid, None)]
 
 
-def _print_docs(args, docs: list[dict], lines) -> None:
-    """One JSON document for a named pair, a JSON array for the registry,
-    or the text lines of each document."""
-    if args.json:
-        print(json.dumps(docs if args.topology is None else docs[0]))
-    else:
-        for doc in docs:
-            for line in lines(doc):
-                print(line)
-
-
 def _sweep(n: int, max_cap: Optional[int], samples: Optional[int], seed: int):
     """The capacity vectors of one verify sweep, and its mode."""
+    if max_cap is not None and max_cap < 0:
+        raise SchemaError("--max-cap", "must be >= 0")
     if samples is not None:
         if samples < 1:
             raise SchemaError("--samples", "must be >= 1")
@@ -349,70 +338,24 @@ def cmd_verify(args) -> int:
         vectors, mode = _sweep(tid.vertex_count, max_cap, samples, args.seed)
         docs.append(_verify(tid, gid, vectors, mode))
 
-    def lines(doc):
-        yield (f"{doc['topology']}/{doc['vnuma']} {doc['mode']}:"
-               f" {doc['cases']} cases, {doc['mismatches']} mismatches")
-        for ex in doc["examples"]:
-            yield f"  caps={ex['caps']} formula={ex['formula']} oracle={ex['oracle']}"
-
-    _print_docs(args, docs, lines)
+    if args.json:
+        # one document for a named pair, an array for the registry
+        print(json.dumps(docs if args.topology is None else docs[0]))
+    else:
+        for doc in docs:
+            print(f"{doc['topology']}/{doc['vnuma']} {doc['mode']}:"
+                  f" {doc['cases']} cases, {doc['mismatches']} mismatches")
+            for ex in doc["examples"]:
+                print(f"  caps={ex['caps']} formula={ex['formula']}"
+                      f" oracle={ex['oracle']}")
     return 1 if any(doc["mismatches"] for doc in docs) else 0
-
-
-def _timed_rate(fn, pool: list, iters: int) -> dict:
-    """Call fn on the pool round-robin `iters` times."""
-    start = time.perf_counter()
-    i = 0
-    for _ in range(iters):
-        fn(pool[i & 255])
-        i += 1
-    elapsed = time.perf_counter() - start
-    return {
-        "evals": iters,
-        "seconds": elapsed,
-        "evals_per_second": iters / elapsed if elapsed else None,
-    }
-
-
-def cmd_bench(args) -> int:
-    docs = []
-    for tid, gid, _ in _pairs(args):
-        n = tid.vertex_count
-        rng = random.Random(args.seed)
-        pool = [tuple(rng.randint(0, 20) for _ in range(n)) for _ in range(256)]
-        doc = {
-            "pair": f"{tid}/{gid}",
-            "formula": _timed_rate(
-                closed_form_evaluator(tid, gid), pool, args.iters
-            ),
-        }
-        if n <= 8:
-            host, guest = expand_topology(tid), expand_topology(gid)
-            doc["oracle"] = _timed_rate(
-                lambda b: oracle_vmcap(host, guest, b), pool,
-                max(1, args.iters // 1000),
-            )
-        docs.append(doc)
-
-    def lines(doc):
-        for label, key in (("closed-form", "formula"), ("oracle", "oracle")):
-            if key not in doc:
-                yield f"{label} {doc['pair']}: skipped (host too large)"
-                continue
-            run = doc[key]
-            rate = run["evals_per_second"] or float("inf")
-            yield (f"{label} {doc['pair']}: {run['evals']} evals in"
-                   f" {run['seconds']:.3f} s ({rate:,.0f} evals/s)")
-
-    _print_docs(args, docs, lines)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="numacap",
         description="NUMA-aware VM capacity: closed-form counts, witness"
-        " placements, cluster totals, and formula verification.",
+        " placements, cluster totals, and formula-vs-solver sweeps.",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="Capacity lists follow canonical node label order 1..n.",
     )
@@ -452,14 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="time formulas and the solver")
-    p.add_argument("--topology", help="host id; omit both ids for every pair")
-    p.add_argument("--vnuma", help="guest id")
-    p.add_argument("--iters", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -263,9 +263,9 @@ class Pair(NamedTuple):
     count(*args, b) and witness(*args, b) read b in the host's labels;
     args is params(host, guest) for an entry that covers a host family,
     and empty otherwise.  instances are the (host, guest) ids that
-    `numacap verify` and `numacap bench` run when no pair is named; verify
-    draws `samples` random vectors from [0..max_cap]^n for each, or takes
-    all of them when samples is None.
+    `numacap verify` runs when no pair is named; it draws `samples` random
+    vectors from [0..max_cap]^n for each, or takes all of them when
+    samples is None.
     """
 
     count: Callable[..., int]
@@ -323,10 +323,15 @@ SAME_SHAPE = Pair(
     params=lambda host, guest: (host.vertex_count, host.vertex_count),
 )
 
+# A guest with more nodes than its host has no embedding: no copy fits.
+NONE_FIT = Pair(
+    lambda b: 0, lambda b: Placement(()), (("c4", "k5"),), 5, None
+)
+
 # (host, guest, entry) for every instance the no-pair sweeps run
 INSTANCES = tuple(
     (host, guest, pair)
-    for pair in (*PAIRS.values(), SAME_SHAPE)
+    for pair in (*PAIRS.values(), SAME_SHAPE, NONE_FIT)
     for host, guest in pair.instances
 )
 
@@ -338,19 +343,6 @@ def _bind(pair: Pair, pid: TopologyId, gid: TopologyId):
     return partial(pair.count, *args), partial(pair.witness, *args)
 
 
-def pair_entry(pid: TopologyId, gid: TopologyId):
-    """(count, witness) of the PAIRS entry for a host and a canonical guest,
-    or None.  _resolve applies the same-shape rule before this lookup."""
-    if not 2 <= gid.vertex_count <= pid.vertex_count:
-        return None
-    pair = (
-        PAIRS.get((str(pid), gid))
-        or PAIRS.get((pid.kind, gid))
-        or PAIRS.get((pid.kind, None))
-    )
-    return None if pair is None else _bind(pair, pid, gid)
-
-
 @lru_cache(maxsize=1024)
 def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     """(host id, guest id, host vertex count, count, witness) for a pair.
@@ -359,15 +351,29 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     pair.  An invalid id raises, and a raising call is never cached.  The
     guest id is canonicalised for the lookup (k2_2 is c4, k1_1 is k2, k1_N
     is starN); the host keeps its own id, whose labels index the vector.
-    count and witness are None when the pair has no closed form.
+    A guest larger than its host, then one of its host's shape, is ruled
+    on before the PAIRS lookup.  count and witness are None when the pair
+    has no closed form, as for every single-node guest.
     """
     pid = as_topology_id(pnuma)
     gid = as_topology_id(vnuma)
     n = pid.vertex_count
     guest = canonical_id(gid)
-    if n >= 2 and guest == canonical_id(pid):
-        return (pid, gid, n, *_bind(SAME_SHAPE, pid, guest))
-    return (pid, gid, n, *(pair_entry(pid, guest) or (None, None)))
+    if guest.vertex_count < 2:
+        pair = None
+    elif guest.vertex_count > n:
+        pair = NONE_FIT
+    elif guest == canonical_id(pid):
+        pair = SAME_SHAPE
+    else:
+        pair = (
+            PAIRS.get((str(pid), guest))
+            or PAIRS.get((pid.kind, guest))
+            or PAIRS.get((pid.kind, None))
+        )
+    if pair is None:
+        return pid, gid, n, None, None
+    return (pid, gid, n, *_bind(pair, pid, guest))
 
 
 def _resolved(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
@@ -385,7 +391,8 @@ def closed_form_evaluator(
     """The formula for a host/guest pair, or None when only the solver works.
 
     The returned callable takes a capacity vector and returns the count.
-    A guest of the host's own shape always has a formula: min(b).
+    A guest of the host's own shape always has a formula, min(b), and a
+    guest larger than its host has 0.
     """
     return _resolved(pnuma, vnuma)[3]
 
@@ -411,8 +418,6 @@ def vmcap(
             "guest shape needs >= 2 nodes; single-node capacity is the sum"
             " of node capacities"
         )
-    if gid.vertex_count > n:
-        return VmcapResult(0)
     host = expand_topology(pid)
     guest = expand_topology(gid)
     solution = oracle_vmcap(host, guest, caps)

@@ -5,6 +5,8 @@ cardinality equals the corresponding formula.  Groups reference nodes by
 canonical label; a node appears in at most b_i groups overall.  The
 pair registry in the formulas module names the routine for each pair;
 the routines here take a vector already checked against the host.
+place_k2 and place_c4_vnuma ask that registry, through place_vnuma,
+for the witness of a k2 or c4 guest on a named host.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .topology import (
     K2,
     Graph,
     TopologyId,
-    as_topology_id,
     check_capacities,
     enumerate_embeddings,
 )
@@ -83,29 +84,18 @@ def _greedy_cliques(
 
 def place_k2(topology: Union[TopologyId, str], b: Sequence[int]) -> Placement:
     """Pair placement achieving the pair-capacity formula for the host."""
-    return _registered(topology, K2, b)
+    from .formulas import place_vnuma  # the registry imports this module
+
+    return place_vnuma(topology, K2, b)
 
 
 def place_c4_vnuma(
     topology: Union[TopologyId, str], b: Sequence[int]
 ) -> Placement:
-    """4-cycle guest placement on the crossed cube, the odd/even host or a
-    complete host."""
-    return _registered(topology, C4, b)
+    """4-cycle guest placement on any host whose 4-cycle count is closed."""
+    from .formulas import place_vnuma  # the registry imports this module
 
-
-def _registered(
-    topology: Union[TopologyId, str], guest: TopologyId, b: Sequence[int]
-) -> Placement:
-    """The witness of the registry entry for a host and a guest."""
-    from .formulas import pair_entry  # the registry imports this module
-
-    tid = as_topology_id(topology)
-    caps = check_capacities(b, tid.vertex_count)
-    _, witness = pair_entry(tid, guest) or (None, None)
-    if witness is None:
-        raise TopologyError(f"no placement routine for pair {tid}/{guest}")
-    return witness(caps)
+    return place_vnuma(topology, C4, b)
 
 
 def place_bipartite_k2(

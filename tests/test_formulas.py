@@ -272,6 +272,11 @@ class TestDispatch:
     def test_guest_larger_than_host(self):
         assert nc.vmcap("k2", "c4", (3, 3)).count == 0
         assert nc.vmcap("k3", "k4", (9, 9, 9)).count == 0
+        assert nc.vmcap("c4", "k5", (1, 1, 1, 1)) == nc.VmcapResult(0)
+        assert nc.place_vnuma("c4", "k5", (1, 1, 1, 1)) == nc.Placement(())
+        assert nc.place_vnuma("k3", "k4", (9, 9, 9)) == nc.Placement(())
+        with pytest.raises(nc.TopologyError):
+            nc.place_vnuma("c4", "k1", (1, 1, 1, 1))
 
     def test_single_node_guest_is_rejected(self):
         with pytest.raises(nc.TopologyError):

@@ -113,9 +113,12 @@ class TestRingGuestPlacement:
 
     def test_unsupported_host(self):
         with pytest.raises(nc.TopologyError):
-            nc.place_c4_vnuma("c4", (1, 1, 1, 1))
-        with pytest.raises(nc.TopologyError):
             nc.place_c4_vnuma("l4", (1,) * 8)
+        for host in ("c4", "k2_2"):
+            for b in ((1, 1, 1, 1), (3, 5, 2, 4)):
+                assert nc.place_c4_vnuma(host, b).matches == (
+                    ((1, 2, 3, 4),) * min(b)
+                )
 
 
 # every registry instance, pairs closed through canonical guest ids or the
@@ -142,6 +145,33 @@ class TestEveryClosedPair:
             for pl in (printed, nc.place_vnuma(pname, gname, caps)):
                 check(pname, gname, caps, pl)
                 assert pl.count == want, caps
+
+
+# hosts of every k2 or c4 witness pair, and both ids of the 4-cycle
+FRONT_END_HOSTS = sorted(
+    {host for host, guest in WITNESS_PAIRS if guest in ("k2", "c4", "k2_2")}
+    | {"c4", "k2_2"}
+)
+
+
+def witness_or_error(front, *args):
+    try:
+        return front(*args)
+    except nc.TopologyError:
+        return nc.TopologyError
+
+
+class TestFrontEndsAgree:
+    """place_k2 and place_c4_vnuma answer as place_vnuma does."""
+
+    @pytest.mark.parametrize("pname", FRONT_END_HOSTS)
+    def test_same_answer(self, pname):
+        n = nc.parse_topology(pname).vertex_count
+        for caps in random_vectors(f"{pname} front ends", 10, n, 256):
+            for front, guest in ((nc.place_k2, "k2"), (nc.place_c4_vnuma, "c4")):
+                assert witness_or_error(front, pname, caps) == witness_or_error(
+                    nc.place_vnuma, pname, guest, caps
+                ), (guest, caps)
 
 
 class TestVerification:
