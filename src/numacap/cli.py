@@ -42,10 +42,11 @@ from .errors import (
     TopologyError,
 )
 from .formulas import INSTANCES, closed_form_evaluator, place_vnuma, vmcap
-from .oracle import oracle_vmcap
+from .oracle import MAX_ORACLE_TOTAL_CAPACITY, oracle_vmcap
 from .topology import TopologyId, expand_topology, parse_topology
 
 _ORACLE_CACHE_LIMIT = 2_000_000
+_PAST_SOLVER = f"sum(b) > {MAX_ORACLE_TOTAL_CAPACITY}, the solver's limit"
 _EXHAUSTIVE_LIMIT = 2_000_000
 
 
@@ -308,13 +309,18 @@ def _sweep(n: int, max_cap: Optional[int], samples: Optional[int], seed: int):
 
 
 def _verify(tid: TopologyId, gid: TopologyId, vectors, mode: str) -> dict:
-    """Compare the pair's closed form against the solver on every vector."""
+    """Compare the pair's closed form against the solver on every vector
+    the solver takes; the others are counted as skipped, and a sweep of
+    nothing but those raises."""
     fn = closed_form_evaluator(tid, gid)
     host, guest = expand_topology(tid), expand_topology(gid)
     cache: dict = {}
     doc = {"topology": str(tid), "vnuma": str(gid), "mode": mode,
-           "cases": 0, "mismatches": 0, "examples": []}
+           "cases": 0, "skipped": 0, "mismatches": 0, "examples": []}
     for bv in vectors:
+        if sum(bv) > MAX_ORACLE_TOTAL_CAPACITY:
+            doc["skipped"] += 1
+            continue
         doc["cases"] += 1
         want = oracle_vmcap(host, guest, bv, cache=cache).count
         got = fn(bv)
@@ -326,6 +332,8 @@ def _verify(tid: TopologyId, gid: TopologyId, vectors, mode: str) -> dict:
                 )
         if len(cache) > _ORACLE_CACHE_LIMIT:
             cache.clear()
+    if doc["skipped"] and not doc["cases"]:
+        raise ScaleLimitError(f"all {doc['skipped']} vectors have {_PAST_SOLVER}")
     return doc
 
 
@@ -343,8 +351,11 @@ def cmd_verify(args) -> int:
         print(json.dumps(docs if args.topology is None else docs[0]))
     else:
         for doc in docs:
-            print(f"{doc['topology']}/{doc['vnuma']} {doc['mode']}:"
-                  f" {doc['cases']} cases, {doc['mismatches']} mismatches")
+            line = (f"{doc['topology']}/{doc['vnuma']} {doc['mode']}:"
+                    f" {doc['cases']} cases, {doc['mismatches']} mismatches")
+            if doc["skipped"]:
+                line += f", skipped {doc['skipped']} ({_PAST_SOLVER})"
+            print(line)
             for ex in doc["examples"]:
                 print(f"  caps={ex['caps']} formula={ex['formula']}"
                       f" oracle={ex['oracle']}")

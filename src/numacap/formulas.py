@@ -351,17 +351,20 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     pair.  An invalid id raises, and a raising call is never cached.  The
     guest id is canonicalised for the lookup (k2_2 is c4, k1_1 is k2, k1_N
     is starN); the host keeps its own id, whose labels index the vector.
-    A guest larger than its host, then one of its host's shape, is ruled
-    on before the PAIRS lookup.  count and witness are None when the pair
-    has no closed form, as for every single-node guest.
+    A single-node guest raises, and a guest larger than its host, then one
+    of its host's shape, is ruled on before the PAIRS lookup.  count and
+    witness are None when the pair has no closed form.
     """
     pid = as_topology_id(pnuma)
     gid = as_topology_id(vnuma)
     n = pid.vertex_count
     guest = canonical_id(gid)
     if guest.vertex_count < 2:
-        pair = None
-    elif guest.vertex_count > n:
+        raise TopologyError(
+            "guest shape needs >= 2 nodes; single-node capacity is the sum"
+            " of node capacities"
+        )
+    if guest.vertex_count > n:
         pair = NONE_FIT
     elif guest == canonical_id(pid):
         pair = SAME_SHAPE
@@ -392,7 +395,7 @@ def closed_form_evaluator(
 
     The returned callable takes a capacity vector and returns the count.
     A guest of the host's own shape always has a formula, min(b), and a
-    guest larger than its host has 0.
+    guest larger than its host has 0; a single-node guest raises.
     """
     return _resolved(pnuma, vnuma)[3]
 
@@ -413,11 +416,6 @@ def vmcap(
     caps = check_capacities(capacities, n)
     if fn is not None:
         return VmcapResult(fn(caps))
-    if gid.vertex_count < 2:
-        raise TopologyError(
-            "guest shape needs >= 2 nodes; single-node capacity is the sum"
-            " of node capacities"
-        )
     host = expand_topology(pid)
     guest = expand_topology(gid)
     solution = oracle_vmcap(host, guest, caps)

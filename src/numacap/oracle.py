@@ -1,9 +1,9 @@
 """Exact reference solver for small instances.
 
 The solver enumerates every embedding of the guest shape in the host
-graph and searches over how many times each one is used, subject to
-per-node capacities.  It is deliberately brute force: the closed-form
-evaluators are tested against it, never the other way around.
+graph and asks, for each target count from a bound down, whether they
+pack that many copies under the per-node capacities.  It is exhaustive:
+the closed-form evaluators are tested against it, never the reverse.
 """
 
 from __future__ import annotations
@@ -41,25 +41,26 @@ def oracle_vmcap(
 ) -> OracleSolution:
     """Maximum simultaneous embeddings of guest into host under capacities.
 
-    Branches on each embedding's multiplicity from high to low and
-    memoizes subproblems keyed on the residual capacities of vertices
-    still touched by the remaining embeddings (the alive vertices).
-    Nodes are pruned with the subset-cover bound: for a set R of alive
-    vertices let c(R) be the most vertices that one remaining embedding
-    has in R.  Every remaining copy takes k = |V(guest)| alive vertices,
-    at most c(R) of them in R, so at most
-    floor((residual(alive) - residual(R)) / (k - c(R))) copies still fit
-    whenever c(R) < k.  The bound is the minimum over the closed sets R,
-    those where adding any alive vertex raises c(R); the others are
-    dominated.  R = {} gives floor(residual sum / k), and on a complete
-    host R = any r vertices gives the clique bound, so there the root
-    bound is already the optimum.
+    A descending target search: find(idx, residual, need) asks whether
+    the embeddings from idx on pack `need` copies into the residual
+    capacities, trying each multiplicity from high to low.  The count is
+    the first target, from the root bound down, that packs, and the
+    multiplicities find chose are the witness.  The bound is the
+    subset-cover bound: for a set R of alive vertices (those the
+    remaining embeddings touch) let c(R) be the most vertices one
+    remaining embedding has in R.  Each remaining copy takes k =
+    |V(guest)| alive vertices, at most c(R) of them in R, so at most
+    floor((residual(alive) - residual(R)) / (k - c(R))) copies fit when
+    c(R) < k.  Only the closed sets R, where adding any alive vertex
+    raises c(R), give terms.  On a complete host the root bound is the
+    clique bound, so there the first target already packs.
 
-    Passing a dict as `cache` reuses the memo across calls for the same
-    (host, guest) pair; entries are independent of the starting
-    capacities, so sweeps share most of the work.  With memoize=False a
-    plain recursion with only floor(residual sum / k) runs instead (slow;
-    meant for cross-checking the memoized search on tiny inputs).
+    A node where find fails stores need - 1 under its key, the index and
+    the alive residuals.  Those fix the node's optimum, so the entry
+    bounds it whatever vector the search started from, and a dict passed
+    as `cache` shares the memo across calls for one (host, guest) pair.
+    With memoize=False a plain recursion with only floor(residual sum /
+    k), replayed for the witness, runs instead (slow; a cross-check).
     """
     caps = check_capacities(capacities, host.vertex_count)
     if host.vertex_count > MAX_ORACLE_VERTICES:
@@ -72,37 +73,8 @@ def oracle_vmcap(
             f"oracle supports total capacity up to {MAX_ORACLE_TOTAL_CAPACITY},"
             f" got {total}"
         )
-
-    statics = _pair_statics(host, guest)
-    m = len(statics.embeddings)
-    verts = statics.verts
-    solve = _make_solver(statics, memoize, cache)
-
-    start = tuple(caps)
-    count = solve(0, start)
-
-    # replay the search to extract one witness assignment
-    mults = []
-    residual = start
-    remaining = count
-    for idx in range(m):
-        if remaining == 0:
-            break
-        vs = verts[idx]
-        tmax = min(residual[v] for v in vs)
-        for t in range(min(tmax, remaining), -1, -1):
-            work = list(residual)
-            for v in vs:
-                work[v] -= t
-            nxt = tuple(work)
-            if t + solve(idx + 1, nxt) == remaining:
-                if t:
-                    mults.append((idx, t))
-                residual = nxt
-                remaining -= t
-                break
-    assert remaining == 0
-    return OracleSolution(count=count, multiplicities=tuple(mults))
+    solve = _make_solver(host, guest, memoize, cache)
+    return OracleSolution(*solve(tuple(caps)))
 
 
 @dataclass(frozen=True)
@@ -193,10 +165,27 @@ def _pair_statics(host: Graph, guest: Graph) -> _PairStatics:
     )
 
 
-def _make_solver(statics: _PairStatics, memoize: bool, cache: Optional[dict]):
+@lru_cache(maxsize=256)
+def _pair_steps(host: Graph, guest: Graph) -> tuple:
+    """Per embedding index i, the terms of i + 1 as (R, k - c(R), slope):
+    slope = a - r - (k - c(R)), where embedding i has a vertices in
+    alive[i + 1] and r in R, is the factor of t in find's cut."""
+    statics = _pair_statics(host, guest)
+    steps = []
+    for i, vs in enumerate(map(set, statics.verts)):
+        a = len(vs.intersection(statics.alive[i + 1]))
+        steps.append(tuple(
+            (rs, div, a - len(vs.intersection(rs)) - div)
+            for rs, div in statics.bound_terms[i + 1]
+        ))
+    return tuple(steps)
+
+
+def _make_solver(host: Graph, guest: Graph, memoize: bool, cache: Optional[dict]):
+    """solve(start) -> (count, multiplicities) for one (host, guest) pair."""
+    statics = _pair_statics(host, guest)
     verts = statics.verts
     alive = statics.alive
-    bound_terms = statics.bound_terms
     m = len(verts)
     k = statics.k
 
@@ -230,94 +219,104 @@ def _make_solver(statics: _PairStatics, memoize: bool, cache: Optional[dict]):
                     work[v] += 1
             return best
 
-        return solve_plain
+        def replay(start: tuple[int, ...]):
+            count = solve_plain(0, start)
+            mults = []
+            residual = start
+            remaining = count
+            for idx in range(m):
+                vs = verts[idx]
+                tmax = min(residual[v] for v in vs)
+                for t in range(min(tmax, remaining), -1, -1):
+                    work = list(residual)
+                    for v in vs:
+                        work[v] -= t
+                    nxt = tuple(work)
+                    if t + solve_plain(idx + 1, nxt) == remaining:
+                        if t:
+                            mults.append((idx, t))
+                        residual = nxt
+                        remaining -= t
+                        break
+            assert remaining == 0
+            return count, tuple(mults)
+
+        return replay
 
     memo = cache if cache is not None else {}
+    steps = _pair_steps(host, guest)
 
-    def node_bound(idx: int, residual: tuple[int, ...], floor: int) -> int:
-        """Smallest subset-cover term at idx, or the first one <= floor."""
-        total = 0
-        for v in alive[idx]:
-            total += residual[v]
-        stop = floor if floor > 0 else 0
-        best = total
-        for vs, div in bound_terms[idx]:
-            s = total
-            for v in vs:
-                s -= residual[v]
-            s //= div
-            if s < best:
-                best = s
-                if s <= stop:
-                    break
-        return best
-
-    def pack(idx: int, residual: Sequence[int]) -> int:
-        # pack the alive residuals into one int: entries stay under 256
-        # because total capacity is capped at 200; the nonzero idx+1
-        # prefix byte keeps keys of different lengths distinct
+    def find(idx: int, residual: tuple[int, ...], need: int, path: list) -> bool:
+        """Whether verts[idx:] packs need >= 1 copies into residual; on
+        success the (index, multiplicity) pairs used join path, deepest
+        first, and on failure the memo learns the optimum is < need."""
+        # the key packs the alive residuals into one int: entries stay
+        # under 256 because total capacity is capped at 200; the nonzero
+        # idx+1 prefix byte keeps keys of different lengths distinct
         key = idx + 1
         for v in alive[idx]:
             key = (key << 8) | residual[v]
-        return key
-
-    def solve(idx: int, residual: tuple[int, ...], bound: int = -1) -> int:
-        if idx == m:
-            return 0
-        key = pack(idx, residual)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if bound < 0:
-            bound = node_bound(idx, residual, 0)
-        return expand(idx, residual, key, bound)
-
-    def expand(idx: int, residual: tuple[int, ...], key: int, bound: int) -> int:
-        """Search node idx, not in the memo yet, whose bound is given."""
-        if bound == 0:
-            memo[key] = 0
-            return 0
+        if memo.get(key, need) < need:
+            return False
         vs = verts[idx]
-        tmax = residual[vs[0]]
-        for v in vs[1:]:
-            if residual[v] < tmax:
-                tmax = residual[v]
-        if tmax == 0:
-            # embedding idx is unusable, so idx + 1 has this node's value
-            # and this node's bound still holds there
-            best = solve(idx + 1, residual, bound)
-            memo[key] = best
-            return best
+        hi = need
+        for v in vs:
+            if residual[v] < hi:
+                hi = residual[v]
+        if not hi and idx + 1 < m:
+            # embedding idx is unusable, so idx + 1 has this node's
+            # residual; its own cut prunes the children there
+            return find(idx + 1, residual, need, path)
+        # t copies of embedding idx leave need - t copies to idx + 1, and
+        # each subset-cover term there must allow them:
+        # (total - residual(R) - t * (a - r)) // div >= need - t, that is
+        # total - residual(R) - div * need >= t * slope, a cut on t
+        lo = 0
+        total = sum([residual[v] for v in alive[idx + 1]])
+        for rs, div, slope in steps[idx]:
+            d = total - div * need
+            for v in rs:
+                d -= residual[v]
+            if slope > 0:
+                if d < slope * hi:
+                    hi = d // slope
+            elif slope < 0:
+                if d < slope * lo:
+                    lo = -(d // -slope)
+            elif d < 0:
+                hi = -1
+            if hi < lo:
+                break
         work = list(residual)
         for v in vs:
-            work[v] -= tmax
-        nxt = idx + 1
-        best = 0
-        t = tmax
-        while True:
-            child_key = pack(nxt, work)
-            val = memo.get(child_key)
-            if val is None:
-                child = tuple(work)
-                floor = best - t
-                # the child's bound is computed once: here, for the
-                # pruning test, and passed on to the child's own search
-                child_bound = node_bound(nxt, child, floor)
-                if child_bound > floor:
-                    val = expand(nxt, child, child_key, child_bound)
-            if val is not None and t + val > best:
-                best = t + val
-                if best >= bound:
-                    break
-            if t == 0:
-                break
-            t -= 1
+            work[v] -= hi + 1
+        for t in range(hi, lo - 1, -1):
             for v in vs:
                 work[v] += 1
-        memo[key] = best
-        return best
+            if t == need or find(idx + 1, tuple(work), need - t, path):
+                if t:
+                    path.append((idx, t))
+                return True
+        memo[key] = need - 1
+        return False
 
-    return solve
+    def search(start: tuple[int, ...]):
+        # the root bound: the smallest subset-cover term, or the first 0
+        need = total = sum([start[v] for v in alive[0]])
+        for rs, div in statics.bound_terms[0]:
+            s = total
+            for v in rs:
+                s -= start[v]
+            if s // div < need:
+                need = s // div
+                if not need:
+                    break
+        path: list = []
+        while need and not find(0, start, need, path):
+            need -= 1
+        return need, tuple(reversed(path))
+
+    return search
 
 
 def expand_to_simple_matching(

@@ -133,6 +133,12 @@ class TestPlace:
         assert code == 0
         assert json.loads(out) == {"count": 0, "matches": []}
 
+    def test_single_node_guest(self, capsys):
+        code, _, err = run(capsys, "place", "--topology", "c4", "--vnuma", "k1",
+                           "--caps", "1,1,1,1")
+        assert code == 2
+        assert "sum of node capacities" in err
+
 
 class TestCluster:
     def test_table_output(self, capsys, tmp_path):
@@ -319,6 +325,36 @@ class TestVerify:
                            "--samples", "80", "--seed", "1")
         assert code == 1
         assert "mismatches" in out
+
+    def test_vectors_past_the_solver_limit_are_skipped(self, capsys):
+        args = ["verify", "--topology", "c4", "--vnuma", "k2",
+                "--samples", "40", "--max-cap", "80"]
+        code, out, _ = run(capsys, *args, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["cases"] > 0 and doc["skipped"] > 0
+        assert doc["cases"] + doc["skipped"] == 40
+        assert doc["mismatches"] == 0
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert f"{doc['cases']} cases, 0 mismatches" in out
+        assert f"skipped {doc['skipped']} (sum(b) > 200, the solver's limit)" in out
+
+    def test_mismatch_in_a_sweep_with_skips(self, capsys, patch_formula):
+        patch_formula("c4", "k2", lambda b: 999)
+        code, out, _ = run(capsys, "verify", "--topology", "c4", "--vnuma", "k2",
+                           "--samples", "40", "--max-cap", "80", "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["skipped"] > 0
+        assert doc["mismatches"] == doc["cases"] > 0
+
+    def test_every_vector_past_the_solver_limit(self, capsys):
+        code, out, err = run(capsys, "verify", "--topology", "c4", "--vnuma", "k2",
+                             "--samples", "3", "--max-cap", "1000")
+        assert code == 2
+        assert out == ""
+        assert "all 3 vectors have sum(b) > 200, the solver's limit" in err
 
     def test_pair_without_closed_form(self, capsys):
         code, _, err = run(capsys, "verify", "--topology", "l4", "--vnuma", "c4",

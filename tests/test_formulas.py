@@ -282,6 +282,14 @@ class TestDispatch:
         with pytest.raises(nc.TopologyError):
             nc.vmcap("c4", "k1", (1, 1, 1, 1))
 
+    def test_single_node_guest_has_one_error(self):
+        messages = []
+        for front_end in (nc.vmcap, nc.place_vnuma):
+            with pytest.raises(nc.TopologyError, match="sum of node capacities") as exc:
+                front_end("c4", "k1", (1, 1, 1, 1))
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
     def test_oracle_fallback_scale_limit(self):
         with pytest.raises(nc.ScaleLimitError):
             nc.vmcap("star8", "k1_2", (1,) * 9)

@@ -1,5 +1,6 @@
 """Exhaustive-search reference oracle and its cross-checks."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -260,13 +261,16 @@ class TestSubsetCoverBound:
 
     def test_hard_inputs_stay_small(self):
         # the search under the earlier bound family stored more than two
-        # million memo entries on these five and did not finish the third
+        # million memo entries on the first five and did not finish the
+        # third; the exact-value search under the subset-cover bound
+        # stored 2.33 million on the sixth, whose root bound is 54
         cases = [
             ("cq3", "k1_2", (16, 1, 31, 5, 3, 9, 19, 36), 27),
             ("cq3", "k1_2", (2, 30, 66, 28, 45, 1, 16, 12), 43),
             ("cq3", "k1_2", (81, 29, 33, 40, 8, 4, 5, 0), 59),
             ("l4", "k1_2", (15, 19, 6, 9, 12, 78, 14, 7), 31),
             ("l4", "k1_2", (0, 18, 29, 11, 7, 31, 16, 48), 41),
+            ("cq3", "k1_2", (35, 13, 21, 24, 7, 7, 13, 80), 51),
         ]
         states = 0
         for pname, gname, caps, want in cases:
@@ -282,3 +286,76 @@ class TestSubsetCoverBound:
         # 59 needs no search to trust: the witness meets a root bound term
         cq3, path = expanded("cq3"), expanded("k1_2")
         assert min(root_terms(cq3, path, cases[2][2])) == 59
+
+
+def compositions(seed: str, count: int, total: int, parts: int):
+    """Uniform random compositions of total into parts, drawn as
+    capbench/gen.py draws the solver-fallback vectors."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        cuts = sorted(rng.randint(0, total) for _ in range(parts - 1))
+        out.append(tuple(b - a for a, b in zip((0, *cuts), (*cuts, total))))
+    return out
+
+
+FULL_RANGE_SUMS = (40, 80, 120, 160, 200)
+# Counts of the exact-value search that the target search replaced (it
+# stored each node's optimum), on compositions(f"{host}/{guest} parity
+# {total}", 10, total, n) for each sum above, every vector kept whatever
+# its run time; one row per sum.
+EXACT_VALUE_COUNTS = {
+    ("l4", "c4"): (
+        (6, 3, 4, 4, 2, 3, 3, 0, 4, 1),
+        (10, 7, 7, 4, 0, 1, 5, 7, 10, 2),
+        (9, 12, 9, 9, 12, 8, 14, 2, 2, 3),
+        (24, 5, 16, 4, 5, 9, 7, 22, 9, 5),
+        (8, 18, 10, 3, 17, 6, 16, 10, 18, 4),
+    ),
+    ("star4", "k1_2"): (
+        (0, 12, 7, 11, 7, 1, 0, 4, 6, 9),
+        (4, 19, 22, 24, 24, 11, 14, 19, 26, 20),
+        (30, 26, 32, 15, 12, 22, 16, 15, 35, 28),
+        (41, 1, 40, 46, 3, 34, 4, 20, 29, 23),
+        (4, 10, 52, 23, 57, 1, 39, 37, 34, 17),
+    ),
+    ("cq3", "k1_2"): (
+        (13, 10, 4, 10, 9, 11, 7, 11, 9, 10),
+        (14, 23, 22, 15, 21, 16, 24, 12, 16, 13),
+        (40, 26, 40, 14, 33, 37, 21, 32, 37, 20),
+        (53, 46, 53, 48, 41, 53, 43, 51, 33, 53),
+        (48, 66, 34, 66, 38, 58, 40, 52, 27, 66),
+    ),
+    ("l4", "k1_2"): (
+        (11, 2, 10, 8, 8, 6, 9, 11, 5, 6),
+        (23, 26, 15, 18, 21, 23, 19, 26, 26, 18),
+        (35, 21, 30, 35, 25, 11, 12, 40, 34, 16),
+        (53, 33, 32, 29, 53, 44, 44, 36, 24, 32),
+        (31, 31, 39, 27, 38, 62, 65, 29, 55, 58),
+    ),
+    ("k2_3", "c4"): (
+        (2, 4, 2, 3, 3, 5, 5, 7, 0, 7),
+        (2, 0, 5, 6, 17, 3, 11, 2, 9, 15),
+        (3, 17, 15, 16, 3, 14, 20, 5, 6, 3),
+        (12, 15, 9, 24, 6, 26, 8, 9, 24, 29),
+        (14, 1, 27, 7, 10, 17, 2, 5, 20, 31),
+    ),
+}
+
+
+class TestFullRange:
+    @pytest.mark.parametrize("pname,gname", list(EXACT_VALUE_COUNTS))
+    def test_counts_match_the_exact_value_search(self, pname, gname):
+        host, guest = expanded(pname), expanded(gname)
+        n = host.vertex_count
+        rows = EXACT_VALUE_COUNTS[pname, gname]
+        for total, counts in zip(FULL_RANGE_SUMS, rows):
+            vectors = compositions(f"{pname}/{gname} parity {total}", 10, total, n)
+            for caps, want in zip(vectors, counts):
+                sol = nc.oracle_vmcap(host, guest, caps)
+                assert sol.count == want, caps
+                assert sum(m for _, m in sol.multiplicities) == want, caps
+                indices = [idx for idx, _ in sol.multiplicities]
+                assert indices == sorted(set(indices)), caps
+                used = usage_from_witness(host, guest, sol)
+                assert all(u <= c for u, c in zip(used, caps)), caps
