@@ -12,8 +12,9 @@ files, and formula-vs-solver verification sweeps:
 
 Without --topology and --vnuma, verify runs every instance of the pair
 registry over each entry's range unless --max-cap or --samples is given.
-`place` has a witness for every closed pair.  Timing is the benchmark's
-job (capbench/run.py), not this command's.
+`place` answers wherever `eval` does, and verify checks each witness
+along with each count.  Timing is the benchmark's job (capbench/run.py),
+not this command's.
 
 Capacity lists are always given in canonical label order 1..n (see the
 topology module for the labelings).  Exit codes: 0 success, 1 verification
@@ -36,6 +37,7 @@ from .errors import (
     CapacityError,
     DimensionError,
     NumacapError,
+    PlacementError,
     ResourceError,
     ScaleLimitError,
     SchemaError,
@@ -43,6 +45,7 @@ from .errors import (
 )
 from .formulas import INSTANCES, closed_form_evaluator, place_vnuma, vmcap
 from .oracle import MAX_ORACLE_TOTAL_CAPACITY, oracle_vmcap
+from .placement import verify_placement
 from .topology import TopologyId, expand_topology, parse_topology
 
 _ORACLE_CACHE_LIMIT = 2_000_000
@@ -309,9 +312,9 @@ def _sweep(n: int, max_cap: Optional[int], samples: Optional[int], seed: int):
 
 
 def _verify(tid: TopologyId, gid: TopologyId, vectors, mode: str) -> dict:
-    """Compare the pair's closed form against the solver on every vector
-    the solver takes; the others are counted as skipped, and a sweep of
-    nothing but those raises."""
+    """Compare the pair's closed form and witness against the solver on
+    every vector the solver takes; the others are counted as skipped, and
+    a sweep of nothing but those raises."""
     fn = closed_form_evaluator(tid, gid)
     host, guest = expand_topology(tid), expand_topology(gid)
     cache: dict = {}
@@ -324,12 +327,17 @@ def _verify(tid: TopologyId, gid: TopologyId, vectors, mode: str) -> dict:
         doc["cases"] += 1
         want = oracle_vmcap(host, guest, bv, cache=cache).count
         got = fn(bv)
-        if got != want:
+        try:
+            placement = place_vnuma(tid, gid, bv)
+            verify_placement(host, guest, bv, placement)
+            fault = None if placement.count == want else f"places {placement.count}"
+        except PlacementError as exc:
+            fault = str(exc)
+        if got != want or fault:
             doc["mismatches"] += 1
             if len(doc["examples"]) < 5:
-                doc["examples"].append(
-                    {"caps": list(bv), "formula": got, "oracle": want}
-                )
+                doc["examples"].append({"caps": list(bv), "formula": got,
+                                        "oracle": want, "witness": fault})
         if len(cache) > _ORACLE_CACHE_LIMIT:
             cache.clear()
     if doc["skipped"] and not doc["cases"]:
@@ -358,7 +366,8 @@ def cmd_verify(args) -> int:
             print(line)
             for ex in doc["examples"]:
                 print(f"  caps={ex['caps']} formula={ex['formula']}"
-                      f" oracle={ex['oracle']}")
+                      f" oracle={ex['oracle']}"
+                      + (f" witness: {ex['witness']}" if ex["witness"] else ""))
     return 1 if any(doc["mismatches"] for doc in docs) else 0
 
 

@@ -2,9 +2,9 @@
 
 Each evaluator answers, in constant time, how many guest shapes of one
 kind fit a host topology given per-node counts b (canonical label order).
-PAIRS registers each formula with its witness placement and the sweep
-that checks it against the exhaustive solver; pairs without a formula
-fall back to that solver through vmcap().
+PAIRS registers each formula with the sweep that checks it, and its
+witness, against the exhaustive solver; pairs without a formula fall
+back to that solver through vmcap() and place_vnuma().
 """
 
 from __future__ import annotations
@@ -16,16 +16,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DimensionError, TopologyError
 from .oracle import oracle_vmcap
-from .placement import (
-    Placement,
-    place_bipartite_k2,
-    place_cq3_c4,
-    place_cq3_k2,
-    place_kmn_k2,
-    place_kn_kk,
-    place_l4_k2,
-    place_q33_c4,
-)
+from .placement import Placement, peel, place_kn_kk
 from .topology import (
     C4,
     K2,
@@ -35,6 +26,7 @@ from .topology import (
     as_topology_id,
     canonical_id,
     check_capacities,
+    enumerate_embeddings,
     expand_topology,
 )
 
@@ -262,18 +254,20 @@ class Pair(NamedTuple):
 
     count(*args, b) and witness(*args, b) read b in the host's labels;
     args is params(host, guest) for an entry that covers a host family,
-    and empty otherwise.  instances are the (host, guest) ids that
+    and empty otherwise.  A complete host's entry names the wrap-around
+    clique layout as its witness; witness None peels one from count over
+    the pair's embeddings.  instances are the (host, guest) ids that
     `numacap verify` runs when no pair is named; it draws `samples` random
     vectors from [0..max_cap]^n for each, or takes all of them when
     samples is None.
     """
 
     count: Callable[..., int]
-    witness: Callable[..., Placement]
     instances: tuple[tuple[str, str], ...]
     max_cap: int = 20
     samples: Optional[int] = 10_000
     params: Optional[Callable[[TopologyId, TopologyId], tuple]] = None
+    witness: Optional[Callable[..., Placement]] = None
 
 
 # Keyed by (host key, canonical guest).  The host key is the host's kind as
@@ -281,52 +275,48 @@ class Pair(NamedTuple):
 # special cases.  Guest None on "kn" is any guest that fits: each k-subset
 # of K_n carries every k-node guest, so the count is the k-clique's.
 PAIRS: dict[tuple[str, Optional[TopologyId]], Pair] = {
-    ("c4", K2): Pair(
-        vmcap_c4_k2, partial(place_bipartite_k2, (1, 3), (2, 4)),
-        (("c4", "k2"),), 5, None,
-    ),
-    ("l4", K2): Pair(vmcap_l4_k2, place_l4_k2, (("l4", "k2"),)),
-    ("cq3", K2): Pair(vmcap_cq3_k2, place_cq3_k2, (("cq3", "k2"),)),
-    ("q33", K2): Pair(
-        vmcap_q33_k2, partial(place_bipartite_k2, (1, 3, 5, 7), (2, 4, 6, 8)),
-        (("q33", "k2"),),
-    ),
-    ("cq3", C4): Pair(vmcap_cq3_c4, place_cq3_c4, (("cq3", "c4"),)),
-    ("q33", C4): Pair(vmcap_q33_c4, place_q33_c4, (("q33", "c4"),)),
+    ("c4", K2): Pair(vmcap_c4_k2, (("c4", "k2"),), 5, None),
+    ("l4", K2): Pair(vmcap_l4_k2, (("l4", "k2"),)),
+    ("cq3", K2): Pair(vmcap_cq3_k2, (("cq3", "k2"),)),
+    ("q33", K2): Pair(vmcap_q33_k2, (("q33", "k2"),)),
+    ("cq3", C4): Pair(vmcap_cq3_c4, (("cq3", "c4"),)),
+    ("q33", C4): Pair(vmcap_q33_c4, (("q33", "c4"),)),
     ("km_n", K2): Pair(
-        vmcap_kmn_k2, place_kmn_k2, (("k2_3", "k2"),), 5, None,
+        vmcap_kmn_k2, (("k2_3", "k2"),), 5, None,
         params=lambda host, guest: (host.m, host.n),
     ),
     ("star", K2): Pair(
-        vmcap_kmn_k2, place_kmn_k2, (("star5", "k2"),),
+        vmcap_kmn_k2, (("star5", "k2"),),
         params=lambda host, guest: (1, host.n),
     ),
     ("k4", K2): Pair(
-        vmcap_k4_k2, partial(place_kn_kk, 4, 2), (("k4", "k2"),), 5, None
+        vmcap_k4_k2, (("k4", "k2"),), 5, None,
+        witness=partial(place_kn_kk, 4, 2),
     ),
     ("k4", K3): Pair(
-        vmcap_k4_k3, partial(place_kn_kk, 4, 3), (("k4", "k3"),), 5, None
+        vmcap_k4_k3, (("k4", "k3"),), 5, None,
+        witness=partial(place_kn_kk, 4, 3),
     ),
     ("kn", None): Pair(
-        vmcap_kn_kk_rec, place_kn_kk,
+        vmcap_kn_kk_rec,
         (("k4", "c4"), ("k5", "k3"), ("k5", "k2_3"), ("k6", "k2"), ("k6", "c4")),
         12,
         params=lambda host, guest: (host.n, guest.vertex_count),
+        witness=place_kn_kk,
     ),
 }
 
 # A guest of its host's shape has one embedding, all n nodes, as the n-clique
 # has in K_n: min(b) copies of (1..n).
 SAME_SHAPE = Pair(
-    vmcap_kn_kk_rec, place_kn_kk,
+    vmcap_kn_kk_rec,
     (("c4", "c4"), ("c4", "k2_2"), ("star3", "k1_3"), ("l4", "l4")),
     params=lambda host, guest: (host.vertex_count, host.vertex_count),
+    witness=place_kn_kk,
 )
 
 # A guest with more nodes than its host has no embedding: no copy fits.
-NONE_FIT = Pair(
-    lambda b: 0, lambda b: Placement(()), (("c4", "k5"),), 5, None
-)
+NONE_FIT = Pair(lambda b: 0, (("c4", "k5"),), 5, None)
 
 # (host, guest, entry) for every instance the no-pair sweeps run
 INSTANCES = tuple(
@@ -337,10 +327,22 @@ INSTANCES = tuple(
 
 
 def _bind(pair: Pair, pid: TopologyId, gid: TopologyId):
-    if pair.params is None:
-        return pair.count, pair.witness
-    args = pair.params(pid, gid)
-    return partial(pair.count, *args), partial(pair.witness, *args)
+    count, witness = pair.count, pair.witness
+    if pair.params is not None:
+        args = pair.params(pid, gid)
+        count = partial(count, *args)
+        if witness is not None:
+            witness = partial(witness, *args)
+    if witness is None:
+        def witness(b):
+            return peel(count, _embeddings(pid, gid), b)
+    return count, witness
+
+
+@lru_cache(maxsize=256)
+def _embeddings(pid: TopologyId, gid: TopologyId):
+    """The pair's embeddings, enumerated on its first peeled witness."""
+    return enumerate_embeddings(expand_topology(pid), expand_topology(gid))
 
 
 @lru_cache(maxsize=1024)
@@ -429,10 +431,19 @@ def place_vnuma(
 ) -> Placement:
     """A placement of vmcap(pnuma, vnuma, capacities).count guests.
 
-    Every pair that has a closed form has one; any other pair raises.
+    A closed pair takes its registry witness, and any other pair the
+    solver's, which raises ScaleLimitError where vmcap does.  Peeling
+    enumerates the host's embeddings, so a closed pair peeled on a host
+    past enumerate_embeddings' node limit raises ScaleLimitError too.
     """
     pid, gid, n, _, witness = _resolved(pnuma, vnuma)
     caps = check_capacities(capacities, n)
-    if witness is None:
-        raise TopologyError(f"no placement routine for pair {pid}/{gid}")
-    return witness(caps)
+    if witness is not None:
+        return witness(caps)
+    host = expand_topology(pid)
+    guest = expand_topology(gid)
+    solution = oracle_vmcap(host, guest, caps)
+    embeddings = enumerate_embeddings(host, guest)
+    return Placement(tuple(
+        group for i, t in solution.multiplicities for group in [embeddings[i]] * t
+    ))

@@ -67,17 +67,19 @@ def closed_form(pname: str, gname: str):
 
 @pytest.fixture
 def patch_formula(monkeypatch):
-    """Swap the count function of one registry entry for one test.
+    """Swap the count function, or another field, of one registry entry
+    for one test.
 
-    patch(host key, guest id, fn) replaces PAIRS[host key, guest]; the
-    resolver cache is cleared after the swap and again once the entry is
-    restored, so no other test sees a pair bound to the substitute.
+    patch(host key, guest id, fn, field) replaces that field of
+    PAIRS[host key, guest]; the resolver cache is cleared after the swap
+    and again once the entry is restored, so no other test sees a pair
+    bound to the substitute.
     """
 
-    def patch(host_key: str, guest: str, fn) -> None:
+    def patch(host_key: str, guest: str, fn, field: str = "count") -> None:
         key = (host_key, nc.parse_topology(guest))
         monkeypatch.setitem(
-            formulas.PAIRS, key, formulas.PAIRS[key]._replace(count=fn)
+            formulas.PAIRS, key, formulas.PAIRS[key]._replace(**{field: fn})
         )
         formulas._resolve.cache_clear()
 

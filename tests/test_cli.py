@@ -117,15 +117,29 @@ class TestPlace:
         assert json.loads(out)["count"] == 8
 
     def test_pair_without_routine(self, capsys):
-        code, _, err = run(capsys, "place", "--topology", "l4", "--vnuma", "c4",
+        # a pair with no closed form prints the solver's witness
+        caps = (1,) * 8
+        code, out, _ = run(capsys, "place", "--topology", "l4", "--vnuma", "c4",
                            "--caps", "1,1,1,1,1,1,1,1")
-        assert code == 2
-        assert "no placement routine for pair l4/c4" in err
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["count"] == numacap.vmcap("l4", "c4", caps).count == 2
+        numacap.verify_placement(
+            numacap.expand_topology("l4"), numacap.expand_topology("c4"), caps,
+            numacap.Placement(tuple(tuple(m) for m in doc["matches"])),
+        )
 
-        code, _, err = run(capsys, "place", "--topology", "cq3", "--vnuma", "k3",
+        code, out, _ = run(capsys, "place", "--topology", "cq3", "--vnuma", "k3",
                            "--caps", "1,1,1,1,1,1,1,1")
+        assert code == 0
+        assert json.loads(out) == {"count": 0, "matches": []}
+
+        # past the solver's limit, place fails as eval does
+        code, out, err = run(capsys, "place", "--topology", "l4", "--vnuma", "c4",
+                             "--caps", "26,26,26,26,26,26,26,26")
         assert code == 2
-        assert "no placement routine" in err
+        assert out == ""
+        assert "total capacity up to 200, got 208" in err
 
     def test_guest_larger_than_host(self, capsys):
         code, out, _ = run(capsys, "place", "--topology", "c4", "--vnuma", "k5",
@@ -339,6 +353,29 @@ class TestVerify:
         assert code == 0
         assert f"{doc['cases']} cases, 0 mismatches" in out
         assert f"skipped {doc['skipped']} (sum(b) > 200, the solver's limit)" in out
+
+    def test_wrong_witness_is_caught(self, capsys, patch_formula):
+        # the count is right; the witness drops its first group
+        patch_formula("k4", "k2", lambda b: numacap.Placement(
+            numacap.place_kn_kk(4, 2, b).matches[1:]), "witness")
+        code, out, _ = run(capsys, "verify", "--topology", "k4", "--vnuma", "k2",
+                           "--max-cap", "1", "--json")
+        assert code == 1
+        doc = json.loads(out)
+        # every vector with two positive entries fits a pair
+        assert doc["mismatches"] == 11
+        ex = doc["examples"][0]
+        assert ex["formula"] == ex["oracle"] == 1
+        assert ex["witness"] == "places 0"
+
+    def test_witness_past_its_count_is_caught(self, capsys, patch_formula):
+        patch_formula("k4", "k2", lambda b: numacap.Placement(
+            numacap.place_kn_kk(4, 2, b).matches * 2), "witness")
+        code, out, _ = run(capsys, "verify", "--topology", "k4", "--vnuma", "k2",
+                           "--max-cap", "1")
+        assert code == 1
+        assert "16 cases, 11 mismatches" in out
+        assert "witness: node" in out
 
     def test_mismatch_in_a_sweep_with_skips(self, capsys, patch_formula):
         patch_formula("c4", "k2", lambda b: 999)

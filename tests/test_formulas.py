@@ -177,21 +177,6 @@ class TestSymmetry:
         assert nc.vmcap_kmn_k2(4, 4, b) == nc.vmcap_kmn_k2(4, 4, shuffled)
 
 
-class TestDelta:
-    @given(caps_vectors(8))
-    def test_delta_is_clamped_half_imbalance(self, b):
-        d = nc.cq3_delta(b)
-        lo, hi = -min(b[1], b[7]), min(b[0], b[6])
-        assert lo <= d <= hi
-        raw = (b[0] + b[2] + b[4] + b[6] - b[1] - b[3] - b[5] - b[7]) // 2
-        assert d == max(lo, min(hi, raw))
-
-    def test_examples(self):
-        assert nc.cq3_delta((5, 0, 0, 0, 0, 0, 5, 0)) == 5
-        assert nc.cq3_delta((0, 5, 0, 0, 0, 0, 0, 5)) == -5
-        assert nc.cq3_delta((1,) * 8) == 0
-
-
 class TestNormalization:
     def test_examples(self):
         c4 = nc.expand_topology(nc.C4)

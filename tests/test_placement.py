@@ -6,7 +6,6 @@ import pytest
 
 import numacap as nc
 from numacap import cli, formulas
-from numacap.placement import _greedy_cliques
 from conftest import random_vectors
 
 
@@ -43,17 +42,23 @@ class TestCliquePlacement:
             if k >= 2:
                 check(f"k{n}", f"k{k}", caps, pl)
 
-    def test_batching_only_changes_iteration_count(self):
-        for caps in random_vectors("batching", 150, 6, 40):
-            batched, iters_fast = _greedy_cliques(6, 3, caps, True)
-            stepped, iters_slow = _greedy_cliques(6, 3, caps, False)
-            assert len(batched) == len(stepped), caps
-            assert iters_fast <= iters_slow, caps
-
     def test_batch_sizes_follow_capacity_gaps(self):
         # first batch drains the top pair down to the third-largest level
         pl = nc.place_kn_kk(3, 2, (5, 5, 2))
         assert pl.as_lists() == [[1, 2]] * 4 + [[1, 3], [2, 3]]
+
+    def test_wide_host_checked_directly(self):
+        caps = tuple(range(1, 41))
+        pl = nc.place_kn_kk(40, 20, caps)
+        assert pl.count == nc.vmcap_kn_kk_min(40, 20, caps) == 41
+        used = [0] * 40
+        for group in pl.matches:
+            assert len(set(group)) == 20 and set(group) <= set(range(1, 41))
+            for v in group:
+                used[v - 1] += 1
+        assert all(u <= c for u, c in zip(used, caps))
+        # one run of groups per lane change, not one group per copy
+        assert len(set(pl.matches)) <= 40 + 1
 
 
 class TestEdgeGuestPlacement:
@@ -112,8 +117,10 @@ class TestRingGuestPlacement:
         assert set(pl.matches) <= allowed
 
     def test_unsupported_host(self):
-        with pytest.raises(nc.TopologyError):
-            nc.place_c4_vnuma("l4", (1,) * 8)
+        # no closed form: the solver's witness
+        assert nc.place_c4_vnuma("l4", (1,) * 8).as_lists() == [
+            [1, 2, 3, 4], [5, 6, 7, 8]
+        ]
         for host in ("c4", "k2_2"):
             for b in ((1, 1, 1, 1), (3, 5, 2, 4)):
                 assert nc.place_c4_vnuma(host, b).matches == (
@@ -134,7 +141,10 @@ class TestEveryClosedPair:
     @pytest.mark.parametrize("pname,gname", WITNESS_PAIRS)
     def test_cli_and_library_witnesses(self, capsys, pname, gname):
         n = nc.parse_topology(pname).vertex_count
-        for caps in random_vectors(f"{pname}/{gname} witness", 20, n, 256):
+        # entries to 256, then past the solver's range
+        for caps in random_vectors(f"{pname}/{gname} witness", 20, n, 256) + (
+            random_vectors(f"{pname}/{gname} large", 10, n, 10**4)
+        ):
             want = nc.vmcap(pname, gname, caps).count
             code = cli.main(["place", "--topology", pname, "--vnuma", gname,
                              "--caps", ",".join(map(str, caps))])
@@ -157,8 +167,8 @@ FRONT_END_HOSTS = sorted(
 def witness_or_error(front, *args):
     try:
         return front(*args)
-    except nc.TopologyError:
-        return nc.TopologyError
+    except nc.NumacapError as exc:
+        return type(exc)
 
 
 class TestFrontEndsAgree:
@@ -172,6 +182,49 @@ class TestFrontEndsAgree:
                 assert witness_or_error(front, pname, caps) == witness_or_error(
                     nc.place_vnuma, pname, guest, caps
                 ), (guest, caps)
+
+
+class TestPeel:
+    """Witnesses read off the count over the pair's embeddings."""
+
+    def test_overclaiming_count_is_caught(self, capsys, patch_formula):
+        real = formulas.vmcap_cq3_k2
+        patch_formula("cq3", "k2", lambda b: real(b) + 1)
+        caps = (3, 1, 4, 1, 5, 9, 2, 6)
+        with pytest.raises(nc.PlacementError, match="overclaims"):
+            nc.place_vnuma("cq3", "k2", caps)
+        code = cli.main(["place", "--topology", "cq3", "--vnuma", "k2",
+                         "--caps", ",".join(map(str, caps))])
+        assert code == 2
+        assert "overclaims" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pname,gname,key", [
+        ("cq3", "k2", "cq3"), ("l4", "k2", "l4"), ("q33", "c4", "q33"),
+        ("cq3", "c4", "cq3"), ("k2_3", "k2", "km_n"),
+    ])
+    def test_count_calls_are_bounded(self, patch_formula, pname, gname, key):
+        real = formulas.PAIRS[key, nc.parse_topology(gname)].count
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        patch_formula(key, gname, counted)
+        m = len(nc.enumerate_embeddings(expanded(pname), expanded(gname)))
+        n = nc.parse_topology(pname).vertex_count
+        for caps in random_vectors(f"{pname}/{gname} calls", 100, n, 300):
+            calls = 0
+            pl = nc.place_vnuma(pname, gname, caps)
+            assert calls <= 1 + m * (1 + max(caps).bit_length()), caps
+            assert pl.count == nc.vmcap(pname, gname, caps).count, caps
+
+    def test_host_past_the_enumeration_limit(self):
+        caps = (1,) * 14
+        assert nc.vmcap("k7_7", "k2", caps).count == 7
+        with pytest.raises(nc.ScaleLimitError, match="at most 12 vertices"):
+            nc.place_vnuma("k7_7", "k2", caps)
 
 
 class TestVerification:
