@@ -2,14 +2,18 @@
 
 The solver enumerates every embedding of the guest shape in the host
 graph and asks, for each target count from a bound down, whether they
-pack that many copies under the per-node capacities.  It is exhaustive:
-the closed-form evaluators are tested against it, never the reverse.
+pack that many copies under the per-node capacities.  The bound is the
+floor of the packing LP's optimum, read off the vertices of its covering
+dual, which double description finds once per (host, guest) pair.  The
+search is exhaustive: the closed-form evaluators are tested against it,
+never the reverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import ScaleLimitError
@@ -45,15 +49,17 @@ def oracle_vmcap(
     the embeddings from idx on pack `need` copies into the residual
     capacities, trying each multiplicity from high to low.  The count is
     the first target, from the root bound down, that packs, and the
-    multiplicities find chose are the witness.  The bound is the
-    subset-cover bound: for a set R of alive vertices (those the
-    remaining embeddings touch) let c(R) be the most vertices one
-    remaining embedding has in R.  Each remaining copy takes k =
-    |V(guest)| alive vertices, at most c(R) of them in R, so at most
-    floor((residual(alive) - residual(R)) / (k - c(R))) copies fit when
-    c(R) < k.  Only the closed sets R, where adding any alive vertex
-    raises c(R), give terms.  On a complete host the root bound is the
-    clique bound, so there the first target already packs.
+    multiplicities find chose are the witness.  The bound is the LP
+    bound.  With the embeddings from idx on as the packing's columns,
+    every point y >= 0 with y(e) >= 1 for each of them (y(e) the sum of
+    y over e's vertices) is dual-feasible, so at most residual . y
+    copies fit.  The minimum over y is attained at a vertex of that
+    polyhedron, and each vertex, kept as integer weights W over a
+    denominator D, gives the term floor(sum(W_v * residual_v) / D); the
+    smallest term is floor(LP).  It is never above the subset-cover
+    bound, whose terms are dual-feasible points too.  On a complete host
+    the root bound is the clique bound, so there the first target
+    already packs.
 
     A node where find fails stores need - 1 under its key, the index and
     the alive residuals.  Those fix the node's optimum, so the entry
@@ -81,83 +87,96 @@ def oracle_vmcap(
 class _PairStatics:
     """Capacity-independent search structures for one (host, guest) pair."""
 
-    embeddings: tuple[tuple[int, ...], ...]
     verts: tuple[tuple[int, ...], ...]  # 0-based copies of embeddings
     alive: tuple[tuple[int, ...], ...]  # vertices appearing in verts[i:]
-    # per index: ((vertices of R, k - c(R)), ...) over the closed sets R
+    # per index i: the vertices of the covering dual P_i as (W, D), W the
+    # nonzero (vertex, weight) pairs; each reads copies <= sum(W_v r_v) // D
     bound_terms: tuple
     k: int
 
 
-@lru_cache(maxsize=16)
-def _subset_tables(n: int):
-    """Bit sets over the 2^n vertex subsets of an n-vertex host.
+def _cut(rays: list, emb: tuple[int, ...], bit: int, dim: int) -> list:
+    """One double description step (Motzkin et al. 1953; Fukuda & Prodon
+    1996): the extreme rays of a pointed cone in R^dim, cut by the
+    inequality y(emb) >= s, from the extreme rays of the cone before.
 
-    A family of subsets is one int whose bit R is set when subset R (a
-    vertex bitmask) belongs to it.  Returns the full family, per vertex v
-    the family of subsets without v, and per subset its vertex tuple.
+    A ray is (vector, zero set, term), its last coordinate s; the zero
+    set has a bit for every inequality tight on the ray, `bit` is the new
+    one's, and the term is (W, D), the nonzero (vertex, y) pairs and s,
+    when s > 0 (None otherwise).  Rays on the kept side stay; each pair
+    across the cut that is adjacent, no third ray being tight on every
+    inequality both are tight on, yields the point where their edge
+    crosses the hyperplane.  That point has s > 0, since the ray cut off
+    has y(emb) < s.
     """
-    full = (1 << (1 << n)) - 1
-    without = []
-    for v in range(n):
-        # subsets without v form runs of 2^v set bits, 2^v apart
-        run = (1 << (1 << v)) - 1
-        fam = 0
-        for start in range(0, 1 << n, 2 << v):
-            fam |= run << start
-        without.append(fam)
-    members = tuple(
-        tuple(v for v in range(n) if r >> v & 1) for r in range(1 << n)
-    )
-    return full, tuple(without), members
+    s = dim - 1
+    out, pos, neg = [], [], []
+    for ray in rays:
+        vec, zeros, term = ray
+        a = -vec[s]
+        for v in emb:
+            a += vec[v]
+        if a > 0:
+            out.append(ray)
+            pos.append((a, vec, zeros))
+        elif a < 0:
+            neg.append((a, vec, zeros))
+        else:
+            out.append((vec, zeros | bit, term))
+    zero_sets = [ray[1] for ray in rays]
+    for ap, p, zp in pos:
+        for an, q, zq in neg:
+            common = zp & zq
+            # adjacent rays share at least dim - 2 tight inequalities
+            if common.bit_count() < dim - 2:
+                continue
+            tight = 0
+            for zeros in zero_sets:
+                if zeros & common == common:
+                    tight += 1
+            if tight > 2:
+                continue
+            vec = [ap * qv - an * pv for pv, qv in zip(p, q)]
+            # primitive, so W and D are coprime integers
+            g = gcd(*vec)
+            vec = tuple([x // g for x in vec])
+            weights = tuple([(v, y) for v, y in enumerate(vec[:s]) if y])
+            out.append((vec, common | bit, (weights, vec[s])))
+    return out
 
 
 @lru_cache(maxsize=256)
 def _pair_statics(host: Graph, guest: Graph) -> _PairStatics:
-    embeddings = enumerate_embeddings(host, guest)
-    m = len(embeddings)
+    n = host.vertex_count
     k = guest.vertex_count
-    verts = tuple(tuple(v - 1 for v in emb) for emb in embeddings)
-    full, without, members = _subset_tables(host.vertex_count)
-    # below[j] is the family {R : c(R) <= j}, where c(R) is the largest
-    # number of vertices that one remaining embedding has in R; it starts
-    # as every subset (no embedding left) and shrinks as embeddings join
-    below = [full] * k
+    verts = tuple(
+        tuple(v - 1 for v in emb) for emb in enumerate_embeddings(host, guest)
+    )
+    m = len(verts)
+    # The vertices of P_i = {y >= 0 : y(e) >= 1 for e in verts[i:]} are
+    # the extreme rays (y, s) with s > 0 of the cone {(y, s) >= 0 :
+    # y(e) >= s}, scaled to s = 1; the rays with s = 0 are the unit
+    # vectors of P_i's recession cone, the orthant.  With no embedding
+    # the cone is the orthant of R^(n+1) itself, whose one vertex is
+    # y = 0, and each step back adds one inequality.  Zero-set bits 0..n
+    # are the signs, n + 1 + i is embedding i.
+    dim = n + 1
+    signs = (1 << dim) - 1
+    rays = [
+        (tuple(int(j == c) for j in range(dim)), signs ^ (1 << c), None)
+        for c in range(n)
+    ]
+    rays.append(((0,) * n + (1,), signs ^ (1 << n), ((), 1)))
     alive: list[tuple[int, ...]] = [()] * (m + 1)
-    bound_terms: list[tuple] = [(((), k),)] * (m + 1)
+    bound_terms: list[tuple] = [(((), 1),)] * (m + 1)
     alive_mask = 0
     for i in range(m - 1, -1, -1):
-        # within[j]: subsets that meet embedding i in at most j vertices
-        within = [full] * k
+        rays = _cut(rays, verts[i], 1 << (dim + i), dim)
         for v in verts[i]:
             alive_mask |= 1 << v
-            has_v = full ^ without[v]
-            within = [
-                (w & without[v]) | (within[j - 1] & has_v if j else 0)
-                for j, w in enumerate(within)
-            ]
-        below = [b & w for b, w in zip(below, within)]
-        alive[i] = members[alive_mask]
-        # only subsets of the alive vertices; R is closed at level j when
-        # c(R) = j and adding any alive vertex takes it out of below[j]
-        inside = full
-        for v, fam in enumerate(without):
-            if not alive_mask >> v & 1:
-                inside &= fam
-        terms = []
-        lower = 0
-        for j in range(k):
-            level = below[j] & ~lower & inside
-            for v in alive[i]:
-                level &= ~((below[j] >> (1 << v)) & without[v])
-            lower = below[j]
-            while level:
-                low = level & -level
-                level ^= low
-                terms.append((members[low.bit_length() - 1], k - j))
-        bound_terms[i] = tuple(terms)
+        alive[i] = tuple(v for v in range(n) if alive_mask >> v & 1)
+        bound_terms[i] = tuple([term for _, _, term in rays if term])
     return _PairStatics(
-        embeddings=embeddings,
         verts=verts,
         alive=tuple(alive),
         bound_terms=tuple(bound_terms),
@@ -167,16 +186,14 @@ def _pair_statics(host: Graph, guest: Graph) -> _PairStatics:
 
 @lru_cache(maxsize=256)
 def _pair_steps(host: Graph, guest: Graph) -> tuple:
-    """Per embedding index i, the terms of i + 1 as (R, k - c(R), slope):
-    slope = a - r - (k - c(R)), where embedding i has a vertices in
-    alive[i + 1] and r in R, is the factor of t in find's cut."""
+    """Per embedding index i, the terms of i + 1 as (W, D, slope):
+    slope = W(embedding i) - D is the factor of t in find's cut."""
     statics = _pair_statics(host, guest)
     steps = []
     for i, vs in enumerate(map(set, statics.verts)):
-        a = len(vs.intersection(statics.alive[i + 1]))
         steps.append(tuple(
-            (rs, div, a - len(vs.intersection(rs)) - div)
-            for rs, div in statics.bound_terms[i + 1]
+            (ws, div, sum(w for v, w in ws if v in vs) - div)
+            for ws, div in statics.bound_terms[i + 1]
         ))
     return tuple(steps)
 
@@ -268,15 +285,14 @@ def _make_solver(host: Graph, guest: Graph, memoize: bool, cache: Optional[dict]
             # residual; its own cut prunes the children there
             return find(idx + 1, residual, need, path)
         # t copies of embedding idx leave need - t copies to idx + 1, and
-        # each subset-cover term there must allow them:
-        # (total - residual(R) - t * (a - r)) // div >= need - t, that is
-        # total - residual(R) - div * need >= t * slope, a cut on t
+        # each dual vertex (W, D) there must allow them:
+        # (W.residual - t * W(idx)) // D >= need - t, that is
+        # W.residual - D * need >= t * slope, a cut on t
         lo = 0
-        total = sum([residual[v] for v in alive[idx + 1]])
-        for rs, div, slope in steps[idx]:
-            d = total - div * need
-            for v in rs:
-                d -= residual[v]
+        for ws, div, slope in steps[idx]:
+            d = -div * need
+            for v, w in ws:
+                d += w * residual[v]
             if slope > 0:
                 if d < slope * hi:
                     hi = d // slope
@@ -301,16 +317,14 @@ def _make_solver(host: Graph, guest: Graph, memoize: bool, cache: Optional[dict]
         return False
 
     def search(start: tuple[int, ...]):
-        # the root bound: the smallest subset-cover term, or the first 0
-        need = total = sum([start[v] for v in alive[0]])
-        for rs, div in statics.bound_terms[0]:
-            s = total
-            for v in rs:
-                s -= start[v]
-            if s // div < need:
-                need = s // div
-                if not need:
-                    break
+        # the root bound: floor(LP), the smallest dual-vertex term
+        need = sum(start)
+        for ws, div in statics.bound_terms[0]:
+            d = 0
+            for v, w in ws:
+                d += w * start[v]
+            if d < div * need:
+                need = d // div
         path: list = []
         while need and not find(0, start, need, path):
             need -= 1

@@ -1,6 +1,8 @@
 """Exhaustive-search reference oracle and its cross-checks."""
 
+import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -172,8 +174,9 @@ class TestMatchingExpansion:
             assert nc.maximum_matching_size(blown_up) == reference, caps
 
 
-# eight pairs with no closed form and two with one (cq3/k2, q33/c4); the
-# tests below call the solver directly, so all ten reach it
+# five pairs with no closed form and five with one (cq3/k2, q33/c4 and
+# the complete hosts k5/c4, k6/k2_3, k6/c4); the tests below call the
+# solver directly, so all ten reach it
 SOLVER_PAIRS = [
     ("l4", "c4"),
     ("k5", "c4"),
@@ -189,17 +192,19 @@ SOLVER_PAIRS = [
 
 
 def root_terms(host, guest, caps):
-    """Value of every subset-cover term at the root of the search."""
+    """Value of every dual-vertex term (W, D) at the root of the search:
+    copies <= sum(W_v * b_v) // D."""
     statics = _pair_statics(host, guest)
-    total = sum(caps[v] for v in statics.alive[0])
     return [
-        (total - sum(caps[v] for v in vs)) // div
-        for vs, div in statics.bound_terms[0]
+        sum(w * caps[v] for v, w in weights) // div
+        for weights, div in statics.bound_terms[0]
     ]
 
 
 def closed_sets_by_definition(statics, idx):
-    """(R, k - c(R)) for every closed R at idx, straight from the definition."""
+    """(R, k - c(R)) for every closed R at idx, straight from the definition:
+    c(R) is the most vertices one remaining embedding has in R, and R is
+    closed when adding any alive vertex raises c(R)."""
     k = statics.k
     alive = statics.alive[idx]
     remaining = [set(vs) for vs in statics.verts[idx:]]
@@ -217,18 +222,81 @@ def closed_sets_by_definition(statics, idx):
     return out
 
 
+def solve_exactly(rows, n):
+    """The unique y with a.y = c for every (a, c) in rows, or None."""
+    m = [[*a, c] for a, c in rows]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = Fraction(m[r][col]) / m[col][col]
+                m[r] = [x - f * y if y else x for x, y in zip(m[r], m[col])]
+    return [Fraction(m[r][n]) / m[r][r] for r in range(n)]
+
+
+def dual_vertices_by_definition(statics, n, idx):
+    """(W, D) for every vertex of {y >= 0 : y(e) >= 1 for e in verts[idx:]}:
+    each choice of n constraints taken tight, solved in Fraction, kept
+    when the point is unique and meets every constraint."""
+    rows = [([int(v == u) for v in range(n)], 0) for u in range(n)]
+    rows += [([int(v in e) for v in range(n)], 1) for e in statics.verts[idx:]]
+    found = set()
+    for pick in combinations(rows, n):
+        y = solve_exactly(pick, n)
+        if y is None or any(
+            sum(x for a, x in zip(row, y) if a) < c for row, c in rows
+        ):
+            continue
+        div = math.lcm(*(x.denominator for x in y))
+        weights = tuple((v, int(x * div)) for v, x in enumerate(y) if x)
+        found.add((weights, div))
+    return found
+
+
 class TestSubsetCoverBound:
     @pytest.mark.parametrize(
         "pname,gname",
-        [("c4", "k2"), ("k4", "k3"), ("cq3", "k1_2"), ("l4", "c4"),
-         ("k6", "k2_3"), ("star4", "k1_2")],
+        # k2_3/k1_2 and k5/k3 have pairs of rays across a cut that pass
+        # the zero-set size test but are not adjacent
+        [("c4", "k2"), ("k4", "k3"), ("star4", "k1_2"), ("l4", "c4"),
+         ("k2_3", "c4"), ("k6", "k2_3"), ("k2_3", "k1_2"), ("k5", "k3")],
     )
-    def test_terms_are_the_closed_sets(self, pname, gname):
-        statics = _pair_statics(expanded(pname), expanded(gname))
+    def test_terms_are_the_dual_vertices(self, pname, gname):
+        host = expanded(pname)
+        statics = _pair_statics(host, expanded(gname))
         for idx in range(len(statics.verts) + 1):
-            assert set(statics.bound_terms[idx]) == closed_sets_by_definition(
-                statics, idx
+            terms = statics.bound_terms[idx]
+            assert len(set(terms)) == len(terms), idx
+            assert set(terms) == dual_vertices_by_definition(
+                statics, host.vertex_count, idx
             ), idx
+
+    @pytest.mark.parametrize("pname,gname", SOLVER_PAIRS)
+    def test_every_term_is_dual_feasible(self, pname, gname):
+        statics = _pair_statics(expanded(pname), expanded(gname))
+        for idx, terms in enumerate(statics.bound_terms):
+            for weights, div in terms:
+                assert div > 0 and all(w > 0 for _, w in weights)
+                w = dict(weights)
+                assert math.gcd(div, *w.values()) == 1, (idx, weights, div)
+                for emb in statics.verts[idx:]:
+                    assert sum(w.get(v, 0) for v in emb) >= div, (idx, emb)
+
+    @pytest.mark.parametrize("pname,gname", SOLVER_PAIRS)
+    def test_root_bound_is_at_most_the_subset_cover_bound(self, pname, gname):
+        host, guest = expanded(pname), expanded(gname)
+        statics = _pair_statics(host, guest)
+        closed = closed_sets_by_definition(statics, 0)
+        alive = statics.alive[0]
+        for caps in random_vectors(f"{pname}/{gname} lp", 40, host.vertex_count, 30):
+            total = sum(caps[v] for v in alive)
+            cover = min(
+                (total - sum(caps[v] for v in vs)) // div for vs, div in closed
+            )
+            assert min(root_terms(host, guest, caps)) <= cover, caps
 
     @pytest.mark.parametrize("pname,gname", SOLVER_PAIRS)
     def test_memoized_search_matches_plain_search(self, pname, gname):
@@ -263,7 +331,9 @@ class TestSubsetCoverBound:
         # the search under the earlier bound family stored more than two
         # million memo entries on the first five and did not finish the
         # third; the exact-value search under the subset-cover bound
-        # stored 2.33 million on the sixth, whose root bound is 54
+        # stored 2.33 million on the sixth, whose root bound is 54, and the
+        # target search under that bound read 66, 66 and 64 on the last
+        # three and took 40 s and more on each
         cases = [
             ("cq3", "k1_2", (16, 1, 31, 5, 3, 9, 19, 36), 27),
             ("cq3", "k1_2", (2, 30, 66, 28, 45, 1, 16, 12), 43),
@@ -271,6 +341,9 @@ class TestSubsetCoverBound:
             ("l4", "k1_2", (15, 19, 6, 9, 12, 78, 14, 7), 31),
             ("l4", "k1_2", (0, 18, 29, 11, 7, 31, 16, 48), 41),
             ("cq3", "k1_2", (35, 13, 21, 24, 7, 7, 13, 80), 51),
+            ("cq3", "k1_2", (13, 11, 46, 16, 24, 29, 15, 46), 59),
+            ("cq3", "k1_2", (18, 5, 55, 21, 31, 27, 14, 29), 60),
+            ("cq3", "k1_2", (14, 47, 8, 15, 25, 50, 20, 21), 55),
         ]
         states = 0
         for pname, gname, caps, want in cases:
@@ -283,9 +356,11 @@ class TestSubsetCoverBound:
             used = usage_from_witness(host, guest, sol)
             assert all(u <= c for u, c in zip(used, caps)), caps
         assert states <= 50_000
-        # 59 needs no search to trust: the witness meets a root bound term
+        # these need no search to trust: each witness meets the root bound,
+        # the floor of the LP optimum
         cq3, path = expanded("cq3"), expanded("k1_2")
-        assert min(root_terms(cq3, path, cases[2][2])) == 59
+        for _, _, caps, want in cases[2:3] + cases[5:]:
+            assert min(root_terms(cq3, path, caps)) == want, caps
 
 
 def compositions(seed: str, count: int, total: int, parts: int):
