@@ -164,13 +164,9 @@ def component_capacity_vector(
             column = [free[name] // amount for free in nodes]
             counts = column if counts is None else list(map(min, counts, column))
     except KeyError:
-        # name the first missing resource in node order, as node_capacity does
+        # node_capacity names the first missing resource in node order
         for free in nodes:
-            for name in flavor.demand:
-                if name not in free:
-                    raise ResourceError(
-                        f"node is missing demanded resource {name!r}"
-                    ) from None
+            node_capacity(free, flavor.demand)
         raise
     return tuple(counts)
 

@@ -1,15 +1,15 @@
-"""Closed-form capacity evaluators.
+"""Closed-form capacity evaluators and one binding per (host, guest) pair.
 
 Each evaluator answers, in constant time, how many guest shapes of one
 kind fit a host topology given per-node counts b (canonical label order).
 PAIRS registers each formula with the sweep that checks it, and its
-witness, against the exhaustive solver; pairs without a formula fall
-back to that solver through vmcap() and place_vnuma().
+witness, against the exhaustive solver.  _resolve binds every pair once
+to a count and a witness: its registry entry's, or the solver's when it
+has none.  vmcap() and place_vnuma() validate b and call that binding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -31,8 +31,7 @@ from .topology import (
 )
 
 
-@dataclass(frozen=True)
-class VmcapResult:
+class VmcapResult(NamedTuple):
     """Count plus how it was obtained ("closed-form" or "oracle")."""
 
     count: int
@@ -335,32 +334,41 @@ def _bind(pair: Pair, pid: TopologyId, gid: TopologyId):
             witness = partial(witness, *args)
     if witness is None:
         def witness(b):
-            return peel(count, _embeddings(pid, gid), b)
-    return count, witness
+            host, guest = expand_topology(pid), expand_topology(gid)
+            return peel(count, enumerate_embeddings(host, guest), b)
+    return count, witness, "closed-form"
 
 
-@lru_cache(maxsize=256)
-def _embeddings(pid: TopologyId, gid: TopologyId):
-    """The pair's embeddings, enumerated on its first peeled witness."""
-    return enumerate_embeddings(expand_topology(pid), expand_topology(gid))
+def _bind_solver(pid: TopologyId, gid: TopologyId):
+    host, guest = expand_topology(pid), expand_topology(gid)
+
+    def count(b):
+        return oracle_vmcap(host, guest, b).count
+
+    def witness(b):
+        runs = oracle_vmcap(host, guest, b).multiplicities
+        embeddings = enumerate_embeddings(host, guest)
+        return Placement(tuple(e for i, t in runs for e in [embeddings[i]] * t))
+
+    return count, witness, "oracle"
 
 
 @lru_cache(maxsize=1024)
 def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
-    """(host id, guest id, host vertex count, count, witness) for a pair.
+    """(host vertex count, count, witness, via): the pair's one binding.
 
-    Memoised, so vmcap() parses each id and binds its formula once per
-    pair.  An invalid id raises, and a raising call is never cached.  The
-    guest id is canonicalised for the lookup (k2_2 is c4, k1_1 is k2, k1_N
-    is starN); the host keeps its own id, whose labels index the vector.
-    A single-node guest raises, and a guest larger than its host, then one
-    of its host's shape, is ruled on before the PAIRS lookup.  count and
-    witness are None when the pair has no closed form.
+    Memoised, so each pair is parsed and bound once; an invalid id
+    raises, and a raising call is never cached.  The guest id is
+    canonicalised (k2_2 is c4, k1_1 is k2, k1_N is starN); the host keeps
+    its own id, whose labels index the vector.  A single-node guest
+    raises, and a guest larger than its host, then one of its host's
+    shape, is ruled on before the PAIRS lookup.  A registry entry binds
+    its closed form and witness, and expands no graph; any other pair
+    binds the exhaustive solver over graphs expanded here, once.
     """
     pid = as_topology_id(pnuma)
-    gid = as_topology_id(vnuma)
     n = pid.vertex_count
-    guest = canonical_id(gid)
+    guest = canonical_id(as_topology_id(vnuma))
     if guest.vertex_count < 2:
         raise TopologyError(
             "guest shape needs >= 2 nodes; single-node capacity is the sum"
@@ -377,8 +385,8 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
             or PAIRS.get((pid.kind, None))
         )
     if pair is None:
-        return pid, gid, n, None, None
-    return (pid, gid, n, *_bind(pair, pid, guest))
+        return (n, *_bind_solver(pid, guest))
+    return (n, *_bind(pair, pid, guest))
 
 
 def _resolved(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
@@ -399,7 +407,8 @@ def closed_form_evaluator(
     A guest of the host's own shape always has a formula, min(b), and a
     guest larger than its host has 0; a single-node guest raises.
     """
-    return _resolved(pnuma, vnuma)[3]
+    _, count, _, via = _resolved(pnuma, vnuma)
+    return count if via == "closed-form" else None
 
 
 def vmcap(
@@ -409,19 +418,13 @@ def vmcap(
 ) -> VmcapResult:
     """How many guests of shape `vnuma` fit a `pnuma` host with counts b.
 
-    Routes to a closed-form evaluator when one exists for the pair and
-    otherwise runs the exhaustive solver (small hosts only).  Guests must
+    Calls the pair's binding: its closed form when it has one, and
+    otherwise the exhaustive solver (small hosts only).  Guests must
     span at least two nodes; single-node guests are a plain sum and are
     handled by the server-level capacity functions.
     """
-    pid, gid, n, fn, _ = _resolved(pnuma, vnuma)
-    caps = check_capacities(capacities, n)
-    if fn is not None:
-        return VmcapResult(fn(caps))
-    host = expand_topology(pid)
-    guest = expand_topology(gid)
-    solution = oracle_vmcap(host, guest, caps)
-    return VmcapResult(solution.count, via="oracle")
+    n, count, _, via = _resolved(pnuma, vnuma)
+    return VmcapResult(count(check_capacities(capacities, n)), via)
 
 
 def place_vnuma(
@@ -436,14 +439,5 @@ def place_vnuma(
     enumerates the host's embeddings, so a closed pair peeled on a host
     past enumerate_embeddings' node limit raises ScaleLimitError too.
     """
-    pid, gid, n, _, witness = _resolved(pnuma, vnuma)
-    caps = check_capacities(capacities, n)
-    if witness is not None:
-        return witness(caps)
-    host = expand_topology(pid)
-    guest = expand_topology(gid)
-    solution = oracle_vmcap(host, guest, caps)
-    embeddings = enumerate_embeddings(host, guest)
-    return Placement(tuple(
-        group for i, t in solution.multiplicities for group in [embeddings[i]] * t
-    ))
+    n, _, witness, _ = _resolved(pnuma, vnuma)
+    return witness(check_capacities(capacities, n))

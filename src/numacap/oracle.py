@@ -92,6 +92,9 @@ class _PairStatics:
     # per index i: the vertices of the covering dual P_i as (W, D), W the
     # nonzero (vertex, weight) pairs; each reads copies <= sum(W_v r_v) // D
     bound_terms: tuple
+    # per index i: bound_terms[i + 1] as (W, D, slope), where the slope
+    # W(verts[i]) - D is the factor of t in find's cut on embedding i
+    steps: tuple
     k: int
 
 
@@ -176,26 +179,18 @@ def _pair_statics(host: Graph, guest: Graph) -> _PairStatics:
             alive_mask |= 1 << v
         alive[i] = tuple(v for v in range(n) if alive_mask >> v & 1)
         bound_terms[i] = tuple([term for _, _, term in rays if term])
+    steps = tuple(
+        tuple((ws, div, sum(w for v, w in ws if v in vs) - div)
+              for ws, div in bound_terms[i + 1])
+        for i, vs in enumerate(map(set, verts))
+    )
     return _PairStatics(
         verts=verts,
         alive=tuple(alive),
         bound_terms=tuple(bound_terms),
+        steps=steps,
         k=k,
     )
-
-
-@lru_cache(maxsize=256)
-def _pair_steps(host: Graph, guest: Graph) -> tuple:
-    """Per embedding index i, the terms of i + 1 as (W, D, slope):
-    slope = W(embedding i) - D is the factor of t in find's cut."""
-    statics = _pair_statics(host, guest)
-    steps = []
-    for i, vs in enumerate(map(set, statics.verts)):
-        steps.append(tuple(
-            (ws, div, sum(w for v, w in ws if v in vs) - div)
-            for ws, div in statics.bound_terms[i + 1]
-        ))
-    return tuple(steps)
 
 
 def _make_solver(host: Graph, guest: Graph, memoize: bool, cache: Optional[dict]):
@@ -261,7 +256,7 @@ def _make_solver(host: Graph, guest: Graph, memoize: bool, cache: Optional[dict]
         return replay
 
     memo = cache if cache is not None else {}
-    steps = _pair_steps(host, guest)
+    steps = statics.steps
 
     def find(idx: int, residual: tuple[int, ...], need: int, path: list) -> bool:
         """Whether verts[idx:] packs need >= 1 copies into residual; on

@@ -273,8 +273,12 @@ _CQ3_EDGES = _L4_EDGES + ((1, 7), (2, 8))
 
 
 def expand_topology(topology: Union[TopologyId, str]) -> Graph:
-    """Materialize a topology id as a labeled graph (deterministic)."""
-    tid = as_topology_id(topology)
+    """Materialize a topology id as a labeled graph, memoised on the id."""
+    return _expand(as_topology_id(topology))
+
+
+@lru_cache(maxsize=256)
+def _expand(tid: TopologyId) -> Graph:
     if tid.kind == "kn":
         edges: Iterable[tuple[int, int]] = combinations(range(1, tid.n + 1), 2)
         return Graph(tid.n, frozenset(edges), name=str(tid))

@@ -137,10 +137,14 @@ class TestCheckedOnce:
         assert info.value.resource == "ram"
 
     def test_missing_resource_names_it(self):
-        comp = nc.ServerComponent(topology="c4", nodes=RING_NODES)
-        with pytest.raises(nc.ResourceError) as info:
-            component_capacity_vector(comp, nc.Flavor("f", "k2", {"cpu": 1, "ram": 2}))
-        assert str(info.value) == "node is missing demanded resource 'ram'"
+        flavor = nc.Flavor("f", "k2", {"cpu": 1, "ram": 2})
+        # node 2 lacks ram before node 3 lacks cpu: node order decides
+        patchy = ({"cpu": 4, "ram": 4}, {"cpu": 4}, {"ram": 4}, {"cpu": 4, "ram": 4})
+        for nodes in (RING_NODES, patchy):
+            comp = nc.ServerComponent(topology="c4", nodes=nodes)
+            with pytest.raises(nc.ResourceError) as info:
+                component_capacity_vector(comp, flavor)
+            assert str(info.value) == "node is missing demanded resource 'ram'"
 
     def test_count_above_the_capacity_limit_is_an_error_row(self):
         huge = nc.ServerState(

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import numacap as nc
 from numacap import formulas
+from numacap.oracle import _pair_statics
 from conftest import (
     CQ3_SWAP,
     LARGE_PAIRS,
@@ -274,6 +275,30 @@ class TestDispatch:
                 front_end("c4", "k1", (1, 1, 1, 1))
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
+
+    def test_solver_pairs_are_bound_once(self, monkeypatch):
+        # after a warm-up call the solver binding reuses its graphs, and
+        # the solver finds their table in _pair_statics' cache
+        pairs = [("cq3", "k1_2"), ("l4", "c4")]
+        for pname, gname in pairs:
+            nc.vmcap(pname, gname, (1,) * 8)
+        built = 0
+        real = nc.Graph.__post_init__
+
+        def counted(self):
+            nonlocal built
+            built += 1
+            real(self)
+
+        monkeypatch.setattr(nc.Graph, "__post_init__", counted)
+        misses = _pair_statics.cache_info().misses
+        for pname, gname in pairs:
+            for b in random_vectors(f"{pname}/{gname} bound once", 50, 8, 6):
+                assert nc.vmcap(pname, gname, b).via == "oracle"
+            for b in random_vectors(f"{pname}/{gname} placed once", 5, 8, 6):
+                nc.place_vnuma(pname, gname, b)
+        assert built == 0
+        assert _pair_statics.cache_info().misses == misses
 
     def test_oracle_fallback_scale_limit(self):
         with pytest.raises(nc.ScaleLimitError):

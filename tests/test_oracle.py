@@ -419,11 +419,14 @@ EXACT_VALUE_COUNTS = {
 
 
 class TestFullRange:
+    # the five pairs have no closed form, so vmcap and place_vnuma answer
+    # through the solver binding and must agree with the solver itself
     @pytest.mark.parametrize("pname,gname", list(EXACT_VALUE_COUNTS))
     def test_counts_match_the_exact_value_search(self, pname, gname):
         host, guest = expanded(pname), expanded(gname)
         n = host.vertex_count
         rows = EXACT_VALUE_COUNTS[pname, gname]
+        assert nc.closed_form_evaluator(pname, gname) is None
         for total, counts in zip(FULL_RANGE_SUMS, rows):
             vectors = compositions(f"{pname}/{gname} parity {total}", 10, total, n)
             for caps, want in zip(vectors, counts):
@@ -434,3 +437,7 @@ class TestFullRange:
                 assert indices == sorted(set(indices)), caps
                 used = usage_from_witness(host, guest, sol)
                 assert all(u <= c for u, c in zip(used, caps)), caps
+                assert nc.vmcap(pname, gname, caps) == nc.VmcapResult(want, "oracle")
+                placement = nc.place_vnuma(pname, gname, caps)
+                nc.verify_placement(host, guest, caps, placement)
+                assert placement.count == want, caps

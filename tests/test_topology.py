@@ -167,6 +167,12 @@ class TestParsing:
         assert nc.as_topology_id(nc.CQ3) is nc.CQ3
         assert nc.as_topology_id("k3") == nc.K3
 
+    def test_expand_is_memoised_on_the_parsed_id(self):
+        assert nc.expand_topology(" CQ3") is nc.expand_topology(nc.CQ3)
+        for bad in (["c4"], {"c4": 1}):
+            with pytest.raises(nc.TopologyError):
+                nc.expand_topology(bad)
+
 
 class TestEmbeddingEnumeration:
     @pytest.mark.parametrize(
