@@ -340,12 +340,11 @@ def _bind(pair: Pair, pid: TopologyId, gid: TopologyId):
 
 
 def _bind_solver(pid: TopologyId, gid: TopologyId):
-    host, guest = expand_topology(pid), expand_topology(gid)
-
     def count(b):
-        return oracle_vmcap(host, guest, b).count
+        return oracle_vmcap(expand_topology(pid), expand_topology(gid), b).count
 
     def witness(b):
+        host, guest = expand_topology(pid), expand_topology(gid)
         runs = oracle_vmcap(host, guest, b).multiplicities
         embeddings = enumerate_embeddings(host, guest)
         return Placement(tuple(e for i, t in runs for e in [embeddings[i]] * t))
@@ -363,8 +362,10 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     its own id, whose labels index the vector.  A single-node guest
     raises, and a guest larger than its host, then one of its host's
     shape, is ruled on before the PAIRS lookup.  A registry entry binds
-    its closed form and witness, and expands no graph; any other pair
-    binds the exhaustive solver over graphs expanded here, once.
+    its closed form and witness, any other pair the exhaustive solver.
+    No binding expands a graph here: the solver and the peeled witness
+    look their graphs up when they run, in expand_topology's memo, after
+    the caller has checked b.
     """
     pid = as_topology_id(pnuma)
     n = pid.vertex_count

@@ -276,29 +276,47 @@ class TestDispatch:
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
 
+    @staticmethod
+    def count_graphs(monkeypatch):
+        """A one-item list that counts every Graph built from now on."""
+        built = [0]
+        real = nc.Graph.__post_init__
+
+        def counted(self):
+            built[0] += 1
+            real(self)
+
+        monkeypatch.setattr(nc.Graph, "__post_init__", counted)
+        return built
+
     def test_solver_pairs_are_bound_once(self, monkeypatch):
         # after a warm-up call the solver binding reuses its graphs, and
         # the solver finds their table in _pair_statics' cache
         pairs = [("cq3", "k1_2"), ("l4", "c4")]
         for pname, gname in pairs:
             nc.vmcap(pname, gname, (1,) * 8)
-        built = 0
-        real = nc.Graph.__post_init__
-
-        def counted(self):
-            nonlocal built
-            built += 1
-            real(self)
-
-        monkeypatch.setattr(nc.Graph, "__post_init__", counted)
+        built = self.count_graphs(monkeypatch)
         misses = _pair_statics.cache_info().misses
         for pname, gname in pairs:
             for b in random_vectors(f"{pname}/{gname} bound once", 50, 8, 6):
                 assert nc.vmcap(pname, gname, b).via == "oracle"
             for b in random_vectors(f"{pname}/{gname} placed once", 5, 8, 6):
                 nc.place_vnuma(pname, gname, b)
-        assert built == 0
+        assert built == [0]
         assert _pair_statics.cache_info().misses == misses
+
+    def test_binding_a_solver_pair_builds_no_graph(self, monkeypatch):
+        # resolving, or rejecting b, must not build a host graph whose
+        # size the id alone sets (k300_300 has 90,000 edges)
+        formulas._resolve.cache_clear()
+        nc.topology._expand.cache_clear()
+        built = self.count_graphs(monkeypatch)
+        assert nc.closed_form_evaluator("k300_300", "c4") is None
+        with pytest.raises(nc.DimensionError):
+            nc.vmcap("k300_300", "c4", (1,) * 5)
+        with pytest.raises(nc.DimensionError):
+            nc.place_vnuma("k300_300", "c4", (1,) * 5)
+        assert built == [0]
 
     def test_oracle_fallback_scale_limit(self):
         with pytest.raises(nc.ScaleLimitError):
