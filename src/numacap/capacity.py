@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .errors import NumacapError, ResourceError, SchemaError
 from .formulas import vmcap
@@ -26,8 +26,13 @@ def _is_int(value) -> bool:
 class Flavor:
     """A VM size: guest NUMA shape plus per-guest-node resource demand.
 
-    The demand is checked here and kept as a read-only copy, so later
-    changes to the caller's map cannot bypass the check.
+    The demand is kept as a read-only copy, so later changes to the
+    caller's map cannot bypass the check.  Rejected when built:
+
+    - a vnuma that is not a topology id or id string: TopologyError;
+    - a demand that is not a non-empty mapping: ResourceError;
+    - a demand amount that is not a positive integer: ResourceError,
+      naming the resource.
     """
 
     id: str
@@ -36,8 +41,11 @@ class Flavor:
 
     def __post_init__(self):
         object.__setattr__(self, "vnuma", as_topology_id(self.vnuma))
-        if not self.demand:
-            raise ResourceError(f"flavor {self.id!r} demands no resources")
+        if not isinstance(self.demand, Mapping) or not self.demand:
+            raise ResourceError(
+                f"flavor {self.id!r} demand must be a non-empty resource map,"
+                f" got {self.demand!r}"
+            )
         demand = dict(self.demand)
         for name, amount in demand.items():
             if not _is_int(amount) or amount < 1:
@@ -53,13 +61,35 @@ class Flavor:
         return type(self), (self.id, self.vnuma, dict(self.demand))
 
 
+def _array(value, path: str) -> tuple:
+    """Any iterable but a str or a mapping, as a tuple."""
+    if type(value) is list or type(value) is tuple:
+        return tuple(value)
+    if not isinstance(value, (str, Mapping)):
+        try:
+            items = iter(value)
+        except TypeError:
+            pass
+        else:
+            return tuple(items)
+    raise SchemaError(path, "expected an array")
+
+
 @dataclass(frozen=True)
 class ServerComponent:
     """One interconnect topology with either free resources or raw counts.
 
     Give `nodes` (per-node free resource maps, label order) to derive the
     capacity vector from a flavor's demand, or give `capacities` directly.
-    Both are checked here, and each node map is kept as a read-only copy.
+    Each node map is kept as a read-only copy.  Rejected when built:
+
+    - a topology that is not a topology id or id string: TopologyError;
+    - both or neither of nodes and capacities, either one a str, a
+      mapping or not iterable, a node count other than the topology's, a
+      node that is not a non-empty map, or a free amount that is not a
+      non-negative integer: SchemaError, its path under "component";
+    - capacities of the wrong length: DimensionError; an entry that is
+      not an integer in [0, 2**32 - 1]: CapacityError, with its index.
     """
 
     topology: TopologyId
@@ -73,37 +103,34 @@ class ServerComponent:
                 "component", "give exactly one of nodes or capacities"
             )
         count = self.topology.vertex_count
-        if self.nodes is not None:
-            nodes = tuple(self.nodes)
-            if len(nodes) != count:
-                raise SchemaError(
-                    "component.nodes",
-                    f"expected {count} node entries, got {len(nodes)}",
-                )
-            copies = []
-            for i, free in enumerate(nodes):
-                if type(free) is not dict and not isinstance(free, Mapping):
-                    raise SchemaError(
-                        f"component.nodes[{i}]",
-                        f"expected a resource map, got {free!r}",
-                    )
-                free = dict(free)
-                for name, amount in free.items():
-                    # a plain int skips the isinstance checks
-                    if (type(amount) is not int and not _is_int(amount)) or amount < 0:
-                        raise SchemaError(
-                            f"component.nodes[{i}].{name}",
-                            f"free amount must be a non-negative integer,"
-                            f" got {amount!r}",
-                        )
-                copies.append(MappingProxyType(free))
-            object.__setattr__(self, "nodes", tuple(copies))
-        else:
-            object.__setattr__(
-                self,
-                "capacities",
-                check_capacities(self.capacities, count),
+        if self.nodes is None:
+            caps = _array(self.capacities, "component.capacities")
+            object.__setattr__(self, "capacities", check_capacities(caps, count))
+            return
+        nodes = _array(self.nodes, "component.nodes")
+        if len(nodes) != count:
+            raise SchemaError(
+                "component.nodes",
+                f"expected {count} node entries, got {len(nodes)}",
             )
+        copies = []
+        for i, free in enumerate(nodes):
+            if (type(free) is not dict and not isinstance(free, Mapping)) or not free:
+                raise SchemaError(
+                    f"component.nodes[{i}]",
+                    f"expected a non-empty resource map, got {free!r}",
+                )
+            free = dict(free)
+            for name, amount in free.items():
+                # a plain int skips the isinstance checks
+                if (type(amount) is not int and not _is_int(amount)) or amount < 0:
+                    raise SchemaError(
+                        f"component.nodes[{i}].{name}",
+                        f"free amount must be a non-negative integer,"
+                        f" got {amount!r}",
+                    )
+            copies.append(MappingProxyType(free))
+        object.__setattr__(self, "nodes", tuple(copies))
 
     def __reduce__(self):
         # read-only maps do not pickle; rebuild from plain copies

@@ -48,7 +48,6 @@ from .oracle import MAX_ORACLE_TOTAL_CAPACITY, oracle_vmcap
 from .placement import verify_placement
 from .topology import TopologyId, expand_topology, parse_topology
 
-_ORACLE_CACHE_LIMIT = 2_000_000
 _PAST_SOLVER = f"sum(b) > {MAX_ORACLE_TOTAL_CAPACITY}, the solver's limit"
 _EXHAUSTIVE_LIMIT = 2_000_000
 
@@ -126,38 +125,17 @@ def load_cluster_state(path: str) -> list[ServerState]:
 def _parse_component(doc, path: str) -> ServerComponent:
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object")
-    topo_text = doc.get("topology")
-    if not isinstance(topo_text, str):
-        raise SchemaError(f"{path}.topology", "expected a topology id string")
     try:
-        tid = parse_topology(topo_text)
+        return ServerComponent(
+            topology=doc.get("topology"),
+            nodes=doc.get("nodes"),
+            capacities=doc.get("capacities"),
+        )
+    except SchemaError as exc:
+        # its paths start with "component"; put this document path there
+        raise SchemaError(path + exc.path[len("component"):], exc.message) from None
     except TopologyError as exc:
-        raise SchemaError(f"{path}.topology", str(exc))
-    nodes = doc.get("nodes")
-    caps = doc.get("capacities")
-    if (nodes is None) == (caps is None):
-        raise SchemaError(path, "expected exactly one of 'nodes' or 'capacities'")
-    if nodes is not None:
-        if not isinstance(nodes, list):
-            raise SchemaError(f"{path}.nodes", "expected an array")
-        for k, node in enumerate(nodes):
-            if not isinstance(node, dict) or not node:
-                raise SchemaError(
-                    f"{path}.nodes[{k}]", "expected a non-empty resource object"
-                )
-        # ServerComponent checks the node count and every free amount
-        try:
-            return ServerComponent(topology=tid, nodes=nodes)
-        except SchemaError as exc:
-            # its paths start with "component"; put this document path there
-            raise SchemaError(
-                path + exc.path[len("component"):], exc.message
-            ) from None
-    if not isinstance(caps, list):
-        raise SchemaError(f"{path}.capacities", "expected an array")
-    # ServerComponent checks the length and every entry
-    try:
-        return ServerComponent(topology=tid, capacities=caps)
+        raise SchemaError(f"{path}.topology", str(exc)) from None
     except DimensionError as exc:
         raise SchemaError(f"{path}.capacities", str(exc)) from None
     except CapacityError as exc:
@@ -185,21 +163,13 @@ def load_flavors(path: str) -> dict[str, Flavor]:
             raise SchemaError(f"{path_i}.id", "expected a non-empty string")
         if fid in out:
             raise SchemaError(f"{path_i}.id", f"duplicate flavor id {fid!r}")
-        vnuma_text = fd.get("vnuma")
-        if not isinstance(vnuma_text, str):
-            raise SchemaError(f"{path_i}.vnuma", "expected a topology id string")
         try:
-            vnuma = parse_topology(vnuma_text)
+            out[fid] = Flavor(id=fid, vnuma=fd.get("vnuma"), demand=fd.get("demand"))
         except TopologyError as exc:
-            raise SchemaError(f"{path_i}.vnuma", str(exc))
-        demand = fd.get("demand")
-        if not isinstance(demand, dict) or not demand:
-            raise SchemaError(f"{path_i}.demand", "expected a non-empty object")
-        # Flavor checks every demand amount
-        try:
-            out[fid] = Flavor(id=fid, vnuma=vnuma, demand=demand)
+            raise SchemaError(f"{path_i}.vnuma", str(exc)) from None
         except ResourceError as exc:
-            raise SchemaError(f"{path_i}.demand.{exc.resource}", str(exc)) from None
+            where = "" if exc.resource is None else f".{exc.resource}"
+            raise SchemaError(f"{path_i}.demand{where}", str(exc)) from None
     return out
 
 
@@ -317,7 +287,6 @@ def _verify(tid: TopologyId, gid: TopologyId, vectors, mode: str) -> dict:
     a sweep of nothing but those raises."""
     fn = closed_form_evaluator(tid, gid)
     host, guest = expand_topology(tid), expand_topology(gid)
-    cache: dict = {}
     doc = {"topology": str(tid), "vnuma": str(gid), "mode": mode,
            "cases": 0, "skipped": 0, "mismatches": 0, "examples": []}
     for bv in vectors:
@@ -325,7 +294,7 @@ def _verify(tid: TopologyId, gid: TopologyId, vectors, mode: str) -> dict:
             doc["skipped"] += 1
             continue
         doc["cases"] += 1
-        want = oracle_vmcap(host, guest, bv, cache=cache).count
+        want = oracle_vmcap(host, guest, bv).count
         got = fn(bv)
         try:
             placement = place_vnuma(tid, gid, bv)
@@ -338,8 +307,6 @@ def _verify(tid: TopologyId, gid: TopologyId, vectors, mode: str) -> dict:
             if len(doc["examples"]) < 5:
                 doc["examples"].append({"caps": list(bv), "formula": got,
                                         "oracle": want, "witness": fault})
-        if len(cache) > _ORACLE_CACHE_LIMIT:
-            cache.clear()
     if doc["skipped"] and not doc["cases"]:
         raise ScaleLimitError(f"all {doc['skipped']} vectors have {_PAST_SOLVER}")
     return doc

@@ -20,7 +20,6 @@ from .placement import Placement, peel, place_kn_kk
 from .topology import (
     C4,
     K2,
-    K3,
     Graph,
     TopologyId,
     as_topology_id,
@@ -99,7 +98,10 @@ def vmcap_k4_k2(b: Sequence[int]) -> int:
 
 
 def vmcap_k4_k3(b: Sequence[int]) -> int:
-    """Triples in the complete graph on 4 nodes."""
+    """Triples in the complete graph on 4 nodes.
+
+    The paper's closed form; the registry counts K4 by vmcap_kn_kk_rec.
+    """
     if len(b) != 4:
         raise DimensionError(f"expected 4 capacities, got {len(b)}")
     top = sorted(b, reverse=True)
@@ -269,10 +271,10 @@ class Pair(NamedTuple):
     witness: Optional[Callable[..., Placement]] = None
 
 
-# Keyed by (host key, canonical guest).  The host key is the host's kind as
-# parsed, not its canonical form, as host labels index b; "k4" keys two
-# special cases.  Guest None on "kn" is any guest that fits: each k-subset
-# of K_n carries every k-node guest, so the count is the k-clique's.
+# Keyed by (host kind, canonical guest).  The host kind is taken as parsed,
+# not from its canonical form, as host labels index b.  Guest None on "kn"
+# is any guest that fits, K4's pairs and triples included: each k-subset of
+# K_n carries every k-node guest, so the count is the k-clique's.
 PAIRS: dict[tuple[str, Optional[TopologyId]], Pair] = {
     ("c4", K2): Pair(vmcap_c4_k2, (("c4", "k2"),), 5, None),
     ("l4", K2): Pair(vmcap_l4_k2, (("l4", "k2"),)),
@@ -288,17 +290,10 @@ PAIRS: dict[tuple[str, Optional[TopologyId]], Pair] = {
         vmcap_kmn_k2, (("star5", "k2"),),
         params=lambda host, guest: (1, host.n),
     ),
-    ("k4", K2): Pair(
-        vmcap_k4_k2, (("k4", "k2"),), 5, None,
-        witness=partial(place_kn_kk, 4, 2),
-    ),
-    ("k4", K3): Pair(
-        vmcap_k4_k3, (("k4", "k3"),), 5, None,
-        witness=partial(place_kn_kk, 4, 3),
-    ),
     ("kn", None): Pair(
         vmcap_kn_kk_rec,
-        (("k4", "c4"), ("k5", "k3"), ("k5", "k2_3"), ("k6", "k2"), ("k6", "c4")),
+        (("k4", "k2"), ("k4", "k3"), ("k4", "c4"), ("k5", "k3"), ("k5", "k2_3"),
+         ("k6", "k2"), ("k6", "c4")),
         12,
         params=lambda host, guest: (host.n, guest.vertex_count),
         witness=place_kn_kk,
@@ -380,11 +375,7 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     elif guest == canonical_id(pid):
         pair = SAME_SHAPE
     else:
-        pair = (
-            PAIRS.get((str(pid), guest))
-            or PAIRS.get((pid.kind, guest))
-            or PAIRS.get((pid.kind, None))
-        )
+        pair = PAIRS.get((pid.kind, guest)) or PAIRS.get((pid.kind, None))
     if pair is None:
         return (n, *_bind_solver(pid, guest))
     return (n, *_bind(pair, pid, guest))

@@ -71,13 +71,13 @@ def patch_formula(monkeypatch):
     for one test.
 
     patch(host key, guest id, fn, field) replaces that field of
-    PAIRS[host key, guest]; the resolver cache is cleared after the swap
-    and again once the entry is restored, so no other test sees a pair
-    bound to the substitute.
+    PAIRS[host key, guest], where guest None names a family entry; the
+    resolver cache is cleared after the swap and again once the entry is
+    restored, so no other test sees a pair bound to the substitute.
     """
 
-    def patch(host_key: str, guest: str, fn, field: str = "count") -> None:
-        key = (host_key, nc.parse_topology(guest))
+    def patch(host_key: str, guest, fn, field: str = "count") -> None:
+        key = (host_key, None if guest is None else nc.parse_topology(guest))
         monkeypatch.setitem(
             formulas.PAIRS, key, formulas.PAIRS[key]._replace(**{field: fn})
         )

@@ -50,13 +50,10 @@ def sweep_mismatches(pname, gname, vectors):
     """Count closed-form-vs-solver disagreements over an iterable."""
     host, guest = expanded(pname), expanded(gname)
     fn = closed_form(pname, gname)
-    cache = {}
     bad = 0
     for caps in vectors:
-        if fn(caps) != nc.oracle_vmcap(host, guest, caps, cache=cache).count:
+        if fn(caps) != nc.oracle_vmcap(host, guest, caps).count:
             bad += 1
-        if len(cache) > 2_000_000:
-            cache.clear()
     return bad
 
 
@@ -94,7 +91,6 @@ def test_criterion_3_clique_formula_agreement():
             host = expanded(f"k{n}")
             for k in range(1, n + 1):
                 guest = expanded(f"k{k}") if k >= 2 else None
-                cache = {}
                 for caps in all_vectors(n, 4):
                     rec = nc.vmcap_kn_kk_rec(n, k, caps)
                     flat = nc.vmcap_kn_kk_min(n, k, caps)
@@ -102,7 +98,7 @@ def test_criterion_3_clique_formula_agreement():
                     if guest is None:
                         want = sum(caps)
                     else:
-                        want = nc.oracle_vmcap(host, guest, caps, cache=cache).count
+                        want = nc.oracle_vmcap(host, guest, caps).count
                     if not rec == flat == want:
                         bad += 1
         rng = random.Random("clique rec vs min fuzz")
@@ -257,10 +253,9 @@ def test_criterion_6_reduction_invariants():
 
         # vertices with identical neighborhoods merge into one fat vertex
         c4 = expanded("c4")
-        cache = {}
         for caps in all_vectors(4, 3):
             _, merged = nc.merge_twin_vertices(c4, caps)
-            want = nc.oracle_vmcap(c4, expanded("k2"), caps, cache=cache).count
+            want = nc.oracle_vmcap(c4, expanded("k2"), caps).count
             if nc.vmcap_kn_kk_rec(2, 2, merged) != want:
                 violations += 1
         q33 = expanded("q33")

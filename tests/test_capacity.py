@@ -123,6 +123,40 @@ class TestCheckedOnce:
             nc.ServerComponent(topology="c4", nodes=({"cpu": 1}, 7, {}, {}))
         assert info.value.path == "component.nodes[1]"
 
+    @pytest.mark.parametrize(
+        "field,value,path",
+        [
+            ("nodes", 7, "component.nodes"),
+            ("nodes", "abcd", "component.nodes"),
+            ("nodes", {"a": {}, "b": {}, "c": {}, "d": {}}, "component.nodes"),
+            ("nodes", ({},) * 4, "component.nodes[0]"),
+            ("capacities", 5, "component.capacities"),
+            ("capacities", "1234", "component.capacities"),
+        ],
+    )
+    def test_component_rejects_what_is_not_an_array_of_maps(self, field, value, path):
+        with pytest.raises(nc.SchemaError) as info:
+            nc.ServerComponent(topology="c4", **{field: value})
+        assert info.value.path == path
+
+    def test_component_accepts_any_other_iterable(self):
+        from_gen = nc.ServerComponent(
+            topology="c4", nodes=({"cpu": c} for c in (3, 7, 10, 6))
+        )
+        assert from_gen == nc.ServerComponent(topology="c4", nodes=RING_NODES)
+        assert nc.ServerComponent(topology="c4", capacities=range(4)).capacities == (
+            0, 1, 2, 3
+        )
+
+    def test_component_rejects_a_bad_topology(self):
+        with pytest.raises(nc.TopologyError):
+            nc.ServerComponent(topology=5, capacities=(1, 1, 1, 1))
+
+    @pytest.mark.parametrize("demand", [5, [("cpu", 1)], {}, None])
+    def test_flavor_rejects_a_demand_that_is_not_a_map(self, demand):
+        with pytest.raises(nc.ResourceError, match="demand"):
+            nc.Flavor("f", "k2", demand)
+
     def test_component_accepts_int_subclass_amounts(self):
         class Count(int):
             pass

@@ -252,6 +252,30 @@ class TestCluster:
                 ),
                 "exactly one of",
             ),
+            pytest.param(
+                lambda d: d["servers"][0]["components"][0].update({"nodes": 7}),
+                "servers[0].components[0].nodes: expected an array",
+                id="nodes-not-an-array",
+            ),
+            pytest.param(
+                lambda d: d["servers"][0]["components"][0]["nodes"].__setitem__(
+                    1, {}
+                ),
+                "servers[0].components[0].nodes[1]: expected a non-empty",
+                id="empty-node-map",
+            ),
+            pytest.param(
+                lambda d: d["servers"][1]["components"][0].update(
+                    {"capacities": "1234"}
+                ),
+                "servers[1].components[0].capacities: expected an array",
+                id="capacities-a-string",
+            ),
+            pytest.param(
+                lambda d: d["servers"][1]["components"][0].update({"topology": 5}),
+                "servers[1].components[0].topology",
+                id="topology-not-a-string",
+            ),
             (lambda d: d.update({"servers": []}), "servers"),
         ],
     )
@@ -267,15 +291,20 @@ class TestCluster:
 
     def test_flavor_schema_errors(self, capsys, tmp_path):
         state = write_json(tmp_path, "state.json", STATE_DOC)
-        flavors = write_json(
-            tmp_path,
-            "flavors.json",
-            {"flavors": [{"id": "m2", "vnuma": "k2", "demand": {"cpu": 0}}]},
-        )
-        code, _, err = run(capsys, "cluster", "--state", state,
-                           "--flavors", flavors, "--flavor", "m2")
-        assert code == 2
-        assert "flavors[0].demand.cpu" in err
+        # each case replaces one field of a good flavor; the file names it
+        for field, value, needle in [
+            ("demand", {"cpu": 0}, "flavors[0].demand.cpu"),
+            ("demand", [1], "flavors[0].demand: "),
+            ("demand", {}, "flavors[0].demand: "),
+            ("vnuma", 5, "flavors[0].vnuma: "),
+            ("vnuma", "zz9", "flavors[0].vnuma: unknown topology id"),
+        ]:
+            fd = {"id": "m2", "vnuma": "k2", "demand": {"cpu": 1}, field: value}
+            flavors = write_json(tmp_path, "flavors.json", {"flavors": [fd]})
+            code, _, err = run(capsys, "cluster", "--state", state,
+                               "--flavors", flavors, "--flavor", "m2")
+            assert code == 2, fd
+            assert needle in err, fd
 
     def test_unreadable_and_invalid_files(self, capsys, tmp_path):
         flavors = write_json(tmp_path, "flavors.json", FLAVOR_DOC)
@@ -356,8 +385,8 @@ class TestVerify:
 
     def test_wrong_witness_is_caught(self, capsys, patch_formula):
         # the count is right; the witness drops its first group
-        patch_formula("k4", "k2", lambda b: numacap.Placement(
-            numacap.place_kn_kk(4, 2, b).matches[1:]), "witness")
+        patch_formula("kn", None, lambda n, k, b: numacap.Placement(
+            numacap.place_kn_kk(n, k, b).matches[1:]), "witness")
         code, out, _ = run(capsys, "verify", "--topology", "k4", "--vnuma", "k2",
                            "--max-cap", "1", "--json")
         assert code == 1
@@ -369,8 +398,8 @@ class TestVerify:
         assert ex["witness"] == "places 0"
 
     def test_witness_past_its_count_is_caught(self, capsys, patch_formula):
-        patch_formula("k4", "k2", lambda b: numacap.Placement(
-            numacap.place_kn_kk(4, 2, b).matches * 2), "witness")
+        patch_formula("kn", None, lambda n, k, b: numacap.Placement(
+            numacap.place_kn_kk(n, k, b).matches * 2), "witness")
         code, out, _ = run(capsys, "verify", "--topology", "k4", "--vnuma", "k2",
                            "--max-cap", "1")
         assert code == 1
