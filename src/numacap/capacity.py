@@ -22,6 +22,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_id(value, path: str) -> None:
+    if not isinstance(value, str) or not value:
+        raise SchemaError(path, f"expected a non-empty string, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Flavor:
     """A VM size: guest NUMA shape plus per-guest-node resource demand.
@@ -29,6 +34,7 @@ class Flavor:
     The demand is kept as a read-only copy, so later changes to the
     caller's map cannot bypass the check.  Rejected when built:
 
+    - an id that is not a non-empty str: SchemaError at "flavor.id";
     - a vnuma that is not a topology id or id string: TopologyError;
     - a demand that is not a non-empty mapping: ResourceError;
     - a demand amount that is not a positive integer: ResourceError,
@@ -40,6 +46,7 @@ class Flavor:
     demand: Mapping[str, int]
 
     def __post_init__(self):
+        _check_id(self.id, "flavor.id")
         object.__setattr__(self, "vnuma", as_topology_id(self.vnuma))
         if not isinstance(self.demand, Mapping) or not self.demand:
             raise ResourceError(
@@ -140,13 +147,23 @@ class ServerComponent:
 
 @dataclass(frozen=True)
 class ServerState:
+    """A server: its id and its components.
+
+    Rejected when built, with a SchemaError: an id that is not a
+    non-empty str, at "server.id", and no components, at
+    "server.components".
+    """
+
     id: str
     components: tuple[ServerComponent, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        _check_id(self.id, "server.id")
         object.__setattr__(self, "components", tuple(self.components))
         if not self.components:
-            raise SchemaError(f"server {self.id!r}", "needs >= 1 component")
+            raise SchemaError(
+                "server.components", f"server {self.id!r} needs >= 1 component"
+            )
 
 
 def node_capacity(free: Mapping[str, int], demand: Mapping[str, int]) -> int:

@@ -12,8 +12,11 @@ files, and formula-vs-solver verification sweeps:
 
 Without --topology and --vnuma, verify runs every instance of the pair
 registry over each entry's range unless --max-cap or --samples is given.
-`place` answers wherever `eval` does, and verify checks each witness
-along with each count.  Timing is the benchmark's job (capbench/run.py),
+`place` answers wherever `eval` does and prints the witness as runs,
+{"count": N, "runs": [[[node, ...], copies], ...]}: each run is a node
+group and how many guests it carries, so the output grows with the
+distinct groups, not with the count.  verify checks each witness along
+with each count.  Timing is the benchmark's job (capbench/run.py),
 not this command's.
 
 Capacity lists are always given in canonical label order 1..n (see the
@@ -106,19 +109,21 @@ def load_cluster_state(path: str) -> list[ServerState]:
         path_i = f"servers[{i}]"
         if not isinstance(sv, dict):
             raise SchemaError(path_i, "expected an object")
-        sid = sv.get("id")
-        if not isinstance(sid, str) or not sid:
-            raise SchemaError(f"{path_i}.id", "expected a non-empty string")
-        if sid in seen_ids:
-            raise SchemaError(f"{path_i}.id", f"duplicate server id {sid!r}")
-        seen_ids.add(sid)
         comps_doc = sv.get("components")
         if not isinstance(comps_doc, list) or not comps_doc:
             raise SchemaError(f"{path_i}.components", "expected a non-empty array")
         comps = []
         for j, cd in enumerate(comps_doc):
             comps.append(_parse_component(cd, f"{path_i}.components[{j}]"))
-        out.append(ServerState(id=sid, components=tuple(comps)))
+        try:
+            server = ServerState(id=sv.get("id"), components=tuple(comps))
+        except SchemaError as exc:
+            # its paths start with "server"; put this document path there
+            raise SchemaError(path_i + exc.path[len("server"):], exc.message) from None
+        if server.id in seen_ids:
+            raise SchemaError(f"{path_i}.id", f"duplicate server id {server.id!r}")
+        seen_ids.add(server.id)
+        out.append(server)
     return out
 
 
@@ -158,18 +163,21 @@ def load_flavors(path: str) -> dict[str, Flavor]:
         path_i = f"flavors[{i}]"
         if not isinstance(fd, dict):
             raise SchemaError(path_i, "expected an object")
-        fid = fd.get("id")
-        if not isinstance(fid, str) or not fid:
-            raise SchemaError(f"{path_i}.id", "expected a non-empty string")
-        if fid in out:
-            raise SchemaError(f"{path_i}.id", f"duplicate flavor id {fid!r}")
         try:
-            out[fid] = Flavor(id=fid, vnuma=fd.get("vnuma"), demand=fd.get("demand"))
+            flavor = Flavor(
+                id=fd.get("id"), vnuma=fd.get("vnuma"), demand=fd.get("demand")
+            )
+        except SchemaError as exc:
+            # its paths start with "flavor"; put this document path there
+            raise SchemaError(path_i + exc.path[len("flavor"):], exc.message) from None
         except TopologyError as exc:
             raise SchemaError(f"{path_i}.vnuma", str(exc)) from None
         except ResourceError as exc:
             where = "" if exc.resource is None else f".{exc.resource}"
             raise SchemaError(f"{path_i}.demand{where}", str(exc)) from None
+        if flavor.id in out:
+            raise SchemaError(f"{path_i}.id", f"duplicate flavor id {flavor.id!r}")
+        out[flavor.id] = flavor
     return out
 
 
@@ -196,9 +204,7 @@ def cmd_eval(args) -> int:
 def cmd_place(args) -> int:
     caps = _parse_caps(args.caps)
     placement = place_vnuma(args.topology, args.vnuma, caps)
-    print(
-        json.dumps({"count": placement.count, "matches": placement.as_lists()})
-    )
+    print(json.dumps({"count": placement.count, "runs": placement.runs}))
     return 0
 
 

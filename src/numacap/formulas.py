@@ -328,9 +328,16 @@ def _bind(pair: Pair, pid: TopologyId, gid: TopologyId):
         if witness is not None:
             witness = partial(witness, *args)
     if witness is None:
+        embeddings = None
+
         def witness(b):
-            host, guest = expand_topology(pid), expand_topology(gid)
-            return peel(count, enumerate_embeddings(host, guest), b)
+            # looked up on the first call, after b passed its checks
+            nonlocal embeddings
+            if embeddings is None:
+                embeddings = enumerate_embeddings(
+                    expand_topology(pid), expand_topology(gid)
+                )
+            return peel(count, embeddings, b)
     return count, witness, "closed-form"
 
 
@@ -340,9 +347,11 @@ def _bind_solver(pid: TopologyId, gid: TopologyId):
 
     def witness(b):
         host, guest = expand_topology(pid), expand_topology(gid)
-        runs = oracle_vmcap(host, guest, b).multiplicities
         embeddings = enumerate_embeddings(host, guest)
-        return Placement(tuple(e for i, t in runs for e in [embeddings[i]] * t))
+        return Placement.from_runs(
+            (embeddings[i], t)
+            for i, t in oracle_vmcap(host, guest, b).multiplicities
+        )
 
     return count, witness, "oracle"
 
@@ -358,9 +367,9 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     raises, and a guest larger than its host, then one of its host's
     shape, is ruled on before the PAIRS lookup.  A registry entry binds
     its closed form and witness, any other pair the exhaustive solver.
-    No binding expands a graph here: the solver and the peeled witness
-    look their graphs up when they run, in expand_topology's memo, after
-    the caller has checked b.
+    No binding expands a graph here: the solver looks its graphs up when
+    it runs, in expand_topology's memo, and the peeled witness on its
+    first call, after the caller has checked b.
     """
     pid = as_topology_id(pnuma)
     n = pid.vertex_count

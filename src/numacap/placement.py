@@ -1,22 +1,26 @@
 """Witness placements reaching the counts.
 
-A placement lists concrete node groups, one per placed guest, each a
-host subset that carries the guest; a node appears in at most b_i groups
-overall.  Two rules build every witness from a count alone: `peel` reads
-an optimum off any exact count over the pair's embeddings, and
-`place_kn_kk` lays cliques of a complete host out by wrap-around.  The
-pair registry in the formulas module names the rule for each pair;
-place_k2 and place_c4_vnuma ask that registry, through place_vnuma, for
-the witness of a k2 or c4 guest on a named host.
+A placement is a sequence of runs (group, copies): a host node subset
+that carries the guest, and how many guests it carries; a node is used
+at most b_i times over all runs.  The witness rules emit one run per
+distinct group, so a witness's size does not grow with the entries of b.
+Expanding it to one group per guest (`matches`, `as_lists`) is an
+explicit step, bounded by MAX_EXPANDED_GROUPS.  Two rules build every
+witness from a count alone: `peel` reads an optimum off any exact count
+over the pair's embeddings, and `place_kn_kk` lays cliques of a complete
+host out by wrap-around.  The pair registry in the formulas module names
+the rule for each pair; place_k2 and place_c4_vnuma ask that registry,
+through place_vnuma, for the witness of a k2 or c4 guest on a named host.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from itertools import repeat
+from typing import Callable, Iterable, Sequence, Union
 
-from .errors import PlacementError
+from .errors import PlacementError, ScaleLimitError
 from .topology import (
     C4,
     K2,
@@ -26,18 +30,73 @@ from .topology import (
     enumerate_embeddings,
 )
 
+# the most groups `matches` and `as_lists` expand one placement to
+MAX_EXPANDED_GROUPS = 10**6
 
-@dataclass(frozen=True)
+Run = tuple[tuple[int, ...], int]
+
+
+def _fold(runs: Iterable[tuple[Sequence[int], int]]) -> tuple[Run, ...]:
+    """Canonical runs: each group a tuple, each count a positive int, and
+    neighbouring runs of one group merged."""
+    out: list[Run] = []
+    last = None
+    for group, copies in runs:
+        if type(copies) is not int or copies < 1:
+            raise PlacementError(f"run copies must be a positive int, got {copies!r}")
+        group = tuple(group)
+        if group == last:
+            copies += out.pop()[1]
+        out.append((group, copies))
+        last = group
+    return tuple(out)
+
+
+@dataclass(frozen=True, init=False)
 class Placement:
-    """An ordered multiset of node groups, one group per placed guest."""
+    """An ordered multiset of node groups, held as runs of equal groups.
 
-    matches: tuple[tuple[int, ...], ...]
+    `runs` is ((group, copies), ...) with every copies >= 1 and no two
+    neighbouring runs of one group, so the same sequence of groups gives
+    equal placements, and equal hashes, whichever constructor built it.
+    Placement(groups) takes one group per placed guest and folds them;
+    Placement.from_runs takes (group, copies) pairs.
+    """
+
+    runs: tuple[Run, ...]
+
+    def __init__(self, groups: Iterable[Sequence[int]]):
+        object.__setattr__(self, "runs", _fold((group, 1) for group in groups))
+
+    @classmethod
+    def from_runs(cls, runs: Iterable[tuple[Sequence[int], int]]) -> Placement:
+        placement = cls.__new__(cls)
+        object.__setattr__(placement, "runs", _fold(runs))
+        return placement
 
     @property
     def count(self) -> int:
-        return len(self.matches)
+        return sum([copies for _, copies in self.runs])
+
+    @property
+    def matches(self) -> tuple[tuple[int, ...], ...]:
+        """One group per placed guest, in order.
+
+        Raises ScaleLimitError past MAX_EXPANDED_GROUPS groups; `runs`
+        holds a placement of any size.
+        """
+        count = self.count
+        if count > MAX_EXPANDED_GROUPS:
+            raise ScaleLimitError(
+                f"placement of {count} groups is past MAX_EXPANDED_GROUPS"
+                f" = {MAX_EXPANDED_GROUPS}; read its runs instead"
+            )
+        return tuple(
+            g for group, copies in self.runs for g in repeat(group, copies)
+        )
 
     def as_lists(self) -> list[list[int]]:
+        """`matches` as lists, under the same limit."""
         return [list(m) for m in self.matches]
 
 
@@ -67,11 +126,12 @@ def peel(
 
     count must be exact on every residual; an overclaim raises
     PlacementError, and each returned group is an embedding within the
-    residual, so a returned placement is valid and has count(b) groups.
+    residual, so a returned placement is valid and places count(b)
+    copies, in one run per embedding used.
     At most 1 + len(embeddings) * (1 + max(b).bit_length()) count calls.
     """
     residual = list(b)
-    left = count(residual)
+    want = left = count(residual)
 
     def fits(e: tuple[int, ...], t: int) -> bool:
         trial = residual[:]
@@ -79,7 +139,7 @@ def peel(
             trial[v - 1] -= t
         return count(trial) == left - t
 
-    matches: list[tuple[int, ...]] = []
+    runs: list[Run] = []
     for e in embeddings:
         if not left:
             break
@@ -98,16 +158,17 @@ def peel(
                     t = mid
                 else:
                     bad = mid
-        matches += [e] * t
+            if not t:
+                continue
+        runs.append((e, t))
         for v in e:
             residual[v - 1] -= t
         left -= t
     if left:
         raise PlacementError(
-            f"count overclaims: {left} of {len(matches) + left} copies have"
-            f" no embedding left"
+            f"count overclaims: {left} of {want} copies have no embedding left"
         )
-    return Placement(tuple(matches))
+    return Placement.from_runs(runs)
 
 
 def place_kn_kk(n: int, k: int, b: Sequence[int]) -> Placement:
@@ -118,8 +179,8 @@ def place_kn_kk(n: int, k: int, b: Sequence[int]) -> Placement:
     full; slot s of every lane forms one clique.  A node fills at most T
     consecutive cells, so it never lands twice in one slot (McNaughton's
     wrap-around rule), and the capped cells always fill the k·T cells.
-    A run of slots over which no lane changes node is emitted as one
-    group repeated, so the placement holds O(n + k) distinct tuples.
+    A range of slots over which no lane changes node is one run, so the
+    placement holds at most n runs.
     """
     from .formulas import vmcap_kn_kk_rec  # the registry imports this module
 
@@ -138,13 +199,13 @@ def place_kn_kk(n: int, k: int, b: Sequence[int]) -> Placement:
             ends.append(filled)
     # a lane changes node only where some run ends
     cuts = sorted({0, *(e % slots for e in ends)})
-    matches: list[tuple[int, ...]] = []
+    runs: list[Run] = []
     for lo, hi in zip(cuts, cuts[1:] + [slots]):
         group = tuple(
             labels[bisect_right(ends, lane * slots + lo)] for lane in range(k)
         )
-        matches += [group] * (hi - lo)
-    return Placement(tuple(matches))
+        runs.append((group, hi - lo))
+    return Placement.from_runs(runs)
 
 
 def place_k2(topology: Union[TopologyId, str], b: Sequence[int]) -> Placement:
@@ -169,15 +230,19 @@ def verify_placement(
     b: Sequence[int],
     placement: Placement,
 ) -> None:
-    """Check group adjacency and per-node budgets; raises on violation."""
+    """Check group adjacency and per-node budgets; raises on violation.
+
+    Each run is checked once, so the cost follows the number of runs,
+    not the number of copies.
+    """
     caps = check_capacities(b, host.vertex_count)
     valid = set(enumerate_embeddings(host, guest))
     used = [0] * host.vertex_count
-    for group in placement.matches:
+    for group, copies in placement.runs:
         if tuple(sorted(group)) not in valid:
             raise PlacementError(f"group {group} does not carry a guest copy")
         for v in group:
-            used[v - 1] += 1
+            used[v - 1] += copies
     for v in host.vertices():
         if used[v - 1] > caps[v - 1]:
             raise PlacementError(

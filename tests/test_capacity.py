@@ -148,6 +148,16 @@ class TestCheckedOnce:
             0, 1, 2, 3
         )
 
+    @pytest.mark.parametrize("sid", [5, "", None, ("s",)])
+    def test_ids_are_checked_when_built(self, sid):
+        comp = nc.ServerComponent(topology="c4", capacities=(1, 1, 1, 1))
+        with pytest.raises(nc.SchemaError, match="non-empty string") as exc:
+            nc.Flavor(sid, "k2", {"cpu": 1})
+        assert exc.value.path == "flavor.id"
+        with pytest.raises(nc.SchemaError, match="non-empty string") as exc:
+            nc.ServerState(sid, (comp,))
+        assert exc.value.path == "server.id"
+
     def test_component_rejects_a_bad_topology(self):
         with pytest.raises(nc.TopologyError):
             nc.ServerComponent(topology=5, capacities=(1, 1, 1, 1))

@@ -1,6 +1,8 @@
 """Command line behavior: output shapes, exit codes, file parsing."""
 
 import json
+import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -108,7 +110,7 @@ class TestPlace:
         code, out, _ = run(capsys, "place", "--topology", "k4", "--vnuma", "k2",
                            "--caps", "3,2,1,0")
         assert code == 0
-        assert json.loads(out) == {"count": 3, "matches": [[1, 2], [1, 2], [1, 3]]}
+        assert json.loads(out) == {"count": 3, "runs": [[[1, 2], 2], [[1, 3], 1]]}
 
     def test_ring_guest(self, capsys):
         code, out, _ = run(capsys, "place", "--topology", "q33", "--vnuma", "c4",
@@ -126,13 +128,13 @@ class TestPlace:
         assert doc["count"] == numacap.vmcap("l4", "c4", caps).count == 2
         numacap.verify_placement(
             numacap.expand_topology("l4"), numacap.expand_topology("c4"), caps,
-            numacap.Placement(tuple(tuple(m) for m in doc["matches"])),
+            numacap.Placement.from_runs(doc["runs"]),
         )
 
         code, out, _ = run(capsys, "place", "--topology", "cq3", "--vnuma", "k3",
                            "--caps", "1,1,1,1,1,1,1,1")
         assert code == 0
-        assert json.loads(out) == {"count": 0, "matches": []}
+        assert json.loads(out) == {"count": 0, "runs": []}
 
         # past the solver's limit, place fails as eval does
         code, out, err = run(capsys, "place", "--topology", "l4", "--vnuma", "c4",
@@ -141,11 +143,43 @@ class TestPlace:
         assert out == ""
         assert "total capacity up to 200, got 208" in err
 
+    def test_top_entries_under_an_address_space_limit(self):
+        # one group per copy would ask for 2^33 tuples; runs need a few bytes.
+        # The child lowers only its own address-space limit, so a regression
+        # ends there in a MemoryError instead of filling the machine.
+        def limit_address_space():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            soft = 1536 * 2**20
+            if hard != resource.RLIM_INFINITY:
+                soft = min(soft, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+        top = 2**32 - 1
+        src = str(Path(numacap.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "numacap", "place", "--topology", "c4",
+             "--vnuma", "k2", "--caps", ",".join([str(top)] * 4)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=limit_address_space,
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["count"] == 2 * top
+        placement = numacap.Placement.from_runs(doc["runs"])
+        assert placement.count == 2 * top
+        numacap.verify_placement(
+            numacap.expand_topology("c4"), numacap.expand_topology("k2"),
+            (top,) * 4, placement,
+        )
+
     def test_guest_larger_than_host(self, capsys):
         code, out, _ = run(capsys, "place", "--topology", "c4", "--vnuma", "k5",
                            "--caps", "1,1,1,1")
         assert code == 0
-        assert json.loads(out) == {"count": 0, "matches": []}
+        assert json.loads(out) == {"count": 0, "runs": []}
 
     def test_single_node_guest(self, capsys):
         code, _, err = run(capsys, "place", "--topology", "c4", "--vnuma", "k1",
@@ -276,6 +310,11 @@ class TestCluster:
                 "servers[1].components[0].topology",
                 id="topology-not-a-string",
             ),
+            pytest.param(
+                lambda d: d["servers"][1].update({"id": 5}),
+                "servers[1].id: expected a non-empty string",
+                id="id-not-a-string",
+            ),
             (lambda d: d.update({"servers": []}), "servers"),
         ],
     )
@@ -298,6 +337,8 @@ class TestCluster:
             ("demand", {}, "flavors[0].demand: "),
             ("vnuma", 5, "flavors[0].vnuma: "),
             ("vnuma", "zz9", "flavors[0].vnuma: unknown topology id"),
+            ("id", "", "flavors[0].id: expected a non-empty string"),
+            ("id", ["m2"], "flavors[0].id: expected a non-empty string"),
         ]:
             fd = {"id": "m2", "vnuma": "k2", "demand": {"cpu": 1}, field: value}
             flavors = write_json(tmp_path, "flavors.json", {"flavors": [fd]})
@@ -328,6 +369,15 @@ class TestCluster:
                            "--flavors", flavors, "--flavor", "m2")
         assert code == 2
         assert "duplicate server id" in err
+
+    def test_duplicate_flavor_id(self, capsys, tmp_path):
+        state = write_json(tmp_path, "state.json", STATE_DOC)
+        doc = {"flavors": [FLAVOR_DOC["flavors"][0]] * 2}
+        flavors = write_json(tmp_path, "flavors.json", doc)
+        code, _, err = run(capsys, "cluster", "--state", state,
+                           "--flavors", flavors, "--flavor", "m2")
+        assert code == 2
+        assert "flavors[1].id: duplicate flavor id 'm2'" in err
 
 
 class TestVerify:

@@ -1,11 +1,14 @@
 """Witness constructions behind each closed-form count."""
 
 import json
+import pickle
+import tracemalloc
 
 import pytest
 
 import numacap as nc
 from numacap import cli, formulas
+from numacap.placement import MAX_EXPANDED_GROUPS
 from conftest import random_vectors
 
 
@@ -57,8 +60,8 @@ class TestCliquePlacement:
             for v in group:
                 used[v - 1] += 1
         assert all(u <= c for u, c in zip(used, caps))
-        # one run of groups per lane change, not one group per copy
-        assert len(set(pl.matches)) <= 40 + 1
+        # one run per lane change, not one group per copy
+        assert len(pl.runs) <= 40
 
 
 class TestEdgeGuestPlacement:
@@ -151,7 +154,7 @@ class TestEveryClosedPair:
             assert code == 0
             doc = json.loads(capsys.readouterr().out)
             assert doc["count"] == want, caps
-            printed = nc.Placement(tuple(tuple(m) for m in doc["matches"]))
+            printed = nc.Placement.from_runs(doc["runs"])
             for pl in (printed, nc.place_vnuma(pname, gname, caps)):
                 check(pname, gname, caps, pl)
                 assert pl.count == want, caps
@@ -248,3 +251,69 @@ class TestPlacementValue:
         assert pl.count == 3
         assert pl.as_lists() == [[1, 2], [1, 2], [3, 4]]
         assert nc.Placement(()).count == 0
+
+
+TOP = 2**32 - 1
+# entries of 9 to 32 bits; a host of n nodes takes the first n
+MIXED = (511, 70_001, 2**20 + 3, TOP, 1_000, 2**24 + 7, 300, 2**31 + 5)
+
+
+class TestRunLength:
+    """A placement costs time and memory per distinct group, not per copy."""
+
+    @pytest.mark.parametrize("pname,gname", sorted(
+        {(host, guest) for host, guest, _ in formulas.INSTANCES}
+    ))
+    def test_every_instance_at_the_top_entries(self, pname, gname):
+        n = nc.parse_topology(pname).vertex_count
+        m = len(nc.enumerate_embeddings(expanded(pname), expanded(gname)))
+        for caps in ((TOP,) * n, MIXED[:n]):
+            pl = nc.place_vnuma(pname, gname, caps)
+            check(pname, gname, caps, pl)
+            assert pl.count == nc.vmcap(pname, gname, caps).count, caps
+            assert len(pl.runs) <= m, caps
+
+    def test_peak_memory_does_not_follow_the_entries(self):
+        caps = (TOP,) * 4
+        nc.place_vnuma("k4", "k2", (1,) * 4)  # resolve the pair first
+        tracemalloc.start()
+        try:
+            pl = nc.place_vnuma("k4", "k2", caps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pl.count == nc.vmcap("k4", "k2", caps).count == 2 * TOP
+        assert peak < 2**20
+
+    def test_constructors_agree(self):
+        groups = [(1, 2), (1, 2), (3, 4), (1, 2), (1, 2), (1, 2)]
+        folded = nc.Placement(groups)
+        runs = nc.Placement.from_runs(
+            [([1, 2], 1), ((1, 2), 1), ((3, 4), 1), ((1, 2), 3)]
+        )
+        assert folded == runs
+        assert folded.runs == runs.runs == (((1, 2), 2), ((3, 4), 1), ((1, 2), 3))
+        assert hash(folded) == hash(runs)
+        assert pickle.loads(pickle.dumps(runs)) == folded
+        assert folded.matches == tuple(groups) and folded.count == 6
+        assert nc.Placement(()) == nc.Placement.from_runs([])
+
+    @pytest.mark.parametrize("copies", [0, -1, 1.0, True])
+    def test_run_copies_are_positive_ints(self, copies):
+        with pytest.raises(nc.PlacementError, match="positive int"):
+            nc.Placement.from_runs([((1, 2), copies)])
+
+    def test_expansion_past_the_limit(self):
+        pl = nc.Placement.from_runs([((1, 2), MAX_EXPANDED_GROUPS), ((3, 4), 1)])
+        assert pl.count == MAX_EXPANDED_GROUPS + 1
+        for expand in (lambda: pl.as_lists(), lambda: pl.matches):
+            with pytest.raises(nc.ScaleLimitError,
+                               match=f"MAX_EXPANDED_GROUPS = {MAX_EXPANDED_GROUPS}"):
+                expand()
+
+    def test_verification_reads_each_run_once(self):
+        # one run over a node's budget is caught by its copies
+        pl = nc.Placement.from_runs([((1, 2), TOP), ((3, 4), TOP)])
+        check("c4", "k2", (TOP,) * 4, pl)
+        with pytest.raises(nc.PlacementError, match="node 2 used"):
+            check("c4", "k2", (TOP, TOP - 1, TOP, TOP), pl)
