@@ -226,7 +226,8 @@ def server_capacity(server: ServerState, flavor: Flavor) -> int:
     for component in server.components:
         caps = component_capacity_vector(component, flavor)
         if flavor.vnuma.vertex_count == 1:
-            total += sum(caps)
+            # vmcap checks b on every other path; this one sums it
+            total += sum(check_capacities(caps, len(caps)))
         else:
             total += vmcap(component.topology, flavor.vnuma, caps).count
     return total

@@ -4,9 +4,10 @@ The solver enumerates every embedding of the guest shape in the host
 graph and asks, for each target count from a bound down, whether they
 pack that many copies under the per-node capacities.  The bound is the
 floor of the packing LP's optimum, read off the vertices of its covering
-dual, which double description finds once per (host, guest) pair.  The
-search is exhaustive: the closed-form evaluators are tested against it,
-never the reverse.
+dual, which double description finds once per (host, guest) pair and
+packs one term per field of an integer, so each search step evaluates
+all of its cuts at once.  The search is exhaustive: the closed-form
+evaluators are tested against it, never the reverse.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import ScaleLimitError
@@ -59,7 +61,9 @@ def oracle_vmcap(
     smallest term is floor(LP).  It is never above the subset-cover
     bound, whose terms are dual-feasible points too.  On a complete host
     the root bound is the clique bound, so there the first target
-    already packs.
+    already packs.  Each step's terms sit one per field of an integer,
+    so a multiply-add per host node evaluates them all, and only the
+    terms that bind are read back and divided.
 
     A node where find fails stores need - 1 under its key, the index and
     the alive residuals.  Those fix the node's optimum, so the entry
@@ -92,9 +96,10 @@ class _PairStatics:
     # per index i: the vertices of the covering dual P_i as (W, D), W the
     # nonzero (vertex, weight) pairs; each reads copies <= sum(W_v r_v) // D
     bound_terms: tuple
-    # per index i: bound_terms[i + 1] as (W, D, slope), where the slope
-    # W(verts[i]) - D is the factor of t in find's cut on embedding i
-    steps: tuple
+    # per index i: bound_terms[i + 1] packed by _pack, each term with its
+    # slope W(verts[i]) - D, the factor of t in find's cut on embedding i
+    cuts: tuple
+    root: tuple  # bound_terms[0] packed, each term's slope its D
     k: int
 
 
@@ -179,18 +184,84 @@ def _pair_statics(host: Graph, guest: Graph) -> _PairStatics:
             alive_mask |= 1 << v
         alive[i] = tuple(v for v in range(n) if alive_mask >> v & 1)
         bound_terms[i] = tuple([term for _, _, term in rays if term])
-    steps = tuple(
-        tuple((ws, div, sum(w for v, w in ws if v in vs) - div)
-              for ws, div in bound_terms[i + 1])
-        for i, vs in enumerate(map(set, verts))
+    # a field holds W.r - D.need - hi.slope, or W.b - D.need at the root;
+    # with sum(r), need and hi at most MAX_ORACLE_TOTAL_CAPACITY it is
+    # within that limit times max(sum W, D) of 0, and one more bit holds
+    # the sign; the memo key's 8-bit fields rest on the same limit
+    distinct = set().union(*bound_terms)
+    biggest = max(max(sum(w for _, w in ws), div) for ws, div in distinct)
+    width = (MAX_ORACLE_TOTAL_CAPACITY * biggest).bit_length() + 1
+    cuts = tuple(
+        _pack(terms, [sum(w for v, w in ws if v in vs) - div for ws, div in terms],
+              width, n)
+        for terms, vs in zip(bound_terms[1:], map(set, verts))
     )
+    root = _pack(bound_terms[0], [div for _, div in bound_terms[0]], width, n)
     return _PairStatics(
         verts=verts,
         alive=tuple(alive),
         bound_terms=tuple(bound_terms),
-        steps=steps,
+        cuts=cuts,
+        root=root,
         k=k,
     )
+
+
+def _pack(terms: tuple, slopes: list, width: int, n: int) -> tuple:
+    """Terms (W, D) and their slopes, one `width`-bit field per term, so a
+    few big-integer operations evaluate them all (SIMD within a register;
+    Fisher & Dietz 1998): per host node the weights W_jv << width*j, then
+    D and the slopes >= 0 the same way, a bias of 2^(width-1) per field,
+    and the masks of the top bits of the fields with slope >= 0 and < 0.
+    """
+    half = 1 << width - 1
+    weights = [0] * n
+    dpack = spack = hi_mask = 0
+    shifts = range(0, width * len(terms), width)
+    for (ws, div), slope, shift in zip(terms, slopes, shifts):
+        for v, w in ws:
+            weights[v] |= w << shift
+        dpack |= div << shift
+        if slope >= 0:
+            spack |= slope << shift
+            hi_mask |= half << shift
+    # half in every field: (2^(width*L) - 1) / (2^width - 1) has a 1 in each
+    base = half * ((1 << width * len(terms)) - 1) // ((1 << width) - 1)
+    return (tuple(weights), base, dpack, spack, hi_mask, base ^ hi_mask,
+            width, half, tuple(map(abs, slopes)))
+
+
+def _cut_range(pack: tuple, residual: Sequence[int], need: int, hi: int):
+    """(lo, hi) narrowed by each packed cut W.residual - D * need >= t * slope
+    (an empty range once hi < lo).  A field reads the bias plus its term's
+    value, so its top bit is clear exactly when the term binds, at t = hi
+    for slope >= 0 and at t = 0 for slope < 0; only those are read back.
+    """
+    weights, base, dpack, spack, hi_mask, lo_mask, width, half, divs = pack
+    x = sum(map(mul, residual, weights), base - need * dpack - hi * spack)
+    field = (half << 1) - 1
+    top = hi
+    fails = ~x & hi_mask
+    while fails:
+        end = fails.bit_length()
+        fails ^= half << end - width
+        # W.residual - D * need - hi * slope < 0
+        value = (x >> end - width & field) - half
+        slope = divs[end // width - 1]
+        cap = hi + value // slope if slope else -1
+        if cap < top:
+            top = cap
+    lo = 0
+    fails = ~x & lo_mask if top >= 0 else 0
+    while fails:
+        end = fails.bit_length()
+        fails ^= half << end - width
+        # W.residual - D * need < 0, so t >= its ceiling over slope
+        value = (x >> end - width & field) - half
+        cap = -(value // divs[end // width - 1])
+        if cap > lo:
+            lo = cap
+    return lo, top
 
 
 def _make_solver(host: Graph, guest: Graph, memoize: bool, cache: Optional[dict]):
@@ -256,48 +327,43 @@ def _make_solver(host: Graph, guest: Graph, memoize: bool, cache: Optional[dict]
         return replay
 
     memo = cache if cache is not None else {}
-    steps = statics.steps
+    cuts = statics.cuts
+
+    def key_of(idx: int, residual: tuple[int, ...]) -> int:
+        # the alive residuals packed into one int: entries stay under 256
+        # because total capacity is capped at 200, which the cut fields'
+        # width rests on too, so raising that cap widens both; the nonzero
+        # idx+1 prefix byte keeps keys of different lengths distinct
+        key = idx + 1
+        for v in alive[idx]:
+            key = (key << 8) | residual[v]
+        return key
 
     def find(idx: int, residual: tuple[int, ...], need: int, path: list) -> bool:
         """Whether verts[idx:] packs need >= 1 copies into residual; on
         success the (index, multiplicity) pairs used join path, deepest
         first, and on failure the memo learns the optimum is < need."""
-        # the key packs the alive residuals into one int: entries stay
-        # under 256 because total capacity is capped at 200; the nonzero
-        # idx+1 prefix byte keeps keys of different lengths distinct
-        key = idx + 1
-        for v in alive[idx]:
-            key = (key << 8) | residual[v]
-        if memo.get(key, need) < need:
-            return False
-        vs = verts[idx]
-        hi = need
-        for v in vs:
-            if residual[v] < hi:
-                hi = residual[v]
-        if not hi and idx + 1 < m:
+        while True:
+            vs = verts[idx]
+            hi = need
+            for v in vs:
+                if residual[v] < hi:
+                    hi = residual[v]
+            if hi or idx + 1 == m:
+                break
             # embedding idx is unusable, so idx + 1 has this node's
-            # residual; its own cut prunes the children there
-            return find(idx + 1, residual, need, path)
+            # residual; such a pass-through stores nothing, and no entry
+            # holds its key (an entry's node had residual on all of vs)
+            idx += 1
+        key = key_of(idx, residual) if memo else None
+        if key is not None and memo.get(key, need) < need:
+            return False
         # t copies of embedding idx leave need - t copies to idx + 1, and
         # each dual vertex (W, D) there must allow them:
         # (W.residual - t * W(idx)) // D >= need - t, that is
-        # W.residual - D * need >= t * slope, a cut on t
-        lo = 0
-        for ws, div, slope in steps[idx]:
-            d = -div * need
-            for v, w in ws:
-                d += w * residual[v]
-            if slope > 0:
-                if d < slope * hi:
-                    hi = d // slope
-            elif slope < 0:
-                if d < slope * lo:
-                    lo = -(d // -slope)
-            elif d < 0:
-                hi = -1
-            if hi < lo:
-                break
+        # W.residual - D * need >= t * slope, a cut on t, all of them
+        # evaluated together, one per field of an integer
+        lo, hi = _cut_range(cuts[idx], residual, need, hi)
         work = list(residual)
         for v in vs:
             work[v] -= hi + 1
@@ -308,18 +374,13 @@ def _make_solver(host: Graph, guest: Graph, memoize: bool, cache: Optional[dict]
                 if t:
                     path.append((idx, t))
                 return True
-        memo[key] = need - 1
+        memo[key_of(idx, residual) if key is None else key] = need - 1
         return False
 
     def search(start: tuple[int, ...]):
-        # the root bound: floor(LP), the smallest dual-vertex term
-        need = sum(start)
-        for ws, div in statics.bound_terms[0]:
-            d = 0
-            for v, w in ws:
-                d += w * start[v]
-            if d < div * need:
-                need = d // div
+        # the root bound: floor(LP), the smallest dual-vertex term, which
+        # is never above sum // k (y = 1/k everywhere is dual-feasible)
+        _, need = _cut_range(statics.root, start, 0, sum(start) // k)
         path: list = []
         while need and not find(0, start, need, path):
             need -= 1

@@ -203,6 +203,18 @@ class TestCheckedOnce:
         assert "outside [0, 4294967295]" in rows[1].error
         assert total == 13
 
+    def test_single_node_guest_count_above_the_limit_is_the_same_error_row(self):
+        huge = nc.ServerState(
+            "huge",
+            (nc.ServerComponent(topology="c4", nodes=({"cpu": 2**40},) * 4),),
+        )
+        errors = []
+        for vnuma in ("k1", "k2"):
+            rows, total = nc.cluster_capacity([huge], nc.Flavor("f", vnuma, {"cpu": 1}))
+            assert rows[0].count is None and total == 0, vnuma
+            errors.append(rows[0].error)
+        assert errors == ["capacity b1=1099511627776 outside [0, 4294967295]"] * 2
+
 
 class TestComponentVector:
     def test_from_nodes(self):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import numacap as nc
 from numacap.formulas import vmcap_kn_kk_rec
-from numacap.oracle import _pair_statics
+from numacap.oracle import _cut_range, _pair_statics
 from conftest import (
     CQ3_SWAP,
     LARGE_PAIRS,
@@ -374,11 +374,70 @@ def compositions(seed: str, count: int, total: int, parts: int):
     return out
 
 
+def cut_by_terms(statics, idx, residual, need):
+    """find's (lo, hi) at idx, one dual-vertex term of bound_terms[idx + 1]
+    at a time: each term (W, D) with slope s = W(verts[idx]) - D allows
+    the t with W.residual - D * need >= t * s."""
+    vs = statics.verts[idx]
+    lo, hi = 0, min(need, *(residual[v] for v in vs))
+    for weights, div in statics.bound_terms[idx + 1]:
+        slope = sum(w for v, w in weights if v in vs) - div
+        d = sum(w * residual[v] for v, w in weights) - div * need
+        if slope > 0:
+            hi = min(hi, d // slope)
+        elif slope < 0:
+            lo = max(lo, -(-d // slope))
+        elif d < 0:
+            hi = min(hi, -1)
+    return lo, hi
+
+
+class TestPackedCuts:
+    # the ten solver pairs, plus q33/k1_3, k3_5/k1_3 and k8/k1_4, whose
+    # table is the widest (163 terms at one index)
+    @pytest.mark.parametrize(
+        "pname,gname",
+        SOLVER_PAIRS + [("q33", "k1_3"), ("k3_5", "k1_3"), ("k8", "k1_4")],
+    )
+    def test_packed_cut_is_the_per_term_cut(self, pname, gname):
+        host, guest = expanded(pname), expanded(gname)
+        statics = _pair_statics(host, guest)
+        n, k = host.vertex_count, guest.vertex_count
+        top = nc.oracle.MAX_ORACLE_TOTAL_CAPACITY
+        rng = random.Random(f"{pname}/{gname} packed")
+        drawn = [
+            compositions(f"{pname}/{gname} packed {total}", 1, total, n)[0]
+            for total in range(0, top + 1, 8)
+        ]
+        for idx, vs in enumerate(statics.verts):
+            one_node = [0] * n
+            one_node[idx % n] = top
+            spread = [0] * n
+            for j, v in enumerate(vs):
+                spread[v] = top // len(vs) + (j < top % len(vs))
+            cases = [(tuple(spread), need) for need in range(1, top + 1)]
+            cases += [(tuple(one_node), need) for need in (1, top // 2, top)]
+            cases += [(b, rng.randint(1, top)) for b in rng.sample(drawn, 4)]
+            for residual, need in cases:
+                hi = min(need, *(residual[v] for v in vs))
+                lo, hi = _cut_range(statics.cuts[idx], residual, need, hi)
+                want_lo, want_hi = cut_by_terms(statics, idx, residual, need)
+                # once hi < lo no t passes, and lo may stop short
+                assert (lo, hi) == (want_lo, want_hi) or (
+                    hi < lo and want_hi < want_lo and hi == want_hi
+                ), (idx, residual, need)
+        for caps in drawn:
+            _, bound = _cut_range(statics.root, caps, 0, sum(caps) // k)
+            assert bound == min(root_terms(host, guest, caps)), caps
+
+
 FULL_RANGE_SUMS = (40, 80, 120, 160, 200)
-# Counts of the exact-value search that the target search replaced (it
-# stored each node's optimum), on compositions(f"{host}/{guest} parity
-# {total}", 10, total, n) for each sum above, every vector kept whatever
-# its run time; one row per sum.
+# Counts on compositions(f"{host}/{guest} parity {total}", 10, total, n)
+# for each sum above, every vector kept whatever its run time; one row per
+# sum.  The first five pairs' rows come from the exact-value search that
+# the target search replaced (it stored each node's optimum), the last
+# four from the target search when it still evaluated its cuts one term
+# at a time.
 EXACT_VALUE_COUNTS = {
     ("l4", "c4"): (
         (6, 3, 4, 4, 2, 3, 3, 0, 4, 1),
@@ -415,11 +474,39 @@ EXACT_VALUE_COUNTS = {
         (12, 15, 9, 24, 6, 26, 8, 9, 24, 29),
         (14, 1, 27, 7, 10, 17, 2, 5, 20, 31),
     ),
+    ("q33", "k1_2"): (
+        (13, 12, 13, 13, 12, 10, 10, 13, 12, 12),
+        (26, 26, 26, 26, 26, 26, 26, 16, 17, 18),
+        (19, 32, 38, 40, 40, 40, 21, 20, 30, 40),
+        (38, 41, 53, 53, 53, 53, 51, 53, 39, 51),
+        (66, 66, 66, 60, 66, 59, 66, 63, 35, 62),
+    ),
+    ("q33", "k2_3"): (
+        (7, 1, 6, 7, 3, 3, 0, 3, 5, 4),
+        (14, 8, 10, 8, 12, 12, 6, 14, 7, 8),
+        (12, 12, 20, 14, 15, 22, 18, 21, 11, 12),
+        (18, 26, 24, 13, 15, 14, 15, 19, 27, 18),
+        (22, 20, 21, 24, 13, 21, 22, 14, 32, 22),
+    ),
+    ("k3_5", "k1_2"): (
+        (5, 11, 13, 6, 9, 9, 13, 13, 13, 13),
+        (26, 26, 26, 26, 13, 26, 24, 24, 26, 26),
+        (40, 40, 11, 31, 36, 8, 12, 39, 31, 40),
+        (42, 33, 53, 48, 44, 46, 53, 41, 51, 47),
+        (64, 25, 60, 46, 66, 58, 55, 40, 16, 35),
+    ),
+    ("cq3", "k1_3"): (
+        (7, 6, 3, 7, 5, 5, 3, 6, 6, 5),
+        (14, 6, 10, 11, 14, 5, 10, 15, 7, 8),
+        (16, 11, 6, 2, 17, 16, 17, 20, 22, 11),
+        (13, 14, 26, 24, 26, 38, 17, 33, 12, 26),
+        (12, 38, 25, 40, 24, 13, 17, 28, 39, 13),
+    ),
 }
 
 
 class TestFullRange:
-    # the five pairs have no closed form, so vmcap and place_vnuma answer
+    # the nine pairs have no closed form, so vmcap and place_vnuma answer
     # through the solver binding and must agree with the solver itself
     @pytest.mark.parametrize("pname,gname", list(EXACT_VALUE_COUNTS))
     def test_counts_match_the_exact_value_search(self, pname, gname):
@@ -441,3 +528,14 @@ class TestFullRange:
                 placement = nc.place_vnuma(pname, gname, caps)
                 nc.verify_placement(host, guest, caps, placement)
                 assert placement.count == want, caps
+
+    def test_lp_bound_one_above_the_count(self):
+        # floor(LP) is 30 here, so the search must refute 30 before 29 packs
+        host, guest = expanded("q33"), expanded("k1_3")
+        caps = (15, 10, 20, 16, 5, 11, 27, 16)
+        assert min(root_terms(host, guest, caps)) == 30
+        sol = nc.oracle_vmcap(host, guest, caps)
+        assert sol.count == 29
+        assert sum(m for _, m in sol.multiplicities) == 29
+        used = usage_from_witness(host, guest, sol)
+        assert all(u <= c for u, c in zip(used, caps))
