@@ -246,11 +246,11 @@ def cmd_cluster(args) -> int:
 
 
 def _pairs(args) -> list:
-    """(host, guest, registry entry) for each registry instance when no id
-    is given, else for the named pair alone, with the entry None."""
+    """(host, guest, sweep) for each registry instance when no id is
+    given, else for the named pair alone, with the sweep None."""
     if args.topology is None and args.vnuma is None:
-        return [(parse_topology(host), parse_topology(guest), pair)
-                for host, guest, pair in INSTANCES]
+        return [(parse_topology(host), parse_topology(guest), sweep)
+                for host, guest, sweep in INSTANCES]
     if args.topology is None or args.vnuma is None:
         raise SchemaError(
             "--topology" if args.topology is None else "--vnuma",
@@ -320,10 +320,10 @@ def _verify(tid: TopologyId, gid: TopologyId, vectors, mode: str) -> dict:
 
 def cmd_verify(args) -> int:
     docs = []
-    for tid, gid, pair in _pairs(args):
+    for tid, gid, sweep in _pairs(args):
         max_cap, samples = args.max_cap, args.samples
-        if pair is not None and max_cap is None and samples is None:
-            max_cap, samples = pair.max_cap, pair.samples
+        if sweep is not None and max_cap is None and samples is None:
+            max_cap, samples = sweep
         vectors, mode = _sweep(tid.vertex_count, max_cap, samples, args.seed)
         docs.append(_verify(tid, gid, vectors, mode))
 

@@ -251,50 +251,54 @@ def partial_means(values: Sequence[int], k: int) -> list[Fraction]:
 
 
 class Pair(NamedTuple):
-    """One closed form: its count, its witness and the sweep that checks both.
+    """One closed form: its count, its witness and the sweeps that check both.
 
     count(*args, b) and witness(*args, b) read b in the host's labels;
     args is params(host, guest) for an entry that covers a host family,
     and empty otherwise.  A complete host's entry names the wrap-around
     clique layout as its witness; witness None peels one from count over
-    the pair's embeddings.  instances are the (host, guest) ids that
-    `numacap verify` runs when no pair is named; it draws `samples` random
-    vectors from [0..max_cap]^n for each, or takes all of them when
-    samples is None.
+    the pair's embeddings.  instances are the (host, guest, sweep) that
+    `numacap verify` runs when no pair is named; sweep (max_cap, samples)
+    draws `samples` random vectors from [0..max_cap]^n, or takes all of
+    them when samples is None.
     """
 
     count: Callable[..., int]
-    instances: tuple[tuple[str, str], ...]
-    max_cap: int = 20
-    samples: Optional[int] = 10_000
+    instances: tuple[tuple[str, str, tuple[int, Optional[int]]], ...]
     params: Optional[Callable[[TopologyId, TopologyId], tuple]] = None
     witness: Optional[Callable[..., Placement]] = None
 
+
+# the verify sweeps, (max_cap, samples) as Pair reads them
+ALL_TO_5 = (5, None)
+RANDOM_TO_20 = (20, 10_000)
+RANDOM_TO_12 = (12, 10_000)
 
 # Keyed by (host kind, canonical guest).  The host kind is taken as parsed,
 # not from its canonical form, as host labels index b.  Guest None on "kn"
 # is any guest that fits, K4's pairs and triples included: each k-subset of
 # K_n carries every k-node guest, so the count is the k-clique's.
 PAIRS: dict[tuple[str, Optional[TopologyId]], Pair] = {
-    ("c4", K2): Pair(vmcap_c4_k2, (("c4", "k2"),), 5, None),
-    ("l4", K2): Pair(vmcap_l4_k2, (("l4", "k2"),)),
-    ("cq3", K2): Pair(vmcap_cq3_k2, (("cq3", "k2"),)),
-    ("q33", K2): Pair(vmcap_q33_k2, (("q33", "k2"),)),
-    ("cq3", C4): Pair(vmcap_cq3_c4, (("cq3", "c4"),)),
-    ("q33", C4): Pair(vmcap_q33_c4, (("q33", "c4"),)),
+    ("c4", K2): Pair(vmcap_c4_k2, (("c4", "k2", ALL_TO_5),)),
+    ("l4", K2): Pair(vmcap_l4_k2, (("l4", "k2", RANDOM_TO_20),)),
+    ("cq3", K2): Pair(vmcap_cq3_k2, (("cq3", "k2", RANDOM_TO_20),)),
+    ("q33", K2): Pair(vmcap_q33_k2, (("q33", "k2", RANDOM_TO_20),)),
+    ("cq3", C4): Pair(vmcap_cq3_c4, (("cq3", "c4", RANDOM_TO_20),)),
+    ("q33", C4): Pair(vmcap_q33_c4, (("q33", "c4", RANDOM_TO_20),)),
     ("km_n", K2): Pair(
-        vmcap_kmn_k2, (("k2_3", "k2"),), 5, None,
+        vmcap_kmn_k2, (("k2_3", "k2", ALL_TO_5),),
         params=lambda host, guest: (host.m, host.n),
     ),
     ("star", K2): Pair(
-        vmcap_kmn_k2, (("star5", "k2"),),
+        vmcap_kmn_k2, (("star5", "k2", RANDOM_TO_20),),
         params=lambda host, guest: (1, host.n),
     ),
     ("kn", None): Pair(
         vmcap_kn_kk_rec,
-        (("k4", "k2"), ("k4", "k3"), ("k4", "c4"), ("k5", "k3"), ("k5", "k2_3"),
-         ("k6", "k2"), ("k6", "c4")),
-        12,
+        (("k4", "k2", ALL_TO_5), ("k4", "k3", ALL_TO_5),
+         ("k4", "c4", RANDOM_TO_12), ("k5", "k3", RANDOM_TO_12),
+         ("k5", "k2_3", RANDOM_TO_12), ("k6", "k2", RANDOM_TO_12),
+         ("k6", "c4", RANDOM_TO_12)),
         params=lambda host, guest: (host.n, guest.vertex_count),
         witness=place_kn_kk,
     ),
@@ -304,19 +308,20 @@ PAIRS: dict[tuple[str, Optional[TopologyId]], Pair] = {
 # has in K_n: min(b) copies of (1..n).
 SAME_SHAPE = Pair(
     vmcap_kn_kk_rec,
-    (("c4", "c4"), ("c4", "k2_2"), ("star3", "k1_3"), ("l4", "l4")),
+    (("c4", "c4", RANDOM_TO_20), ("c4", "k2_2", RANDOM_TO_20),
+     ("star3", "k1_3", RANDOM_TO_20), ("l4", "l4", RANDOM_TO_20)),
     params=lambda host, guest: (host.vertex_count, host.vertex_count),
     witness=place_kn_kk,
 )
 
 # A guest with more nodes than its host has no embedding: no copy fits.
-NONE_FIT = Pair(lambda b: 0, (("c4", "k5"),), 5, None)
+NONE_FIT = Pair(lambda b: 0, (("c4", "k5", ALL_TO_5),))
 
-# (host, guest, entry) for every instance the no-pair sweeps run
+# (host, guest, sweep) for every instance the no-pair sweeps run
 INSTANCES = tuple(
-    (host, guest, pair)
+    instance
     for pair in (*PAIRS.values(), SAME_SHAPE, NONE_FIT)
-    for host, guest in pair.instances
+    for instance in pair.instances
 )
 
 

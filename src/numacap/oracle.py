@@ -358,22 +358,28 @@ def _make_solver(host: Graph, guest: Graph, memoize: bool, cache: Optional[dict]
         key = key_of(idx, residual) if memo else None
         if key is not None and memo.get(key, need) < need:
             return False
-        # t copies of embedding idx leave need - t copies to idx + 1, and
-        # each dual vertex (W, D) there must allow them:
-        # (W.residual - t * W(idx)) // D >= need - t, that is
-        # W.residual - D * need >= t * slope, a cut on t, all of them
-        # evaluated together, one per field of an integer
-        lo, hi = _cut_range(cuts[idx], residual, need, hi)
-        work = list(residual)
-        for v in vs:
-            work[v] -= hi + 1
-        for t in range(hi, lo - 1, -1):
+        if idx + 1 < m:
+            # t copies of embedding idx leave need - t copies to idx + 1,
+            # and each dual vertex (W, D) there must allow them:
+            # (W.residual - t * W(idx)) // D >= need - t, that is
+            # W.residual - D * need >= t * slope, a cut on t, all of them
+            # evaluated together, one per field of an integer
+            lo, hi = _cut_range(cuts[idx], residual, need, hi)
+            work = list(residual)
             for v in vs:
-                work[v] += 1
-            if t == need or find(idx + 1, tuple(work), need - t, path):
-                if t:
-                    path.append((idx, t))
-                return True
+                work[v] -= hi + 1
+            for t in range(hi, lo - 1, -1):
+                for v in vs:
+                    work[v] += 1
+                if t == need or find(idx + 1, tuple(work), need - t, path):
+                    if t:
+                        path.append((idx, t))
+                    return True
+        elif hi == need:
+            # the last embedding's one cut, from the term ((), 1) past it,
+            # is t >= need: it takes every copy left or fails
+            path.append((idx, need))
+            return True
         memo[key_of(idx, residual) if key is None else key] = need - 1
         return False
 

@@ -22,8 +22,6 @@ from typing import Callable, Iterable, Sequence, Union
 
 from .errors import PlacementError, ScaleLimitError
 from .topology import (
-    C4,
-    K2,
     Graph,
     TopologyId,
     check_capacities,
@@ -70,8 +68,14 @@ class Placement:
 
     @classmethod
     def from_runs(cls, runs: Iterable[tuple[Sequence[int], int]]) -> Placement:
+        return cls._canonical(_fold(runs))
+
+    @classmethod
+    def _canonical(cls, runs: tuple[Run, ...]) -> Placement:
+        """A placement of runs already folded, as the witness rules emit
+        them: tuple groups, positive int copies, neighbours distinct."""
         placement = cls.__new__(cls)
-        object.__setattr__(placement, "runs", _fold(runs))
+        object.__setattr__(placement, "runs", runs)
         return placement
 
     @property
@@ -108,15 +112,14 @@ def peel(
     """count(b) guests, peeled embedding by embedding from the count itself.
 
     For each embedding e in turn, takes the largest t with
-    count(r - t·e) == count(r) - t, r the residual so far, probing t at
-    min(residual on e, copies left) first and bisecting below it, then
-    subtracts t·e from r.  Two facts make one pass enough:
+    count(r - t·e) == count(r) - t, r the residual so far, then subtracts
+    t·e from r.  Two facts make one pass enough:
 
     - Adding t copies of e to a packing of r - t·e packs r, so
       count(r - t·e) <= count(r) - t always, with equality exactly when
       some optimum of r holds t copies of e.  That optimum holds every
       smaller number of copies too, so the t that work form a prefix
-      0..T and bisection finds T.
+      0..T.
     - After T is taken, no optimum of r - T·e holds e, or T + 1 would
       work.  Each later step takes copies some optimum holds, so an
       optimum of a later residual plus those copies is an optimum of
@@ -124,51 +127,73 @@ def peel(
       copies left, no embedding belongs to an optimum of a residual
       whose count is positive: the count overclaims.
 
+    T is found by probing t at top = min(residual on e, copies left)
+    first and bisecting below it.  A failed probe's shortfall d =
+    count(r) - t - count(r - t·e) bounds T too: one more copy of e takes
+    a unit from each of its k nodes, which loses at most k copies, so d
+    grows by at most k - 1 per copy and T <= t - ceil(d / (k - 1)).  The
+    bisection skips every probe above that bound, and moves into
+    [largest t that fit, bound] when bisecting that range takes fewer
+    probes at worst than the bisection under way takes at best, so it
+    finds the same T as a plain bisection of 0..top - 1 and never probes
+    more often.  A negative shortfall, which only an inexact count
+    gives, fails the probe alone.
+
+    embeddings are distinct tuples, as enumerate_embeddings lists them.
     count must be exact on every residual; an overclaim raises
     PlacementError, and each returned group is an embedding within the
     residual, so a returned placement is valid and places count(b)
     copies, in one run per embedding used.
-    At most 1 + len(embeddings) * (1 + max(b).bit_length()) count calls.
+    At most 1 + len(embeddings) * (1 + (c - 1).bit_length()) count calls,
+    c = min(count(b), max(b)).
     """
     residual = list(b)
     want = left = count(residual)
-
-    def fits(e: tuple[int, ...], t: int) -> bool:
-        trial = residual[:]
-        for v in e:
-            trial[v - 1] -= t
-        return count(trial) == left - t
-
     runs: list[Run] = []
     for e in embeddings:
         if not left:
             break
-        top = min([residual[v - 1] for v in e])
-        if top > left:
-            top = left
+        top = left
+        for v in e:
+            if residual[v - 1] < top:
+                top = residual[v - 1]
         if not top:
             continue
-        if fits(e, top):
-            t = top
-        else:
-            t, bad = 0, top
-            while bad - t > 1:
-                mid = (t + bad) // 2
-                if fits(e, mid):
-                    t = mid
+        slack = len(e) - 1
+        # T is in fit..cap; the probes bisect (fit, bad), t the next one
+        fit, bad, cap, t = 0, top + 1, top, top
+        while True:
+            if t <= cap:
+                trial = residual[:]
+                for v in e:
+                    trial[v - 1] -= t
+                short = left - t - count(trial)
+                if not short:
+                    fit = t
                 else:
-                    bad = mid
-            if not t:
-                continue
-        runs.append((e, t))
-        for v in e:
-            residual[v - 1] -= t
-        left -= t
+                    bad = t
+                    cap = t + -short // slack if short > 0 else t - 1
+                    # at worst (cap - fit).bit_length() probes bisect
+                    # fit..cap; at best the bisection of (fit, bad) takes
+                    # one less than (bad - fit).bit_length()
+                    if (cap - fit).bit_length() < (bad - fit).bit_length():
+                        bad = cap + 1
+            else:
+                bad = t
+            if bad - fit < 2:
+                break
+            t = (fit + bad) // 2
+        if fit:
+            runs.append((e, fit))
+            for v in e:
+                residual[v - 1] -= fit
+            left -= fit
     if left:
         raise PlacementError(
             f"count overclaims: {left} of {want} copies have no embedding left"
         )
-    return Placement.from_runs(runs)
+    # each embedding is a tuple and is used once
+    return Placement._canonical(tuple(runs))
 
 
 def place_kn_kk(n: int, k: int, b: Sequence[int]) -> Placement:
@@ -182,46 +207,43 @@ def place_kn_kk(n: int, k: int, b: Sequence[int]) -> Placement:
     A range of slots over which no lane changes node is one run, so the
     placement holds at most n runs.
     """
-    from .formulas import vmcap_kn_kk_rec  # the registry imports this module
-
     caps = check_capacities(b, n)
-    slots = vmcap_kn_kk_rec(n, k, caps)
+    slots = formulas.vmcap_kn_kk_rec(n, k, caps)
     if not slots:
-        return Placement(())
+        return Placement._canonical(())
     cells = k * slots
     labels: list[int] = []
     ends: list[int] = []  # the cell past each laid-out node's run
     filled = 0
     for v, c in enumerate(caps, 1):
         if c and filled < cells:
-            filled = min(filled + min(c, slots), cells)
+            filled += c if c < slots else slots
+            if filled > cells:
+                filled = cells
             labels.append(v)
             ends.append(filled)
     # a lane changes node only where some run ends
-    cuts = sorted({0, *(e % slots for e in ends)})
+    cuts = sorted({0, *[end % slots for end in ends]})
     runs: list[Run] = []
     for lo, hi in zip(cuts, cuts[1:] + [slots]):
-        group = tuple(
-            labels[bisect_right(ends, lane * slots + lo)] for lane in range(k)
-        )
+        # slot lo's cell in each lane: lo, lo + slots, ..., below cells
+        group = tuple([labels[bisect_right(ends, cell)]
+                       for cell in range(lo, cells, slots)])
         runs.append((group, hi - lo))
-    return Placement.from_runs(runs)
+    # neighbouring runs differ: some lane changes node at each cut
+    return Placement._canonical(tuple(runs))
 
 
 def place_k2(topology: Union[TopologyId, str], b: Sequence[int]) -> Placement:
     """Pair placement achieving the pair-capacity formula for the host."""
-    from .formulas import place_vnuma  # the registry imports this module
-
-    return place_vnuma(topology, K2, b)
+    return formulas.place_vnuma(topology, "k2", b)
 
 
 def place_c4_vnuma(
     topology: Union[TopologyId, str], b: Sequence[int]
 ) -> Placement:
     """4-cycle guest placement on any host, as place_vnuma gives it."""
-    from .formulas import place_vnuma  # the registry imports this module
-
-    return place_vnuma(topology, C4, b)
+    return formulas.place_vnuma(topology, "c4", b)
 
 
 def verify_placement(
@@ -248,3 +270,8 @@ def verify_placement(
             raise PlacementError(
                 f"node {v} used {used[v - 1]} times > capacity {caps[v - 1]}"
             )
+
+
+# bound last: the formulas module imports this one, and calls above look
+# formulas up when they run
+from . import formulas  # noqa: E402

@@ -2,13 +2,14 @@
 
 import json
 import pickle
+import random
 import tracemalloc
 
 import pytest
 
 import numacap as nc
 from numacap import cli, formulas
-from numacap.placement import MAX_EXPANDED_GROUPS
+from numacap.placement import MAX_EXPANDED_GROUPS, peel
 from conftest import random_vectors
 
 
@@ -218,10 +219,12 @@ class TestPeel:
         m = len(nc.enumerate_embeddings(expanded(pname), expanded(gname)))
         n = nc.parse_topology(pname).vertex_count
         for caps in random_vectors(f"{pname}/{gname} calls", 100, n, 300):
+            want = nc.vmcap(pname, gname, caps).count
             calls = 0
             pl = nc.place_vnuma(pname, gname, caps)
-            assert calls <= 1 + m * (1 + max(caps).bit_length()), caps
-            assert pl.count == nc.vmcap(pname, gname, caps).count, caps
+            c = min(want, max(caps))
+            assert calls <= 1 + m * (1 + (c - 1).bit_length()), caps
+            assert pl.count == want, caps
 
     def test_host_past_the_enumeration_limit(self):
         caps = (1,) * 14
@@ -317,3 +320,103 @@ class TestRunLength:
         check("c4", "k2", (TOP,) * 4, pl)
         with pytest.raises(nc.PlacementError, match="node 2 used"):
             check("c4", "k2", (TOP, TOP - 1, TOP, TOP), pl)
+
+
+def bisection_peel(count, embeddings, b):
+    """Runs of the peel that bisects below each failed top probe without
+    reading its shortfall: the reference the shortfall bound must agree
+    with, call for call at most."""
+    residual = list(b)
+    left = count(residual)
+
+    def fits(e, t):
+        trial = residual[:]
+        for v in e:
+            trial[v - 1] -= t
+        return count(trial) == left - t
+
+    runs = []
+    for e in embeddings:
+        if not left:
+            break
+        top = min([left] + [residual[v - 1] for v in e])
+        if not top:
+            continue
+        if fits(e, top):
+            t = top
+        else:
+            t, bad = 0, top
+            while bad - t > 1:
+                mid = (t + bad) // 2
+                if fits(e, mid):
+                    t = mid
+                else:
+                    bad = mid
+            if not t:
+                continue
+        runs.append((e, t))
+        for v in e:
+            residual[v - 1] -= t
+        left -= t
+    if left:
+        raise nc.PlacementError("count overclaims")
+    return tuple(runs)
+
+
+class Counted:
+    """A count that tallies its calls and checks each probe is a residual."""
+
+    def __init__(self, count):
+        self.count = count
+        self.calls = 0
+
+    def __call__(self, b):
+        assert min(b) >= 0, b
+        self.calls += 1
+        return self.count(b)
+
+
+def peel_vectors(seed, n, count=40):
+    """Zeros, entries to 300 and entries to 2^32-1, mixed in each vector."""
+    rng = random.Random(seed)
+    return [
+        tuple(rng.choice((0, rng.randint(0, 300), rng.randint(0, TOP)))
+              for _ in range(n))
+        for _ in range(count)
+    ]
+
+
+INSTANCE_PAIRS = sorted({(host, guest) for host, guest, _ in formulas.INSTANCES})
+
+
+class TestShortfallPeel:
+    """The shortfall bound changes the probes, never the runs."""
+
+    @pytest.mark.parametrize("pname,gname", INSTANCE_PAIRS)
+    def test_runs_and_calls_against_bisection(self, pname, gname):
+        count = nc.closed_form_evaluator(pname, gname)
+        embeddings = nc.enumerate_embeddings(expanded(pname), expanded(gname))
+        n = nc.parse_topology(pname).vertex_count
+        new_calls = old_calls = 0
+        for caps in peel_vectors(f"{pname}/{gname} shortfall", n):
+            new, old = Counted(count), Counted(count)
+            runs = peel(new, embeddings, caps).runs
+            assert runs == bisection_peel(old, embeddings, caps), caps
+            assert new.calls <= old.calls, caps
+            new_calls += new.calls
+            old_calls += old.calls
+        if (pname, gname) in (("cq3", "k2"), ("q33", "c4")):
+            assert new_calls < old_calls
+
+    @pytest.mark.parametrize("inexact", [
+        lambda b: 999,
+        lambda b: nc.vmcap_cq3_k2(b) + 1,
+    ], ids=["constant", "plus-one"])
+    def test_inexact_count_overclaims_within_the_bound(self, inexact):
+        embeddings = nc.enumerate_embeddings(expanded("cq3"), expanded("k2"))
+        for caps in peel_vectors("cq3/k2 inexact", 8, 20) + [(0,) * 8]:
+            counted = Counted(inexact)
+            with pytest.raises(nc.PlacementError, match="overclaims"):
+                peel(counted, embeddings, caps)
+            bound = 1 + len(embeddings) * (1 + max(caps).bit_length())
+            assert counted.calls <= bound, caps
