@@ -5,14 +5,15 @@ kind fit a host topology given per-node counts b (canonical label order).
 PAIRS registers each formula with the sweep that checks it, and its
 witness, against the exhaustive solver.  _resolve binds every pair once
 to a count and a witness: its registry entry's, or the solver's when it
-has none.  vmcap() and place_vnuma() validate b and call that binding.
+has none.  vmcap() and place_vnuma() validate b and call that binding,
+and closed_form_evaluator() returns the count behind the same check; a
+bound count does not check b again.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DimensionError, TopologyError
 from .oracle import oracle_vmcap
@@ -29,6 +30,9 @@ from .topology import (
     expand_topology,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 
 class VmcapResult(NamedTuple):
     """Count plus how it was obtained ("closed-form" or "oracle")."""
@@ -37,12 +41,30 @@ class VmcapResult(NamedTuple):
     via: str = "closed-form"
 
 
+# vmcap builds its result with tuple.__new__, which skips the Python-level
+# __new__ that NamedTuple generates; the type is still VmcapResult
+_new_tuple = tuple.__new__
+
+
+def _length_error(n: int, b: Sequence[int]) -> DimensionError:
+    return DimensionError(f"expected {n} capacities, got {len(b)}")
+
+
+# A fixed-length formula checks its length by unpacking b, which it does
+# anyway, so the registry binds the public formula itself: the check
+# costs nothing until it fails.  The bound ones take their minima by
+# compares, which cost less than min() calls on vmcap's hot path.
+
+
 def vmcap_c4_k2(b: Sequence[int]) -> int:
     """Pairs on the 4-cycle: opposite corners pool, min(b1+b3, b2+b4)."""
-    if len(b) != 4:
-        raise DimensionError(f"expected 4 capacities, got {len(b)}")
-    b1, b2, b3, b4 = b
-    return min(b1 + b3, b2 + b4)
+    try:
+        b1, b2, b3, b4 = b
+    except ValueError:
+        raise _length_error(4, b) from None
+    odd = b1 + b3
+    even = b2 + b4
+    return odd if odd < even else even
 
 
 def vmcap_kn_kk_rec(n: int, k: int, b: Sequence[int]) -> int:
@@ -54,14 +76,29 @@ def vmcap_kn_kk_rec(n: int, k: int, b: Sequence[int]) -> int:
     bound instead of always recursing to k=1.
     """
     _check_clique_args(n, k, b)
+    return _cliques(n, k, b)
+
+
+def _cliques(n: int, k: int, b: Sequence[int]) -> int:
+    """vmcap_kn_kk_rec on a vector already checked to hold n entries.
+
+    n is b's length and is not read; the complete-host count takes the
+    (n, k) its witness, place_kn_kk, takes.  For k = 2 the recursion is
+    min(floor(sum/2), sum - max(b)), which needs no sort.
+    """
+    total = sum(b)
+    if k == 2:
+        half = total // 2
+        rest = total - max(b)
+        return half if half < rest else rest
     vals = sorted(b, reverse=True)
-    total = sum(vals)
-    for i in range(k):
+    for i in range(k - 1):
         cap = total // (k - i)
         if cap >= vals[i]:
             return cap
         total -= vals[i]
-    raise AssertionError("unreachable: bound is always attainable at k=1")
+    # the last step, floor(total / 1) >= vals[k - 1], always holds
+    return total
 
 
 def vmcap_kn_kk_min(n: int, k: int, b: Sequence[int]) -> int:
@@ -86,27 +123,30 @@ def _check_clique_args(n: int, k: int, b: Sequence[int]) -> None:
     if k < 1 or k > n:
         raise TopologyError(f"clique size k={k} outside 1..{n}")
     if len(b) != n:
-        raise DimensionError(f"expected {n} capacities, got {len(b)}")
+        raise _length_error(n, b)
 
 
 def vmcap_k4_k2(b: Sequence[int]) -> int:
     """Pairs in the complete graph on 4 nodes: min(floor(sum/2), sum - max)."""
-    if len(b) != 4:
-        raise DimensionError(f"expected 4 capacities, got {len(b)}")
-    s = b[0] + b[1] + b[2] + b[3]
-    return min(s // 2, s - max(b))
+    try:
+        b1, b2, b3, b4 = b
+    except ValueError:
+        raise _length_error(4, b) from None
+    s = b1 + b2 + b3 + b4
+    return min(s // 2, s - max(b1, b2, b3, b4))
 
 
 def vmcap_k4_k3(b: Sequence[int]) -> int:
     """Triples in the complete graph on 4 nodes.
 
-    The paper's closed form; the registry counts K4 by vmcap_kn_kk_rec.
+    The paper's closed form; the registry counts K4 by the clique recursion.
     """
-    if len(b) != 4:
-        raise DimensionError(f"expected 4 capacities, got {len(b)}")
-    top = sorted(b, reverse=True)
-    s = top[0] + top[1] + top[2] + top[3]
-    return min(s // 3, (s - top[0]) // 2, s - top[0] - top[1])
+    try:
+        t1, t2, t3, t4 = sorted(b, reverse=True)
+    except ValueError:
+        raise _length_error(4, b) from None
+    s = t1 + t2 + t3 + t4
+    return min(s // 3, (s - t1) // 2, s - t1 - t2)
 
 
 def vmcap_l4_k2(b: Sequence[int]) -> int:
@@ -115,21 +155,33 @@ def vmcap_l4_k2(b: Sequence[int]) -> int:
     End rungs are clipped to what their neighbors can absorb, after which
     the odd/even side sums bound the matching like a bipartite instance.
     """
-    if len(b) != 8:
-        raise DimensionError(f"expected 8 capacities, got {len(b)}")
-    b1, b2, b3, b4, b5, b6, b7, b8 = b
-    n1 = min(b1, b2 + b4)
-    n2 = min(b2, b1 + b3)
-    n7 = min(b7, b6 + b8)
-    n8 = min(b8, b5 + b7)
-    return min(n1 + b3 + b5 + n7, n2 + b4 + b6 + n8)
+    try:
+        b1, b2, b3, b4, b5, b6, b7, b8 = b
+    except ValueError:
+        raise _length_error(8, b) from None
+    n1 = b2 + b4
+    if b1 < n1:
+        n1 = b1
+    n2 = b1 + b3
+    if b2 < n2:
+        n2 = b2
+    n7 = b6 + b8
+    if b7 < n7:
+        n7 = b7
+    n8 = b5 + b7
+    if b8 < n8:
+        n8 = b8
+    odd = n1 + b3 + b5 + n7
+    even = n2 + b4 + b6 + n8
+    return odd if odd < even else even
 
 
 def vmcap_cq3_k2(b: Sequence[int]) -> int:
     """Pairs on the crossed cube: six-term minimum with the clamped offset."""
-    if len(b) != 8:
-        raise DimensionError(f"expected 8 capacities, got {len(b)}")
-    b1, b2, b3, b4, b5, b6, b7, b8 = b
+    try:
+        b1, b2, b3, b4, b5, b6, b7, b8 = b
+    except ValueError:
+        raise _length_error(8, b) from None
     sodd = b1 + b3 + b5 + b7
     seven = b2 + b4 + b6 + b8
     delta = (sodd - seven) // 2
@@ -139,8 +191,7 @@ def vmcap_cq3_k2(b: Sequence[int]) -> int:
         delta = hi
     elif delta < -lo:
         delta = -lo
-    # the six-term minimum as compares: this is the hot path that
-    # criterion 8 times, and a min() call costs more than the compares
+    # the six-term minimum as compares: criterion 8 times this one
     best = sodd - delta
     term = seven + delta
     if term < best:
@@ -166,13 +217,13 @@ def vmcap_cq3_c4(b: Sequence[int]) -> int:
     Every 4-cycle covers two opposite rungs, so rung minima reduce this
     to pairs on a 4-cycle of rungs.
     """
-    if len(b) != 8:
-        raise DimensionError(f"expected 8 capacities, got {len(b)}")
-    b1, b2, b3, b4, b5, b6, b7, b8 = b
-    return min(
-        min(b1, b2) + min(b5, b6),
-        min(b3, b4) + min(b7, b8),
-    )
+    try:
+        b1, b2, b3, b4, b5, b6, b7, b8 = b
+    except ValueError:
+        raise _length_error(8, b) from None
+    left = (b1 if b1 < b2 else b2) + (b5 if b5 < b6 else b6)
+    right = (b3 if b3 < b4 else b4) + (b7 if b7 < b8 else b8)
+    return left if left < right else right
 
 
 def vmcap_kmn_k2(m: int, n: int, b: Sequence[int]) -> int:
@@ -180,27 +231,63 @@ def vmcap_kmn_k2(m: int, n: int, b: Sequence[int]) -> int:
     if m < 1 or n < 1:
         raise TopologyError("bipartite part sizes must be >= 1")
     if len(b) != m + n:
-        raise DimensionError(f"expected {m + n} capacities, got {len(b)}")
-    return min(sum(b[:m]), sum(b[m:]))
+        raise _length_error(m + n, b)
+    return _sides(m, n, b)
+
+
+def _sides(m: int, n: int, b: Sequence[int]) -> int:
+    """vmcap_kmn_k2 on a vector already checked to hold m + n entries.
+
+    n is not read; it keeps vmcap_kmn_k2's arguments.
+    """
+    left = sum(b[:m])
+    right = sum(b) - left
+    return left if left < right else right
 
 
 def vmcap_q33_k2(b: Sequence[int]) -> int:
     """Pairs in the odd/even complete bipartite host: min of the side sums."""
-    if len(b) != 8:
-        raise DimensionError(f"expected 8 capacities, got {len(b)}")
-    b1, b2, b3, b4, b5, b6, b7, b8 = b
-    return min(b1 + b3 + b5 + b7, b2 + b4 + b6 + b8)
+    try:
+        b1, b2, b3, b4, b5, b6, b7, b8 = b
+    except ValueError:
+        raise _length_error(8, b) from None
+    odd = b1 + b3 + b5 + b7
+    even = b2 + b4 + b6 + b8
+    return odd if odd < even else even
 
 
 def vmcap_q33_c4(b: Sequence[int]) -> int:
     """4-cycles in the odd/even complete bipartite host.
 
     A 4-cycle picks two odd and two even nodes, so each side behaves like
-    pair selection inside a 4-node complete graph.
+    pair selection inside a 4-node complete graph, min(floor(s/2), s - max)
+    with s the side's sum.
     """
-    if len(b) != 8:
-        raise DimensionError(f"expected 8 capacities, got {len(b)}")
-    return min(vmcap_k4_k2(b[0::2]), vmcap_k4_k2(b[1::2]))
+    try:
+        b1, b2, b3, b4, b5, b6, b7, b8 = b
+    except ValueError:
+        raise _length_error(8, b) from None
+    # peeling a q33/c4 witness calls this a dozen times or more
+    odd = b1 + b3 + b5 + b7
+    top = b1 if b1 > b3 else b3
+    if b5 > top:
+        top = b5
+    if b7 > top:
+        top = b7
+    best = odd // 2
+    if odd - top < best:
+        best = odd - top
+    even = b2 + b4 + b6 + b8
+    top = b2 if b2 > b4 else b4
+    if b6 > top:
+        top = b6
+    if b8 > top:
+        top = b8
+    if even // 2 < best:
+        best = even // 2
+    if even - top < best:
+        best = even - top
+    return best
 
 
 def normalize_capacities(
@@ -244,6 +331,10 @@ def partial_means(values: Sequence[int], k: int) -> list[Fraction]:
     for i in range(1, n):
         if values[i] < values[i - 1]:
             raise DimensionError("values must be non-decreasing")
+    # imported here: fractions and the decimal module it loads add a few
+    # ms to every start of the package, and nothing else needs them
+    from fractions import Fraction
+
     prefix = [0]
     for v in values:
         prefix.append(prefix[-1] + v)
@@ -255,7 +346,9 @@ class Pair(NamedTuple):
 
     count(*args, b) and witness(*args, b) read b in the host's labels;
     args is params(host, guest) for an entry that covers a host family,
-    and empty otherwise.  A complete host's entry names the wrap-around
+    and empty otherwise.  count reads a vector its caller has checked,
+    a tuple from vmcap or the evaluator, a list from peel, and does not
+    check it again.  A complete host's entry names the wrap-around
     clique layout as its witness; witness None peels one from count over
     the pair's embeddings.  instances are the (host, guest, sweep) that
     `numacap verify` runs when no pair is named; sweep (max_cap, samples)
@@ -286,15 +379,15 @@ PAIRS: dict[tuple[str, Optional[TopologyId]], Pair] = {
     ("cq3", C4): Pair(vmcap_cq3_c4, (("cq3", "c4", RANDOM_TO_20),)),
     ("q33", C4): Pair(vmcap_q33_c4, (("q33", "c4", RANDOM_TO_20),)),
     ("km_n", K2): Pair(
-        vmcap_kmn_k2, (("k2_3", "k2", ALL_TO_5),),
+        _sides, (("k2_3", "k2", ALL_TO_5),),
         params=lambda host, guest: (host.m, host.n),
     ),
     ("star", K2): Pair(
-        vmcap_kmn_k2, (("star5", "k2", RANDOM_TO_20),),
+        _sides, (("star5", "k2", RANDOM_TO_20),),
         params=lambda host, guest: (1, host.n),
     ),
     ("kn", None): Pair(
-        vmcap_kn_kk_rec,
+        _cliques,
         (("k4", "k2", ALL_TO_5), ("k4", "k3", ALL_TO_5),
          ("k4", "c4", RANDOM_TO_12), ("k5", "k3", RANDOM_TO_12),
          ("k5", "k2_3", RANDOM_TO_12), ("k6", "k2", RANDOM_TO_12),
@@ -307,7 +400,7 @@ PAIRS: dict[tuple[str, Optional[TopologyId]], Pair] = {
 # A guest of its host's shape has one embedding, all n nodes, as the n-clique
 # has in K_n: min(b) copies of (1..n).
 SAME_SHAPE = Pair(
-    vmcap_kn_kk_rec,
+    _cliques,
     (("c4", "c4", RANDOM_TO_20), ("c4", "k2_2", RANDOM_TO_20),
      ("star3", "k1_3", RANDOM_TO_20), ("l4", "l4", RANDOM_TO_20)),
     params=lambda host, guest: (host.vertex_count, host.vertex_count),
@@ -361,9 +454,16 @@ def _bind_solver(pid: TopologyId, gid: TopologyId):
     return count, witness, "oracle"
 
 
+def _checked(count: Callable[[Sequence[int]], int], n: int):
+    def evaluate(b: Sequence[int]) -> int:
+        return count(check_capacities(b, n))
+
+    return evaluate
+
+
 @lru_cache(maxsize=1024)
 def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
-    """(host vertex count, count, witness, via): the pair's one binding.
+    """(host vertex count, count, witness, via, evaluator): the pair's binding.
 
     Memoised, so each pair is parsed and bound once; an invalid id
     raises, and a raising call is never cached.  The guest id is
@@ -372,6 +472,8 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     raises, and a guest larger than its host, then one of its host's
     shape, is ruled on before the PAIRS lookup.  A registry entry binds
     its closed form and witness, any other pair the exhaustive solver.
+    count and witness read a checked vector; evaluator is a closed
+    form's count behind check_capacities, and None for the solver.
     No binding expands a graph here: the solver looks its graphs up when
     it runs, in expand_topology's memo, and the peeled witness on its
     first call, after the caller has checked b.
@@ -391,8 +493,9 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     else:
         pair = PAIRS.get((pid.kind, guest)) or PAIRS.get((pid.kind, None))
     if pair is None:
-        return (n, *_bind_solver(pid, guest))
-    return (n, *_bind(pair, pid, guest))
+        return (n, *_bind_solver(pid, guest), None)
+    count, witness, via = _bind(pair, pid, guest)
+    return n, count, witness, via, _checked(count, n)
 
 
 def _resolved(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
@@ -409,12 +512,13 @@ def closed_form_evaluator(
 ):
     """The formula for a host/guest pair, or None when only the solver works.
 
-    The returned callable takes a capacity vector and returns the count.
-    A guest of the host's own shape always has a formula, min(b), and a
-    guest larger than its host has 0; a single-node guest raises.
+    The returned callable takes a capacity vector, checks it as vmcap
+    does, and returns the count; each pair has one, built when the pair
+    is bound.  A guest of the host's own shape always has a formula,
+    min(b), and a guest larger than its host has 0; a single-node guest
+    raises.
     """
-    _, count, _, via = _resolved(pnuma, vnuma)
-    return count if via == "closed-form" else None
+    return _resolved(pnuma, vnuma)[4]
 
 
 def vmcap(
@@ -427,10 +531,15 @@ def vmcap(
     Calls the pair's binding: its closed form when it has one, and
     otherwise the exhaustive solver (small hosts only).  Guests must
     span at least two nodes; single-node guests are a plain sum and are
-    handled by the server-level capacity functions.
+    handled by the server-level capacity functions.  b is checked here,
+    once, and the binding trusts it.
     """
-    n, count, _, via = _resolved(pnuma, vnuma)
-    return VmcapResult(count(check_capacities(capacities, n)), via)
+    # _resolved, inlined on the hot path
+    try:
+        n, count, _, via, _ = _resolve(pnuma, vnuma)
+    except TypeError:
+        n, count, _, via, _ = _resolve.__wrapped__(pnuma, vnuma)
+    return _new_tuple(VmcapResult, (count(check_capacities(capacities, n)), via))
 
 
 def place_vnuma(
@@ -445,5 +554,5 @@ def place_vnuma(
     enumerates the host's embeddings, so a closed pair peeled on a host
     past enumerate_embeddings' node limit raises ScaleLimitError too.
     """
-    n, _, witness, _ = _resolved(pnuma, vnuma)
+    n, _, witness, _, _ = _resolved(pnuma, vnuma)
     return witness(check_capacities(capacities, n))

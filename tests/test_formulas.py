@@ -1,6 +1,8 @@
 """Closed-form capacity formulas and the dispatch front end."""
 
 import math
+import pickle
+import random
 
 from fractions import Fraction
 from itertools import product
@@ -85,8 +87,12 @@ class TestFrozenValues:
             nc.vmcap_cq3_k2((1,) * 7)
         with pytest.raises(nc.TopologyError):
             nc.vmcap_kn_kk_rec(3, 4, (1, 1, 1))
+        with pytest.raises(nc.DimensionError, match="expected 5 capacities, got 4"):
+            nc.vmcap_kn_kk_rec(5, 2, (1,) * 4)
         with pytest.raises(nc.DimensionError):
             nc.vmcap_kmn_k2(2, 2, (1, 1, 1))
+        with pytest.raises(nc.TopologyError):
+            nc.vmcap_kmn_k2(0, 3, (1,) * 3)
 
 
 class TestCliqueFormulaEquivalence:
@@ -527,3 +533,131 @@ class TestCompleteHost:
 
     def test_beyond_the_solver_range(self):
         assert nc.vmcap("k6", "c4", (300,) * 6) == nc.VmcapResult(450)
+
+
+# the twelve closed pairs the vmcap-closed benchmark workload calls
+BENCHMARK_CLOSED_PAIRS = [
+    ("c4", "k2"), ("k4", "k2"), ("k6", "k2"), ("l4", "k2"), ("cq3", "k2"),
+    ("q33", "k2"), ("k2_3", "k2"), ("star5", "k2"), ("k4", "k3"),
+    ("k6", "k4"), ("cq3", "c4"), ("q33", "c4"),
+]
+BOUND_PAIRS = sorted(
+    set(BENCHMARK_CLOSED_PAIRS)
+    | {(host, guest) for host, guest, _ in formulas.INSTANCES}
+)
+
+
+def side_sums(m):
+    return lambda b: min(sum(b[:m]), sum(b[m:]))
+
+
+def reference_count(pname, gname):
+    """A count for the pair that does not go through its registry body.
+
+    Complete hosts and guests of their host's shape take the branch-free
+    clique form, bipartite hosts their two side sums, and q33/c4 the
+    lesser of the K4 pair counts on its odd and on its even nodes.  c4/k2,
+    l4/k2, cq3/k2 and cq3/c4 bind their public formula itself, so it is
+    the reference there; the solver tests cover those formulas.
+    """
+    host = nc.parse_topology(pname)
+    guest = nc.canonical_id(nc.parse_topology(gname))
+    n, k = host.vertex_count, guest.vertex_count
+    if k > n:
+        return lambda b: 0
+    if host.kind == "kn" or guest == nc.canonical_id(host):
+        return lambda b: nc.vmcap_kn_kk_min(n, k, b)
+    if host.kind == "star":
+        return side_sums(1)
+    if host.kind == "km_n":
+        return side_sums(host.m)
+    return {
+        ("q33", "k2"): lambda b: side_sums(4)(b[0::2] + b[1::2]),
+        ("q33", "c4"): lambda b: min(nc.vmcap_k4_k2(b[0::2]),
+                                     nc.vmcap_k4_k2(b[1::2])),
+        ("c4", "k2"): nc.vmcap_c4_k2,
+        ("l4", "k2"): nc.vmcap_l4_k2,
+        ("cq3", "k2"): nc.vmcap_cq3_k2,
+        ("cq3", "c4"): nc.vmcap_cq3_c4,
+    }[pname, gname]
+
+
+def full_range_vectors(seed, n, count=60):
+    """The zero vector, then entries 0..256, entries up to 2^32-1, and
+    both mixed with zeros, count vectors of each."""
+    rng = random.Random(seed)
+    top = nc.MAX_CAPACITY
+    draws = [
+        lambda: rng.randint(0, 256),
+        lambda: rng.randint(0, top),
+        lambda: rng.choice((0, rng.randint(0, 256), rng.randint(0, top))),
+    ]
+    return [(0,) * n] + [
+        tuple(draw() for _ in range(n)) for draw in draws for _ in range(count)
+    ]
+
+
+class TestBoundBodies:
+    """Each pair's bound count trusts a checked vector; these hold it to a
+    second method over the whole entry range, tuples and lists alike."""
+
+    @pytest.mark.parametrize("pname,gname", BOUND_PAIRS)
+    def test_full_range_against_a_reference(self, pname, gname):
+        n = nc.parse_topology(pname).vertex_count
+        want = reference_count(pname, gname)
+        _, body, _, via, _ = formulas._resolve(pname, gname)
+        assert via == "closed-form"
+        for b in full_range_vectors(f"{pname}/{gname} full range", n):
+            expected = want(b)
+            assert nc.vmcap(pname, gname, b).count == expected, b
+            assert nc.vmcap(pname, gname, list(b)).count == expected, b
+            # peel hands the bound count lists of its residuals
+            assert body(list(b)) == expected, b
+
+    @pytest.mark.parametrize("fn,n", [
+        (nc.vmcap_c4_k2, 4), (nc.vmcap_k4_k2, 4), (nc.vmcap_k4_k3, 4),
+        (nc.vmcap_l4_k2, 8), (nc.vmcap_cq3_k2, 8), (nc.vmcap_cq3_c4, 8),
+        (nc.vmcap_q33_k2, 8), (nc.vmcap_q33_c4, 8),
+    ], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_public_formulas_check_their_length(self, fn, n):
+        for length in (0, n - 1, n + 1):
+            with pytest.raises(nc.DimensionError,
+                               match=f"expected {n} capacities, got {length}"):
+                fn((1,) * length)
+
+
+class TestCheckedEvaluator:
+    """closed_form_evaluator checks b as vmcap does, with one callable a pair."""
+
+    @pytest.mark.parametrize("pname,gname", BOUND_PAIRS)
+    def test_rejects_bad_vectors(self, pname, gname):
+        n = nc.parse_topology(pname).vertex_count
+        fn = nc.closed_form_evaluator(pname, gname)
+        with pytest.raises(nc.DimensionError):
+            fn((1,) * (n - 1))
+        for bad in (-1, nc.MAX_CAPACITY + 1):
+            with pytest.raises(nc.CapacityError):
+                fn((1,) * (n - 1) + (bad,))
+        assert fn([0] * n) == 0
+
+    @pytest.mark.parametrize("pname,gname", BOUND_PAIRS)
+    def test_one_callable_per_pair(self, pname, gname):
+        first = nc.closed_form_evaluator(pname, gname)
+        assert nc.closed_form_evaluator(pname, gname) is first
+
+
+class TestVmcapResult:
+    """vmcap builds its result without NamedTuple's __new__; the type holds."""
+
+    @pytest.mark.parametrize("pname,gname,b,count,via", [
+        ("cq3", "k2", (1, 2, 3, 4, 5, 6, 7, 8), 18, "closed-form"),
+        ("l4", "c4", (1,) * 8, 2, "oracle"),
+    ])
+    def test_public_type(self, pname, gname, b, count, via):
+        result = nc.vmcap(pname, gname, b)
+        assert type(result) is nc.VmcapResult
+        assert result._fields == ("count", "via")
+        assert (result.count, result.via) == (count, via)
+        assert result == nc.VmcapResult(count, via)
+        again = pickle.loads(pickle.dumps(result))
+        assert type(again) is nc.VmcapResult and again == result
