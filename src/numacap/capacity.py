@@ -3,14 +3,19 @@
 A server is a disjoint union of components (one interconnect topology
 each, e.g. two sockets of four NUMA nodes).  Per-node guest counts come
 from free resources divided by the flavor demand, and components simply
-add up since no guest spans two of them.
+add up since no guest spans two of them.  A cluster is rolled up as a
+`ClusterState`: one column of amounts per resource for the whole cluster,
+so a node count is a whole-column pass, not a per-node call.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress, repeat
+from operator import floordiv, is_
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import NumacapError, ResourceError, SchemaError
 from .formulas import vmcap
@@ -166,6 +171,62 @@ class ServerState:
             )
 
 
+class ClusterState(NamedTuple):
+    """Servers as one table of whole-cluster columns, in document order.
+
+    - `ids`: the server ids;
+    - `spans`: server i holds components spans[i]:spans[i + 1];
+    - `topologies`: each component's topology id, as its canonical
+      string (str of the TopologyId);
+    - `offsets`: component c holds nodes offsets[c]:offsets[c + 1], an
+      empty span for a component given as capacities;
+    - `columns`: per resource name, every node's free amount, None where
+      the node lacks that resource;
+    - `capacities`: component index to the checked vector, for each
+      component given as capacities.
+
+    The table is trusted as checked: build it with `from_servers` or the
+    CLI's `load_cluster_state`, which make the checks of ServerState and
+    ServerComponent, and do not change its lists.
+    """
+
+    ids: tuple[str, ...]
+    spans: tuple[int, ...]
+    topologies: tuple[str, ...]
+    offsets: tuple[int, ...]
+    columns: Mapping[str, list]
+    capacities: Mapping[int, tuple[int, ...]]
+
+    @classmethod
+    def from_servers(cls, servers: Iterable[ServerState]) -> "ClusterState":
+        """Gather built servers into the table."""
+        servers = tuple(servers)
+        components = [c for s in servers for c in s.components]
+        nodes = [free for c in components if c.nodes is not None for free in c.nodes]
+        return cls(
+            ids=tuple(s.id for s in servers),
+            spans=tuple(accumulate((len(s.components) for s in servers), initial=0)),
+            topologies=tuple(str(c.topology) for c in components),
+            offsets=tuple(accumulate(
+                (0 if c.nodes is None else len(c.nodes) for c in components),
+                initial=0,
+            )),
+            columns={
+                name: [free.get(name) for free in nodes]
+                for name in dict.fromkeys(chain.from_iterable(nodes))
+            },
+            capacities={
+                i: c.capacities
+                for i, c in enumerate(components)
+                if c.capacities is not None
+            },
+        )
+
+
+def _missing(name: str) -> ResourceError:
+    return ResourceError(f"node is missing demanded resource {name!r}")
+
+
 def node_capacity(free: Mapping[str, int], demand: Mapping[str, int]) -> int:
     """Guests one node can host: min over resources of free // demand.
 
@@ -181,7 +242,7 @@ def node_capacity(free: Mapping[str, int], demand: Mapping[str, int]) -> int:
                 f"demand {name!r} must be a positive integer, got {amount!r}"
             )
         if name not in free:
-            raise ResourceError(f"node is missing demanded resource {name!r}")
+            raise _missing(name)
         have = free[name]
         if not _is_int(have) or have < 0:
             raise ResourceError(
@@ -194,6 +255,35 @@ def node_capacity(free: Mapping[str, int], demand: Mapping[str, int]) -> int:
     return best
 
 
+def _node_counts(
+    columns: Mapping[str, list], size: int, demand: Mapping[str, int]
+) -> tuple[list[int], dict[int, str]]:
+    """Every node's count, min over demanded resources of free // demand,
+    and for each node lacking some of them, the first it lacks in demand
+    order; its count is 0.  The amounts were checked where they were read.
+    """
+    lacking: dict[int, str] = {}
+    quotients = []
+    for name, amount in demand.items():
+        column = columns.get(name)
+        if column is None:
+            column = [None] * size
+        try:
+            quotients.append(list(map(floordiv, column, repeat(amount))))
+        except TypeError:
+            # None where a node lacks the resource
+            column = list(column)
+            for i in compress(range(size), map(is_, column, repeat(None))):
+                lacking.setdefault(i, name)
+                column[i] = 0
+            quotients.append(list(map(floordiv, column, repeat(amount))))
+    counts = quotients[0]
+    for column in quotients[1:]:
+        # a two-argument min() call costs several times this comparison
+        counts = [a if a < b else b for a, b in zip(counts, column)]
+    return counts, lacking
+
+
 def component_capacity_vector(
     component: ServerComponent, flavor: Flavor
 ) -> tuple[int, ...]:
@@ -201,18 +291,22 @@ def component_capacity_vector(
     if component.capacities is not None:
         return component.capacities
     nodes = component.nodes
-    # the component and the flavor checked every amount when they were built
-    try:
-        counts = None
-        for name, amount in flavor.demand.items():
-            column = [free[name] // amount for free in nodes]
-            counts = column if counts is None else list(map(min, counts, column))
-    except KeyError:
-        # node_capacity names the first missing resource in node order
-        for free in nodes:
-            node_capacity(free, flavor.demand)
-        raise
+    columns = {name: [free.get(name) for free in nodes] for name in flavor.demand}
+    counts, lacking = _node_counts(columns, len(nodes), flavor.demand)
+    if lacking:
+        raise _missing(lacking[min(lacking)])
     return tuple(counts)
+
+
+def _counter(vnuma: TopologyId):
+    """count(topology, caps): guests of shape `vnuma` that fit one
+    component with node counts `caps`."""
+    if vnuma.vertex_count == 1:
+        # vmcap checks b on every other path; this one sums it
+        return lambda topology, caps: sum(check_capacities(caps, len(caps)))
+    # an id string hashes faster than a TopologyId in vmcap's memo
+    guest = str(vnuma)
+    return lambda topology, caps: vmcap(topology, guest, caps).count
 
 
 def server_capacity(server: ServerState, flavor: Flavor) -> int:
@@ -222,15 +316,11 @@ def server_capacity(server: ServerState, flavor: Flavor) -> int:
     sum of node counts; anything else goes through the pair/shape formulas
     with the exhaustive solver as fallback.
     """
-    total = 0
-    for component in server.components:
-        caps = component_capacity_vector(component, flavor)
-        if flavor.vnuma.vertex_count == 1:
-            # vmcap checks b on every other path; this one sums it
-            total += sum(check_capacities(caps, len(caps)))
-        else:
-            total += vmcap(component.topology, flavor.vnuma, caps).count
-    return total
+    count = _counter(flavor.vnuma)
+    return sum(
+        count(c.topology, component_capacity_vector(c, flavor))
+        for c in server.components
+    )
 
 
 @dataclass(frozen=True)
@@ -243,21 +333,46 @@ class ServerCapacity:
 
 
 def cluster_capacity(
-    servers: Sequence[ServerState], flavor: Flavor
+    servers: Union[ClusterState, Sequence[ServerState]], flavor: Flavor
 ) -> tuple[list[ServerCapacity], int]:
     """Per-server counts in input order plus the cluster total.
 
-    A failing server (bad dimension, unsupported shape, missing resource)
-    gets an error row and does not abort the rest.
+    Rolls up a ClusterState, or gathers a list of servers into one first:
+    one pass per demanded column, then a count per component.  A failing
+    server (bad dimension, unsupported shape, missing resource) gets an
+    error row, that of its first failing component, and does not abort
+    the rest.
     """
-    rows: list[ServerCapacity] = []
-    total = 0
-    for server in servers:
-        try:
-            count = server_capacity(server, flavor)
-        except NumacapError as exc:
-            rows.append(ServerCapacity(server_id=server.id, error=str(exc)))
-        else:
-            rows.append(ServerCapacity(server_id=server.id, count=count))
-            total += count
-    return rows, total
+    state = servers
+    if not isinstance(state, ClusterState):
+        state = ClusterState.from_servers(servers)
+    offsets, spans = state.offsets, state.spans
+    counts, lacking = _node_counts(state.columns, offsets[-1], flavor.demand)
+    vectors = list(map(counts.__getitem__, map(slice, offsets, offsets[1:])))
+    for c, caps in state.capacities.items():
+        vectors[c] = caps
+    # component index -> its error; a missing resource is named in node order
+    failed = {}
+    for i in sorted(lacking):
+        failed.setdefault(bisect_right(offsets, i) - 1, str(_missing(lacking[i])))
+    count = _counter(flavor.vnuma)
+    totals = [0] * len(vectors)
+    topologies = state.topologies
+    # each server's components up to its first failing one
+    for start, stop in zip(spans, spans[1:]):
+        for c in range(start, stop):
+            if c in failed:
+                break
+            try:
+                totals[c] = count(topologies[c], vectors[c])
+            except NumacapError as exc:
+                failed[c] = str(exc)
+                break
+    sums = list(map(sum, map(totals.__getitem__, map(slice, spans, spans[1:]))))
+    rows = list(map(ServerCapacity, state.ids, sums))
+    for c in sorted(failed, reverse=True):
+        # the last write per server is its first failing component
+        s = bisect_right(spans, c) - 1
+        sums[s] = 0
+        rows[s] = ServerCapacity(state.ids[s], error=failed[c])
+    return rows, sum(sums)

@@ -1,12 +1,15 @@
 """Resource vectors, per-server counts, and cluster aggregation."""
 
 import copy
+import json
 import pickle
+import random
 
 import pytest
 
 import numacap as nc
-from numacap.capacity import component_capacity_vector
+from numacap import cli
+from numacap.capacity import ClusterState, ServerCapacity, component_capacity_vector
 
 RING_NODES = ({"cpu": 3}, {"cpu": 7}, {"cpu": 10}, {"cpu": 6})
 
@@ -190,6 +193,38 @@ class TestCheckedOnce:
                 component_capacity_vector(comp, flavor)
             assert str(info.value) == "node is missing demanded resource 'ram'"
 
+    def test_missing_resource_names_it_across_a_cluster(self, tmp_path):
+        flavor = nc.Flavor("f", "k2", {"cpu": 1, "ram": 2})
+        full = {"cpu": 4, "ram": 4}
+        doc = {"servers": [
+            {"id": "whole", "components": [{"topology": "c4", "nodes": [full] * 4}]},
+            # node 2 lacks ram before node 3 lacks cpu: node order decides
+            {"id": "patchy", "components": [{"topology": "c4", "nodes": [
+                full, {"cpu": 4}, {"ram": 4}, full]}]},
+            # a node lacking both names the first in demand order
+            {"id": "bare", "components": [{"topology": "c4", "nodes": [
+                full, {"disk": 1}, {"cpu": 4}, full]}]},
+            # the first failing component decides, here the second
+            {"id": "late", "components": [
+                {"topology": "k2", "capacities": [1, 1]},
+                {"topology": "c4", "nodes": [full, full, full, {"cpu": 1}]},
+                {"topology": "c4", "nodes": [{"ram": 1}] * 4},
+            ]},
+            {"id": "ring", "components": [{"topology": "c4", "nodes": list(RING_NODES)}]},
+        ]}
+        missing = "node is missing demanded resource {!r}".format
+        want = [
+            ServerCapacity("whole", count=4),
+            ServerCapacity("patchy", error=missing("ram")),
+            ServerCapacity("bare", error=missing("cpu")),
+            ServerCapacity("late", error=missing("ram")),
+            ServerCapacity("ring", error=missing("ram")),
+        ]
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        for servers in (cli.load_cluster_state(str(path)), built_servers(doc)):
+            assert nc.cluster_capacity(servers, flavor) == (want, 4)
+
     def test_count_above_the_capacity_limit_is_an_error_row(self):
         huge = nc.ServerState(
             "huge",
@@ -303,3 +338,96 @@ class TestClusterCapacity:
         )
         assert rows[0].count is None
         assert "ram" in rows[0].error
+
+
+def built_servers(doc):
+    """The servers of a state document, built through the constructors."""
+    return [
+        nc.ServerState(sv["id"], tuple(
+            nc.ServerComponent(cd["topology"], cd.get("nodes"), cd.get("capacities"))
+            for cd in sv["components"]
+        ))
+        for sv in doc["servers"]
+    ]
+
+
+def reference_rows(servers, flavor):
+    """Rows and total server by server, node by node, as the roll-up
+    computed them before it went to whole-cluster columns."""
+    rows, total = [], 0
+    for server in servers:
+        try:
+            count = 0
+            for comp in server.components:
+                caps = comp.capacities
+                if caps is None:
+                    caps = tuple(nc.node_capacity(free, flavor.demand) for free in comp.nodes)
+                if flavor.vnuma.vertex_count == 1:
+                    count += sum(nc.check_capacities(caps, len(caps)))
+                else:
+                    count += nc.vmcap(comp.topology, flavor.vnuma, caps).count
+        except nc.NumacapError as exc:
+            rows.append(ServerCapacity(server.id, error=str(exc)))
+        else:
+            rows.append(ServerCapacity(server.id, count=count))
+            total += count
+    return rows, total
+
+
+EQUIVALENCE_HOSTS = ("c4", "k4", "k2", "l4", "cq3", "star5", "k2_3", "star12")
+EQUIVALENCE_FLAVORS = (
+    nc.Flavor("pair", "k2", {"cpu": 1, "ram": 2}),
+    nc.Flavor("solo", "k1", {"ram": 3}),
+    nc.Flavor("ring", "c4", {"cpu": 3}),
+)
+
+
+def random_state(seed):
+    """A seeded document mixing capacities components, nodes with
+    differing names, nodes lacking a demanded name, amounts whose count
+    passes 2^32 - 1, and hosts without a count for some flavors."""
+    rng = random.Random(seed)
+    servers = []
+    for s in range(rng.randint(1, 10)):
+        comps = []
+        for _ in range(rng.randint(1, 3)):
+            host = rng.choice(EQUIVALENCE_HOSTS)
+            n = nc.parse_topology(host).vertex_count
+            if rng.random() < 0.25:
+                comps.append({"topology": host,
+                              "capacities": [rng.randint(0, 4) for _ in range(n)]})
+                continue
+            nodes = []
+            for _ in range(n):
+                node = {}
+                for name in ("cpu", "ram", "disk"):
+                    roll = rng.random()
+                    if roll < 0.02:
+                        continue
+                    node[name] = 2**40 if roll < 0.03 else rng.randint(0, 12)
+                nodes.append(node or {"gpu": 1})
+            comps.append({"topology": host, "nodes": nodes})
+        servers.append({"id": f"s{s}", "components": comps})
+    return {"servers": servers}
+
+
+class TestRollUpEquivalence:
+    """The CLI's whole-file table, the same servers built one by one, and
+    a node-by-node reference give the same rows, errors and totals."""
+
+    def test_seeded_states(self, tmp_path):
+        path = tmp_path / "state.json"
+        errors = set()
+        for seed in range(60):
+            doc = random_state(seed)
+            path.write_text(json.dumps(doc))
+            table = cli.load_cluster_state(str(path))
+            servers = built_servers(doc)
+            assert table == ClusterState.from_servers(servers), seed
+            for flavor in EQUIVALENCE_FLAVORS:
+                want = reference_rows(servers, flavor)
+                assert nc.cluster_capacity(table, flavor) == want, (seed, flavor.id)
+                assert nc.cluster_capacity(servers, flavor) == want, (seed, flavor.id)
+                errors.update(r.error.split(" ")[0] for r in want[0] if r.error)
+        # each error class the documents are made to reach was reached
+        assert {"node", "capacity", "oracle"} <= errors

@@ -1,5 +1,6 @@
 """Command line behavior: output shapes, exit codes, file parsing."""
 
+import importlib.util
 import json
 import os
 import resource
@@ -15,6 +16,7 @@ import numacap
 from numacap import cli, formulas
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+GEN_PATH = Path(__file__).resolve().parents[1] / "capbench" / "gen.py"
 
 
 def run(capsys, *argv):
@@ -378,6 +380,258 @@ class TestCluster:
                            "--flavors", flavors, "--flavor", "m2")
         assert code == 2
         assert "flavors[1].id: duplicate flavor id 'm2'" in err
+
+
+def reference_state(path):
+    """The per-object loader the whole-file screen replaced, kept as the
+    reference: each server and component is built and checked one by one,
+    and the first fault is raised with its document path."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise numacap.SchemaError("$", "expected a JSON object")
+    servers = doc.get("servers")
+    if not isinstance(servers, list) or not servers:
+        raise numacap.SchemaError("servers", "expected a non-empty array")
+    out, seen = [], set()
+    for i, sv in enumerate(servers):
+        at = f"servers[{i}]"
+        if not isinstance(sv, dict):
+            raise numacap.SchemaError(at, "expected an object")
+        comps_doc = sv.get("components")
+        if not isinstance(comps_doc, list) or not comps_doc:
+            raise numacap.SchemaError(f"{at}.components", "expected a non-empty array")
+        comps = []
+        for j, cd in enumerate(comps_doc):
+            cat = f"{at}.components[{j}]"
+            if not isinstance(cd, dict):
+                raise numacap.SchemaError(cat, "expected an object")
+            try:
+                comps.append(numacap.ServerComponent(
+                    cd.get("topology"), cd.get("nodes"), cd.get("capacities")
+                ))
+            except numacap.SchemaError as exc:
+                raise numacap.SchemaError(
+                    cat + exc.path[len("component"):], exc.message
+                ) from None
+            except numacap.TopologyError as exc:
+                raise numacap.SchemaError(f"{cat}.topology", str(exc)) from None
+            except numacap.DimensionError as exc:
+                raise numacap.SchemaError(f"{cat}.capacities", str(exc)) from None
+            except numacap.CapacityError as exc:
+                raise numacap.SchemaError(
+                    f"{cat}.capacities[{exc.index}]", str(exc)
+                ) from None
+        try:
+            server = numacap.ServerState(sv.get("id"), tuple(comps))
+        except numacap.SchemaError as exc:
+            raise numacap.SchemaError(at + exc.path[len("server"):], exc.message) from None
+        if server.id in seen:
+            raise numacap.SchemaError(f"{at}.id", f"duplicate server id {server.id!r}")
+        seen.add(server.id)
+        out.append(server)
+    return out
+
+
+def screen_doc():
+    """Five servers, each with a node component, a capacities component
+    and a node component whose nodes carry differing resource names."""
+    return {"servers": [
+        {"id": f"s{s}", "components": [
+            {"topology": "c4",
+             "nodes": [{"cpu": 4 + s, "mem": 16 + n} for n in range(4)]},
+            {"topology": "k2", "capacities": [s, 2]},
+            {"topology": "star5",
+             "nodes": [{"cpu": n, "mem": 9, "disk": 3} if n % 2 else {"cpu": n, "mem": 8}
+                       for n in range(6)]},
+        ]}
+        for s in range(5)
+    ]}
+
+
+def _comp(j, **fields):
+    """Replace or, with a None value, remove fields of component j."""
+    def mutate(sv):
+        for key, value in fields.items():
+            if value is None:
+                sv["components"][j].pop(key, None)
+            else:
+                sv["components"][j][key] = value
+        return sv
+    return mutate
+
+
+def _node(j, n, value):
+    def mutate(sv):
+        sv["components"][j]["nodes"][n] = value
+        return sv
+    return mutate
+
+
+def _amount(j, n, name, value):
+    def mutate(sv):
+        sv["components"][j]["nodes"][n][name] = value
+        return sv
+    return mutate
+
+
+def _server(key, value):
+    def mutate(sv):
+        if value is None:
+            sv.pop(key)
+        else:
+            sv[key] = value
+        return sv
+    return mutate
+
+
+def _nodes_edit(j, edit):
+    def mutate(sv):
+        edit(sv["components"][j]["nodes"])
+        return sv
+    return mutate
+
+
+# one edit to one server, applied to the first, a middle and the last
+SERVER_MUTATIONS = {
+    "server-not-an-object": lambda sv: 7,
+    "server-an-array": lambda sv: [sv],
+    "id-missing": _server("id", None),
+    "id-empty": _server("id", ""),
+    "id-a-number": _server("id", 5),
+    "id-duplicate": _server("id", "s1"),
+    "components-missing": _server("components", None),
+    "components-empty": _server("components", []),
+    "components-an-object": _server("components", {"a": 1}),
+    "components-a-string": _server("components", "c4"),
+    "component-not-an-object": lambda sv: {**sv, "components": [7]},
+    "component-empty": lambda sv: {**sv, "components": [{}]},
+    "component-neither-source": _comp(0, nodes=None),
+    "component-both-sources": _comp(1, nodes=[{"cpu": 1}] * 2),
+    "topology-unknown": _comp(0, topology="zz9"),
+    "topology-a-number": _comp(2, topology=5),
+    "topology-too-small": _comp(0, topology="k0"),
+    "topology-missing": _comp(1, topology=None),
+    "topology-spaced-upper-case": _comp(0, topology=" C4 "),
+    "topology-another-size": _comp(0, topology="k4"),
+    "nodes-too-few": _nodes_edit(0, list.pop),
+    "nodes-too-many": _nodes_edit(2, lambda nodes: nodes.append({"cpu": 1})),
+    "nodes-a-number": _comp(0, nodes=7),
+    "nodes-a-string": _comp(0, nodes="abcd"),
+    "nodes-an-object": _comp(0, nodes={"a": {}, "b": {}, "c": {}, "d": {}}),
+    "node-not-a-map": _node(0, 1, 7),
+    "node-an-array": _node(2, 5, [1]),
+    "node-empty": _node(0, 2, {}),
+    "node-extra-name": _amount(2, 3, "gpu", 1),
+    "node-without-a-shared-name": _nodes_edit(0, lambda nodes: nodes[3].pop("cpu")),
+    "capacities-short": _comp(1, capacities=[1]),
+    "capacities-long": _comp(1, capacities=[1, 2, 3]),
+    "capacities-above-2^32-1": _comp(1, capacities=[2**32, 0]),
+    "capacities-at-2^32-1": _comp(1, capacities=[2**32 - 1, 0]),
+    "capacities-a-string": _comp(1, capacities="12"),
+    "capacities-an-object": _comp(1, capacities={"a": 1, "b": 2}),
+    "capacities-a-number": _comp(1, capacities=3),
+}
+for _value, _label in ((-1, "negative"), (True, "true"), (1.5, "fraction"),
+                       ("3", "string"), (None, "null"), (2**64, "2^64")):
+    SERVER_MUTATIONS[f"amount-{_label}"] = _amount(0, 1, "cpu", _value)
+    # a name the last node carries and the first does not
+    SERVER_MUTATIONS[f"amount-{_label}-last-node"] = _amount(2, 5, "disk", _value)
+    SERVER_MUTATIONS[f"capacity-{_label}"] = _comp(1, capacities=[1, _value])
+
+TOP_MUTATIONS = {
+    "not-an-object": [],
+    "a-string": "servers",
+    "no-servers": {},
+    "servers-empty": {"servers": []},
+    "servers-an-object": {"servers": {"a": 1}},
+    "servers-null": {"servers": None},
+}
+
+SCREEN_FLAVORS = (
+    numacap.Flavor("pair", "k2", {"cpu": 1, "mem": 4}),
+    numacap.Flavor("solo", "k1", {"disk": 1}),
+)
+
+
+class TestStateScreen:
+    """The whole-file screen accepts exactly what the constructors accept,
+    and a refused document raises the reference loader's fault."""
+
+    def check(self, tmp_path, monkeypatch, doc):
+        path = write_json(tmp_path, "state.json", doc)
+        walked = []
+        walk = cli._walk_servers
+        monkeypatch.setattr(cli, "_walk_servers", lambda d: walked.append(d) or walk(d))
+        try:
+            want = reference_state(path)
+        except numacap.SchemaError as exc:
+            with pytest.raises(numacap.SchemaError) as info:
+                cli.load_cluster_state(path)
+            assert (info.value.path, info.value.message) == (exc.path, exc.message)
+            return
+        state = cli.load_cluster_state(path)
+        assert not walked, "a valid document was walked server by server"
+        for flavor in SCREEN_FLAVORS:
+            assert numacap.cluster_capacity(state, flavor) == numacap.cluster_capacity(
+                want, flavor
+            )
+
+    def test_valid_document(self, tmp_path, monkeypatch):
+        self.check(tmp_path, monkeypatch, screen_doc())
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    @pytest.mark.parametrize("name", sorted(SERVER_MUTATIONS))
+    def test_server_mutation(self, tmp_path, monkeypatch, name, where):
+        doc = screen_doc()
+        doc["servers"][where] = SERVER_MUTATIONS[name](doc["servers"][where])
+        self.check(tmp_path, monkeypatch, doc)
+
+    @pytest.mark.parametrize("name", sorted(TOP_MUTATIONS))
+    def test_top_level_mutation(self, tmp_path, monkeypatch, name):
+        self.check(tmp_path, monkeypatch, TOP_MUTATIONS[name])
+
+    def test_first_fault_in_document_order(self, tmp_path, monkeypatch):
+        doc = screen_doc()
+        doc["servers"][3]["components"][0]["nodes"][2]["cpu"] = -1
+        doc["servers"][1]["components"][1]["capacities"] = [1]
+        self.check(tmp_path, monkeypatch, doc)
+        with pytest.raises(numacap.SchemaError) as info:
+            cli.load_cluster_state(write_json(tmp_path, "state.json", doc))
+        assert info.value.path == "servers[1].components[1].capacities"
+
+
+class TestBenchmarkGenerator:
+    """numacap cluster on the benchmark's own state generator agrees with
+    server_capacity over servers built through the public constructors."""
+
+    def test_rows_equal_server_capacity(self, capsys, tmp_path):
+        spec = importlib.util.spec_from_file_location("capbench_gen", GEN_PATH)
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        text, servers = gen.cluster_state(1, 0, servers=300)
+        state = tmp_path / "state.json"
+        state.write_text(text, encoding="utf-8")
+        flavors = tmp_path / "flavors.json"
+        flavors.write_text(gen.flavors_text(), encoding="utf-8")
+        code, out, _ = run(capsys, "cluster", "--json", "--state", str(state),
+                           "--flavors", str(flavors), "--flavor", gen.FLAVOR["id"])
+        assert code == 0
+        flavor = numacap.Flavor(**gen.FLAVOR)
+        rows = [
+            {"id": sid, "count": numacap.server_capacity(numacap.ServerState(sid, tuple(
+                numacap.ServerComponent(host, nodes=[
+                    {"cpu": cpu, "mem": mem, "disk": disk} for cpu, mem, disk in nodes
+                ])
+                for host, nodes in comps
+            )), flavor)}
+            for sid, comps in servers
+        ]
+        assert json.loads(out) == {
+            "flavor": flavor.id,
+            "servers": rows,
+            "total": sum(row["count"] for row in rows),
+        }
 
 
 class TestVerify:
