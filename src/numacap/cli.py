@@ -32,8 +32,7 @@ import json
 import random
 import sys
 from contextlib import contextmanager
-from itertools import accumulate, chain, compress, product, repeat
-from operator import is_, is_not, mul, not_
+from itertools import product
 from typing import Optional, Sequence
 
 from .capacity import (
@@ -56,13 +55,7 @@ from .errors import (
 from .formulas import INSTANCES, closed_form_evaluator, place_vnuma, vmcap
 from .oracle import MAX_ORACLE_TOTAL_CAPACITY, oracle_vmcap
 from .placement import verify_placement
-from .topology import (
-    TopologyId,
-    as_topology_id,
-    check_capacities,
-    expand_topology,
-    parse_topology,
-)
+from .topology import TopologyId, expand_topology, parse_topology
 
 _PAST_SOLVER = f"sum(b) > {MAX_ORACLE_TOTAL_CAPACITY}, the solver's limit"
 _EXHAUSTIVE_LIMIT = 2_000_000
@@ -107,124 +100,16 @@ def _collector_paused():
 def load_cluster_state(path: str) -> ClusterState:
     """Parse a cluster state document into whole-file columns.
 
-    {"servers": [{"id": str, "components": [
-        {"topology": str, "nodes": [{resource: int, ...}, ...]}
-      or {"topology": str, "capacities": [int, ...]}, ...]}, ...]}
-
-    The whole file is screened in column passes.  Only a document the
-    screen refuses is walked server by server through ServerState and
-    ServerComponent, which raise its first fault with its path.
+    The layout is that of ClusterState.from_document, which screens the
+    whole file in column passes.  Only a document the screen refuses is
+    walked server by server through ServerState and ServerComponent,
+    which raise its first fault with its path.
     """
     doc = _load_json(path)
-    state = _screen_state(doc)
+    state = ClusterState.from_document(doc)
     if state is None:
         state = ClusterState.from_servers(_walk_servers(doc))
     return state
-
-
-def _screen_state(doc) -> Optional[ClusterState]:
-    """The table of a decoded document, or None if any check fails.
-
-    Makes every check of ServerState and ServerComponent, and the
-    duplicate id check, for every JSON value, in whole-list passes: no
-    per-node copy, no per-component object and no document path.
-    """
-    servers = doc.get("servers") if type(doc) is dict else None
-    if type(servers) is not list or not servers or set(map(type, servers)) != {dict}:
-        return None
-    ids = list(map(dict.get, servers, repeat("id")))
-    if set(map(type, ids)) != {str} or "" in ids or len(set(ids)) != len(ids):
-        return None
-    groups = list(map(dict.get, servers, repeat("components")))
-    if set(map(type, groups)) != {list} or not min(map(len, groups)):
-        return None
-    components = list(chain.from_iterable(groups))
-    if set(map(type, components)) != {dict}:
-        return None
-    names = list(map(dict.get, components, repeat("topology")))
-    if set(map(type, names)) != {str}:
-        return None
-    try:
-        # parse_topology can fail with a plain ValueError on a huge number
-        parsed = {name: as_topology_id(name) for name in set(names)}
-    except ValueError:
-        return None
-    canonical = {name: str(tid) for name, tid in parsed.items()}
-    size = {name: tid.vertex_count for name, tid in parsed.items()}
-    topologies = tuple(map(canonical.__getitem__, names))
-    sizes = list(map(size.__getitem__, names))
-    node_lists = list(map(dict.get, components, repeat("nodes")))
-    cap_lists = list(map(dict.get, components, repeat("capacities")))
-    # exactly one of nodes or capacities
-    given = list(map(is_not, node_lists, repeat(None)))
-    if list(map(is_, cap_lists, repeat(None))) != given:
-        return None
-    capacities = {}
-    if False in given:
-        for c in compress(range(len(given)), map(not_, given)):
-            if type(cap_lists[c]) is not list:
-                return None
-            try:
-                capacities[c] = check_capacities(cap_lists[c], sizes[c])
-            except (DimensionError, CapacityError):
-                return None
-        node_lists = list(compress(node_lists, given))
-    if node_lists and (
-        set(map(type, node_lists)) != {list}
-        or list(map(len, node_lists)) != list(compress(sizes, given))
-    ):
-        return None
-    columns = _screen_columns(list(chain.from_iterable(node_lists)))
-    if columns is None:
-        return None
-    return ClusterState(
-        ids=tuple(ids),
-        spans=tuple(accumulate(map(len, groups), initial=0)),
-        topologies=topologies,
-        offsets=tuple(accumulate(map(mul, sizes, given), initial=0)),
-        columns=columns,
-        capacities=capacities,
-    )
-
-
-def _screen_columns(nodes: list) -> Optional[dict[str, list]]:
-    """One column per resource name over non-empty node maps of
-    non-negative integer amounts, None where a node lacks the name; or
-    None if any node or amount fails."""
-    if not nodes:
-        return {}
-    if set(map(type, nodes)) != {dict}:
-        return None
-    lengths = list(map(len, nodes))
-    if not min(lengths):
-        return None
-    keys = sum(lengths)
-    columns = {}
-    amounts = 0
-    # most files give every node the same names, so try the first node's;
-    # fewer amounts than keys means more names, or a null amount
-    for names in (nodes[0], None):
-        if names is None:
-            names = dict.fromkeys(chain.from_iterable(nodes))
-        for name in names:
-            if name in columns:
-                continue
-            column = list(map(dict.get, nodes, repeat(name)))
-            types = set(map(type, column))
-            if types == {int}:
-                low = min(column)
-                amounts += len(column)
-            elif types == {int, type(None)}:
-                low = min(compress(column, map(is_not, column, repeat(None))))
-                amounts += len(column) - column.count(None)
-            else:
-                return None
-            if low < 0:
-                return None
-            columns[name] = column
-        if amounts == keys:
-            return columns
-    return None
 
 
 def _walk_servers(doc) -> list[ServerState]:

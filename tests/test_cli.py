@@ -14,6 +14,7 @@ import pytest
 
 import numacap
 from numacap import cli, formulas
+from numacap.capacity import ClusterState
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 GEN_PATH = Path(__file__).resolve().parents[1] / "capbench" / "gen.py"
@@ -566,6 +567,7 @@ class TestStateScreen:
         try:
             want = reference_state(path)
         except numacap.SchemaError as exc:
+            assert ClusterState.from_document(doc) is None
             with pytest.raises(numacap.SchemaError) as info:
                 cli.load_cluster_state(path)
             assert (info.value.path, info.value.message) == (exc.path, exc.message)
