@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, repeat
 from operator import floordiv, is_, is_not, mul, not_
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     CapacityError,
@@ -23,6 +23,7 @@ from .errors import (
     NumacapError,
     ResourceError,
     SchemaError,
+    TopologyError,
 )
 from .formulas import vmcap
 from .topology import TopologyId, as_topology_id, check_capacities
@@ -109,8 +110,8 @@ class ServerComponent:
     - capacities of the wrong length: DimensionError; an entry that is
       not an integer in [0, 2**32 - 1]: CapacityError, with its index.
 
-    ClusterState.from_document makes these checks over a whole decoded
-    document; a rule changed here must be changed there too.
+    ClusterState.from_document screens whole documents by these rules
+    first; a rule changed here must be changed in its screen too.
     """
 
     topology: TopologyId
@@ -231,74 +232,77 @@ class ClusterState(NamedTuple):
         )
 
     @classmethod
-    def from_document(cls, doc) -> Optional["ClusterState"]:
-        """The table of a decoded state document, or None if the document
-        breaks a rule of ServerState or ServerComponent or repeats a
-        server id.
+    def from_document(cls, doc) -> "ClusterState":
+        """The table of a decoded state document, screened in column
+        passes; only a refused document is read again through the
+        constructors, to raise SchemaError at its first fault's path.
 
         {"servers": [{"id": str, "components": [
             {"topology": str, "nodes": [{resource: int, ...}, ...]}
           or {"topology": str, "capacities": [int, ...]}, ...]}, ...]}
-
-        Every check is a whole-list pass over the document, for any JSON
-        value: no per-node copy, no per-component object and no path.  A
-        rule changed in those constructors must be changed here too.
         """
-        servers = doc.get("servers") if type(doc) is dict else None
-        if type(servers) is not list or not servers or set(map(type, servers)) != {dict}:
-            return None
-        ids = list(map(dict.get, servers, repeat("id")))
-        if set(map(type, ids)) != {str} or "" in ids or len(set(ids)) != len(ids):
-            return None
-        groups = list(map(dict.get, servers, repeat("components")))
-        if set(map(type, groups)) != {list} or not min(map(len, groups)):
-            return None
-        components = list(chain.from_iterable(groups))
-        if set(map(type, components)) != {dict}:
-            return None
-        names = list(map(dict.get, components, repeat("topology")))
-        if set(map(type, names)) != {str}:
-            return None
-        try:
-            # parse_topology can fail with a plain ValueError on a huge number
-            parsed = {name: as_topology_id(name) for name in set(names)}
-        except ValueError:
-            return None
-        canonical = {name: str(tid) for name, tid in parsed.items()}
-        size = {name: tid.vertex_count for name, tid in parsed.items()}
-        sizes = list(map(size.__getitem__, names))
-        node_lists = list(map(dict.get, components, repeat("nodes")))
-        cap_lists = list(map(dict.get, components, repeat("capacities")))
-        # exactly one of nodes or capacities
-        given = list(map(is_not, node_lists, repeat(None)))
-        if list(map(is_, cap_lists, repeat(None))) != given:
-            return None
-        capacities = {}
-        if False in given:
-            for c in compress(range(len(given)), map(not_, given)):
-                if type(cap_lists[c]) is not list:
-                    return None
-                try:
-                    capacities[c] = check_capacities(cap_lists[c], sizes[c])
-                except (DimensionError, CapacityError):
-                    return None
-            node_lists = list(compress(node_lists, given))
-        if node_lists and (
-            set(map(type, node_lists)) != {list}
-            or list(map(len, node_lists)) != list(compress(sizes, given))
-        ):
-            return None
-        columns = _document_columns(list(chain.from_iterable(node_lists)))
-        if columns is None:
-            return None
-        return cls(
-            ids=tuple(ids),
-            spans=tuple(accumulate(map(len, groups), initial=0)),
-            topologies=tuple(map(canonical.__getitem__, names)),
-            offsets=tuple(accumulate(map(mul, sizes, given), initial=0)),
-            columns=columns,
-            capacities=capacities,
-        )
+        return _screen(doc) or cls.from_servers(_read(doc, "servers", _server).values())
+
+
+def _screen(doc) -> Optional[ClusterState]:
+    """from_document's table, or None if the document breaks a rule of
+    ServerState or ServerComponent or repeats a server id, found in
+    whole-list passes with no per-node copy, object or path.  A rule
+    changed in those constructors must be changed here too."""
+    servers = doc.get("servers") if type(doc) is dict else None
+    if type(servers) is not list or not servers or set(map(type, servers)) != {dict}:
+        return None
+    ids = list(map(dict.get, servers, repeat("id")))
+    if set(map(type, ids)) != {str} or "" in ids or len(set(ids)) != len(ids):
+        return None
+    groups = list(map(dict.get, servers, repeat("components")))
+    if set(map(type, groups)) != {list} or not min(map(len, groups)):
+        return None
+    components = list(chain.from_iterable(groups))
+    if set(map(type, components)) != {dict}:
+        return None
+    names = list(map(dict.get, components, repeat("topology")))
+    if set(map(type, names)) != {str}:
+        return None
+    try:
+        parsed = {name: as_topology_id(name) for name in set(names)}
+    except TopologyError:
+        return None
+    canonical = {name: str(tid) for name, tid in parsed.items()}
+    size = {name: tid.vertex_count for name, tid in parsed.items()}
+    sizes = list(map(size.__getitem__, names))
+    node_lists = list(map(dict.get, components, repeat("nodes")))
+    cap_lists = list(map(dict.get, components, repeat("capacities")))
+    # exactly one of nodes or capacities
+    given = list(map(is_not, node_lists, repeat(None)))
+    if list(map(is_, cap_lists, repeat(None))) != given:
+        return None
+    capacities = {}
+    if False in given:
+        for c in compress(range(len(given)), map(not_, given)):
+            if type(cap_lists[c]) is not list:
+                return None
+            try:
+                capacities[c] = check_capacities(cap_lists[c], sizes[c])
+            except (DimensionError, CapacityError):
+                return None
+        node_lists = list(compress(node_lists, given))
+    if node_lists and (
+        set(map(type, node_lists)) != {list}
+        or list(map(len, node_lists)) != list(compress(sizes, given))
+    ):
+        return None
+    columns = _document_columns(list(chain.from_iterable(node_lists)))
+    if columns is None:
+        return None
+    return ClusterState(
+        ids=tuple(ids),
+        spans=tuple(accumulate(map(len, groups), initial=0)),
+        topologies=tuple(map(canonical.__getitem__, names)),
+        offsets=tuple(accumulate(map(mul, sizes, given), initial=0)),
+        columns=columns,
+        capacities=capacities,
+    )
 
 
 def _document_columns(nodes: list) -> Optional[dict[str, list]]:
@@ -330,6 +334,76 @@ def _document_columns(nodes: list) -> Optional[dict[str, list]]:
         columns[name] = column
     # fewer amounts than names held means a null amount
     return columns if amounts == sum(lengths) else None
+
+
+def flavors_from_document(doc) -> dict[str, Flavor]:
+    """The flavors of a decoded flavor document by id, in document order,
+    or SchemaError at the document path of its first fault:
+    {"flavors": [{"id": str, "vnuma": str, "demand": {resource: int}}, ...]}"""
+    return _read(doc, "flavors", _flavor)
+
+
+def _read(doc, key: str, build: Callable[[dict, str], object]) -> dict:
+    """doc[key]'s items by id, in document order, each built by build(item,
+    its path); key, "servers" or "flavors", names a repeated id's kind."""
+    if not isinstance(doc, dict):
+        raise SchemaError("$", "expected a JSON object")
+    out = {}
+    for at, item in _objects(doc.get(key), key):
+        built = build(item, at)
+        if built.id in out:
+            raise SchemaError(f"{at}.id", f"duplicate {key[:-1]} id {built.id!r}")
+        out[built.id] = built
+    return out
+
+
+def _objects(value, path: str):
+    """(path, item) for each item of `value`, a non-empty array of objects."""
+    if not isinstance(value, list) or not value:
+        raise SchemaError(path, "expected a non-empty array")
+    for i, item in enumerate(value):
+        at = f"{path}[{i}]"
+        if not isinstance(item, dict):
+            raise SchemaError(at, "expected an object")
+        yield at, item
+
+
+def _built(cls, root: str, at: str, *fields):
+    """cls(*fields), whose SchemaError paths start with `root`, with the
+    document path `at` put there."""
+    try:
+        return cls(*fields)
+    except SchemaError as exc:
+        raise SchemaError(at + exc.path[len(root):], exc.message) from None
+
+
+def _server(doc: dict, at: str) -> ServerState:
+    items = _objects(doc.get("components"), f"{at}.components")
+    components = tuple(_component(item, path) for path, item in items)
+    return _built(ServerState, "server", at, doc.get("id"), components)
+
+
+def _component(doc: dict, at: str) -> ServerComponent:
+    try:
+        return _built(ServerComponent, "component", at, doc.get("topology"),
+                      doc.get("nodes"), doc.get("capacities"))
+    except TopologyError as exc:
+        raise SchemaError(f"{at}.topology", str(exc)) from None
+    except DimensionError as exc:
+        raise SchemaError(f"{at}.capacities", str(exc)) from None
+    except CapacityError as exc:
+        raise SchemaError(f"{at}.capacities[{exc.index}]", str(exc)) from None
+
+
+def _flavor(doc: dict, at: str) -> Flavor:
+    try:
+        return _built(Flavor, "flavor", at, doc.get("id"), doc.get("vnuma"),
+                      doc.get("demand"))
+    except TopologyError as exc:
+        raise SchemaError(f"{at}.vnuma", str(exc)) from None
+    except ResourceError as exc:
+        where = "" if exc.resource is None else f".{exc.resource}"
+        raise SchemaError(f"{at}.demand{where}", str(exc)) from None
 
 
 def _missing(name: str) -> ResourceError:

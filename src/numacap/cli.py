@@ -35,25 +35,16 @@ from contextlib import contextmanager
 from itertools import product
 from typing import Optional, Sequence
 
-from .capacity import (
-    ClusterState,
-    Flavor,
-    ServerComponent,
-    ServerState,
-    cluster_capacity,
-)
+from .capacity import ClusterState, Flavor, cluster_capacity, flavors_from_document
 from .errors import (
-    CapacityError,
-    DimensionError,
     NumacapError,
     PlacementError,
-    ResourceError,
     ScaleLimitError,
     SchemaError,
     TopologyError,
 )
-from .formulas import INSTANCES, closed_form_evaluator, place_vnuma, vmcap
-from .oracle import MAX_ORACLE_TOTAL_CAPACITY, oracle_vmcap
+from .formulas import INSTANCES, bind_solver, closed_form_evaluator, place_vnuma, vmcap
+from .oracle import MAX_ORACLE_TOTAL_CAPACITY
 from .placement import verify_placement
 from .topology import TopologyId, expand_topology, parse_topology
 
@@ -98,104 +89,13 @@ def _collector_paused():
 
 
 def load_cluster_state(path: str) -> ClusterState:
-    """Parse a cluster state document into whole-file columns.
-
-    The layout is that of ClusterState.from_document, which screens the
-    whole file in column passes.  Only a document the screen refuses is
-    walked server by server through ServerState and ServerComponent,
-    which raise its first fault with its path.
-    """
-    doc = _load_json(path)
-    state = ClusterState.from_document(doc)
-    if state is None:
-        state = ClusterState.from_servers(_walk_servers(doc))
-    return state
-
-
-def _walk_servers(doc) -> list[ServerState]:
-    """The servers of a decoded document, built one by one; raises the
-    first fault in document order with its document path."""
-    if not isinstance(doc, dict):
-        raise SchemaError("$", "expected a JSON object")
-    servers = doc.get("servers")
-    if not isinstance(servers, list) or not servers:
-        raise SchemaError("servers", "expected a non-empty array")
-    out = []
-    seen_ids = set()
-    for i, sv in enumerate(servers):
-        path_i = f"servers[{i}]"
-        if not isinstance(sv, dict):
-            raise SchemaError(path_i, "expected an object")
-        comps_doc = sv.get("components")
-        if not isinstance(comps_doc, list) or not comps_doc:
-            raise SchemaError(f"{path_i}.components", "expected a non-empty array")
-        comps = []
-        for j, cd in enumerate(comps_doc):
-            comps.append(_parse_component(cd, f"{path_i}.components[{j}]"))
-        try:
-            server = ServerState(id=sv.get("id"), components=tuple(comps))
-        except SchemaError as exc:
-            # its paths start with "server"; put this document path there
-            raise SchemaError(path_i + exc.path[len("server"):], exc.message) from None
-        if server.id in seen_ids:
-            raise SchemaError(f"{path_i}.id", f"duplicate server id {server.id!r}")
-        seen_ids.add(server.id)
-        out.append(server)
-    return out
-
-
-def _parse_component(doc, path: str) -> ServerComponent:
-    if not isinstance(doc, dict):
-        raise SchemaError(path, "expected an object")
-    try:
-        return ServerComponent(
-            topology=doc.get("topology"),
-            nodes=doc.get("nodes"),
-            capacities=doc.get("capacities"),
-        )
-    except SchemaError as exc:
-        # its paths start with "component"; put this document path there
-        raise SchemaError(path + exc.path[len("component"):], exc.message) from None
-    except TopologyError as exc:
-        raise SchemaError(f"{path}.topology", str(exc)) from None
-    except DimensionError as exc:
-        raise SchemaError(f"{path}.capacities", str(exc)) from None
-    except CapacityError as exc:
-        raise SchemaError(f"{path}.capacities[{exc.index}]", str(exc)) from None
+    """ClusterState.from_document of a decoded state file."""
+    return ClusterState.from_document(_load_json(path))
 
 
 def load_flavors(path: str) -> dict[str, Flavor]:
-    """Parse a flavor document.
-
-    {"flavors": [{"id": str, "vnuma": str, "demand": {resource: int}}, ...]}
-    """
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise SchemaError("$", "expected a JSON object")
-    flavors_doc = doc.get("flavors")
-    if not isinstance(flavors_doc, list) or not flavors_doc:
-        raise SchemaError("flavors", "expected a non-empty array")
-    out: dict[str, Flavor] = {}
-    for i, fd in enumerate(flavors_doc):
-        path_i = f"flavors[{i}]"
-        if not isinstance(fd, dict):
-            raise SchemaError(path_i, "expected an object")
-        try:
-            flavor = Flavor(
-                id=fd.get("id"), vnuma=fd.get("vnuma"), demand=fd.get("demand")
-            )
-        except SchemaError as exc:
-            # its paths start with "flavor"; put this document path there
-            raise SchemaError(path_i + exc.path[len("flavor"):], exc.message) from None
-        except TopologyError as exc:
-            raise SchemaError(f"{path_i}.vnuma", str(exc)) from None
-        except ResourceError as exc:
-            where = "" if exc.resource is None else f".{exc.resource}"
-            raise SchemaError(f"{path_i}.demand{where}", str(exc)) from None
-        if flavor.id in out:
-            raise SchemaError(f"{path_i}.id", f"duplicate flavor id {flavor.id!r}")
-        out[flavor.id] = flavor
-    return out
+    """flavors_from_document of a decoded flavor file."""
+    return flavors_from_document(_load_json(path))
 
 
 def cmd_eval(args) -> int:
@@ -309,7 +209,7 @@ def _verify(tid: TopologyId, gid: TopologyId, vectors, mode: str) -> dict:
     every vector the solver takes; the others are counted as skipped, and
     a sweep of nothing but those raises."""
     fn = closed_form_evaluator(tid, gid)
-    host, guest = expand_topology(tid), expand_topology(gid)
+    solve = bind_solver(tid, gid)[0]
     doc = {"topology": str(tid), "vnuma": str(gid), "mode": mode,
            "cases": 0, "skipped": 0, "mismatches": 0, "examples": []}
     for bv in vectors:
@@ -317,11 +217,11 @@ def _verify(tid: TopologyId, gid: TopologyId, vectors, mode: str) -> dict:
             doc["skipped"] += 1
             continue
         doc["cases"] += 1
-        want = oracle_vmcap(host, guest, bv).count
+        want = solve(bv)
         got = fn(bv)
         try:
             placement = place_vnuma(tid, gid, bv)
-            verify_placement(host, guest, bv, placement)
+            verify_placement(expand_topology(tid), expand_topology(gid), bv, placement)
             fault = None if placement.count == want else f"places {placement.count}"
         except PlacementError as exc:
             fault = str(exc)

@@ -16,11 +16,12 @@ from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DimensionError, TopologyError
-from .oracle import oracle_vmcap
+from .oracle import MAX_ORACLE_VERTICES, oracle_vmcap, refuse_host
 from .placement import Placement, peel, place_kn_kk
 from .topology import (
     C4,
     K2,
+    MAX_ENUMERATION_VERTICES,
     Graph,
     TopologyId,
     as_topology_id,
@@ -28,6 +29,7 @@ from .topology import (
     check_capacities,
     enumerate_embeddings,
     expand_topology,
+    refuse_enumeration,
 )
 
 if TYPE_CHECKING:
@@ -408,7 +410,7 @@ SAME_SHAPE = Pair(
 )
 
 # A guest with more nodes than its host has no embedding: no copy fits.
-NONE_FIT = Pair(lambda b: 0, (("c4", "k5", ALL_TO_5),))
+NONE_FIT = Pair(lambda b: 0, (("c4", "k5", ALL_TO_5),), witness=lambda b: Placement(()))
 
 # (host, guest, sweep) for every instance the no-pair sweeps run
 INSTANCES = tuple(
@@ -425,7 +427,9 @@ def _bind(pair: Pair, pid: TopologyId, gid: TopologyId):
         count = partial(count, *args)
         if witness is not None:
             witness = partial(witness, *args)
-    if witness is None:
+    if witness is None and pid.vertex_count > MAX_ENUMERATION_VERTICES:
+        witness = partial(refuse_enumeration, pid.vertex_count)
+    elif witness is None:
         embeddings = None
 
         def witness(b):
@@ -439,7 +443,14 @@ def _bind(pair: Pair, pid: TopologyId, gid: TopologyId):
     return count, witness, "closed-form"
 
 
-def _bind_solver(pid: TopologyId, gid: TopologyId):
+def bind_solver(pid: TopologyId, gid: TopologyId):
+    """The exhaustive solver's (count, witness, "oracle") for a pair."""
+    if pid.vertex_count > MAX_ORACLE_VERTICES:
+        # refused with no graph built; the witness enumerates, then solves
+        if pid.vertex_count > MAX_ENUMERATION_VERTICES:
+            return refuse_host, partial(refuse_enumeration, pid.vertex_count), "oracle"
+        return refuse_host, refuse_host, "oracle"
+
     def count(b):
         return oracle_vmcap(expand_topology(pid), expand_topology(gid), b).count
 
@@ -476,7 +487,8 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     form's count behind check_capacities, and None for the solver.
     No binding expands a graph here: the solver looks its graphs up when
     it runs, in expand_topology's memo, and the peeled witness on its
-    first call, after the caller has checked b.
+    first call, after the caller has checked b.  Either refuses a host
+    past its node limit with ScaleLimitError, and builds no graph for it.
     """
     pid = as_topology_id(pnuma)
     n = pid.vertex_count
@@ -493,7 +505,7 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     else:
         pair = PAIRS.get((pid.kind, guest)) or PAIRS.get((pid.kind, None))
     if pair is None:
-        return (n, *_bind_solver(pid, guest), None)
+        return (n, *bind_solver(pid, guest), None)
     count, witness, via = _bind(pair, pid, guest)
     return n, count, witness, via, _checked(count, n)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from operator import mul
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .errors import ScaleLimitError
 from .topology import Graph, check_capacities, enumerate_embeddings
@@ -36,6 +36,12 @@ class OracleSolution:
 
     count: int
     multiplicities: tuple[tuple[int, int], ...]
+
+
+def refuse_host(*_) -> NoReturn:
+    """oracle_vmcap's refusal of a host past MAX_ORACLE_VERTICES nodes;
+    ignores its arguments."""
+    raise ScaleLimitError(f"oracle supports hosts up to {MAX_ORACLE_VERTICES} vertices")
 
 
 def oracle_vmcap(
@@ -74,9 +80,7 @@ def oracle_vmcap(
     """
     caps = check_capacities(capacities, host.vertex_count)
     if host.vertex_count > MAX_ORACLE_VERTICES:
-        raise ScaleLimitError(
-            f"oracle supports hosts up to {MAX_ORACLE_VERTICES} vertices"
-        )
+        refuse_host()
     total = sum(caps)
     if total > MAX_ORACLE_TOTAL_CAPACITY:
         raise ScaleLimitError(

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NoReturn, Optional, Sequence, Union
 
 from .errors import (
     CapacityError,
@@ -211,9 +211,11 @@ L4 = TopologyId("l4")
 CQ3 = TopologyId("cq3")
 Q33 = TopologyId("q33")
 
-_KMN_RE = re.compile(r"k(\d+)_(\d+)")
-_KN_RE = re.compile(r"k(\d+)")
-_STAR_RE = re.compile(r"star(\d+)")
+_PARAMETRIC = (
+    (re.compile(r"k(\d+)_(\d+)"), km_n),
+    (re.compile(r"k(\d+)"), kn),
+    (re.compile(r"star(\d+)"), star),
+)
 
 
 @lru_cache(maxsize=1024)
@@ -225,15 +227,17 @@ def parse_topology(text: str) -> TopologyId:
     s = text.strip().lower()
     if s in _FIXED_KINDS:
         return TopologyId(s)
-    m = _KMN_RE.fullmatch(s)
-    if m:
-        return km_n(int(m.group(1)), int(m.group(2)))
-    m = _KN_RE.fullmatch(s)
-    if m:
-        return kn(int(m.group(1)))
-    m = _STAR_RE.fullmatch(s)
-    if m:
-        return star(int(m.group(1)))
+    for pattern, build in _PARAMETRIC:
+        m = pattern.fullmatch(s)
+        if m:
+            try:
+                params = [int(digits) for digits in m.groups()]
+            except ValueError:
+                # past the interpreter's limit on the digits int() reads
+                raise TopologyError(
+                    f"topology id {s[:10]}... has too many digits"
+                ) from None
+            return build(*params)
     raise TopologyError(f"unknown topology id {text!r}")
 
 
@@ -298,6 +302,14 @@ def _expand(tid: TopologyId) -> Graph:
     return Graph(m + n, frozenset(edges), name=str(tid))
 
 
+def refuse_enumeration(vertex_count: int, *_) -> NoReturn:
+    """enumerate_embeddings' refusal of a host; ignores later arguments."""
+    raise ScaleLimitError(
+        f"embedding enumeration supports at most "
+        f"{MAX_ENUMERATION_VERTICES} vertices, got {vertex_count}"
+    )
+
+
 @lru_cache(maxsize=1024)
 def enumerate_embeddings(
     big: Graph, small: Graph
@@ -314,10 +326,7 @@ def enumerate_embeddings(
     if small.vertex_count > big.vertex_count:
         return ()
     if big.vertex_count > MAX_ENUMERATION_VERTICES:
-        raise ScaleLimitError(
-            f"embedding enumeration supports at most "
-            f"{MAX_ENUMERATION_VERTICES} vertices, got {big.vertex_count}"
-        )
+        refuse_enumeration(big.vertex_count)
     small_edges = tuple(small.edges)
     big_edges = big.edges
     found = []

@@ -13,8 +13,7 @@ from pathlib import Path
 import pytest
 
 import numacap
-from numacap import cli, formulas
-from numacap.capacity import ClusterState
+from numacap import capacity, cli, formulas
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 GEN_PATH = Path(__file__).resolve().parents[1] / "capbench" / "gen.py"
@@ -56,6 +55,9 @@ FLAVOR_DOC = {
         {"id": "solo", "vnuma": "k1", "demand": {"cpu": 2}},
     ]
 }
+
+# more digits than int() reads under the interpreter's default limit
+LONG_ID = "k" + "9" * 5000
 
 
 class TestEval:
@@ -382,6 +384,53 @@ class TestCluster:
         assert code == 2
         assert "flavors[1].id: duplicate flavor id 'm2'" in err
 
+    @pytest.mark.parametrize("doc,message", [
+        ([], "$: expected a JSON object"),
+        ({}, "flavors: expected a non-empty array"),
+        ({"flavors": {"m2": 1}}, "flavors: expected a non-empty array"),
+        ({"flavors": [7]}, "flavors[0]: expected an object"),
+    ])
+    def test_flavor_document_shape(self, capsys, tmp_path, doc, message):
+        state = write_json(tmp_path, "state.json", STATE_DOC)
+        flavors = write_json(tmp_path, "flavors.json", doc)
+        code, out, err = run(capsys, "cluster", "--state", state,
+                             "--flavors", flavors, "--flavor", "m2")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() reads any number of digits here")
+class TestLongTopologyIds:
+    """An id with more digits than int() reads is a bad id, exit 2 with
+    one error line naming where it was given, not a traceback."""
+
+    MESSAGE = "topology id k999999999... has too many digits"
+
+    def check(self, capsys, argv, where):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {where}{self.MESSAGE}\n"
+
+    def test_eval(self, capsys):
+        self.check(capsys, ["eval", "--topology", LONG_ID, "--vnuma", "k2",
+                            "--caps", "1"], "")
+
+    def test_state_file(self, capsys, tmp_path):
+        doc = json.loads(json.dumps(STATE_DOC))
+        doc["servers"][1]["components"][0]["topology"] = LONG_ID
+        state = write_json(tmp_path, "state.json", doc)
+        flavors = write_json(tmp_path, "flavors.json", FLAVOR_DOC)
+        self.check(capsys, ["cluster", "--state", state, "--flavors", flavors,
+                            "--flavor", "m2"], "servers[1].components[0].topology: ")
+
+    def test_flavor_file(self, capsys, tmp_path):
+        state = write_json(tmp_path, "state.json", STATE_DOC)
+        doc = {"flavors": [{"id": "m2", "vnuma": LONG_ID, "demand": {"cpu": 1}}]}
+        flavors = write_json(tmp_path, "flavors.json", doc)
+        self.check(capsys, ["cluster", "--state", state, "--flavors", flavors,
+                            "--flavor", "m2"], "flavors[0].vnuma: ")
+
 
 def reference_state(path):
     """The per-object loader the whole-file screen replaced, kept as the
@@ -515,6 +564,7 @@ SERVER_MUTATIONS = {
     "topology-missing": _comp(1, topology=None),
     "topology-spaced-upper-case": _comp(0, topology=" C4 "),
     "topology-another-size": _comp(0, topology="k4"),
+    "topology-too-many-digits": _comp(0, topology=LONG_ID),
     "nodes-too-few": _nodes_edit(0, list.pop),
     "nodes-too-many": _nodes_edit(2, lambda nodes: nodes.append({"cpu": 1})),
     "nodes-a-number": _comp(0, nodes=7),
@@ -562,12 +612,14 @@ class TestStateScreen:
     def check(self, tmp_path, monkeypatch, doc):
         path = write_json(tmp_path, "state.json", doc)
         walked = []
-        walk = cli._walk_servers
-        monkeypatch.setattr(cli, "_walk_servers", lambda d: walked.append(d) or walk(d))
+        read = capacity._read
+        monkeypatch.setattr(
+            capacity, "_read", lambda d, *rest: walked.append(d) or read(d, *rest)
+        )
         try:
             want = reference_state(path)
         except numacap.SchemaError as exc:
-            assert ClusterState.from_document(doc) is None
+            assert capacity._screen(doc) is None
             with pytest.raises(numacap.SchemaError) as info:
                 cli.load_cluster_state(path)
             assert (info.value.path, info.value.message) == (exc.path, exc.message)
@@ -753,6 +805,20 @@ class TestVerify:
         assert code == 2
         assert "--max-cap" in err
 
+    def test_no_samples(self, capsys):
+        code, out, err = run(capsys, "verify", "--topology", "c4", "--vnuma", "k2",
+                             "--samples", "0")
+        assert code == 2 and out == ""
+        assert "--samples: must be >= 1" in err
+
+    def test_host_past_the_solver_limit_builds_no_graph(self, capsys):
+        numacap.topology._expand.cache_clear()
+        code, out, err = run(capsys, "verify", "--topology", "k40_40", "--vnuma",
+                             "k2", "--max-cap", "0", "--samples", "1")
+        assert code == 2 and out == ""
+        assert err == "error: oracle supports hosts up to 8 vertices\n"
+        assert numacap.topology._expand.cache_info().currsize == 0
+
 
 class TestRegistrySweeps:
     """verify with no pair runs every registry instance."""
@@ -766,6 +832,16 @@ class TestRegistrySweeps:
         docs = json.loads(out)
         assert [(d["topology"], d["vnuma"]) for d in docs] == self.INSTANCES
         assert all(d["cases"] == 30 and d["mismatches"] == 0 for d in docs)
+
+    def test_each_instance_takes_its_own_sweep(self, capsys, monkeypatch):
+        # (max_cap, samples): every vector of [0..1]^4, then 5 drawn ones
+        monkeypatch.setattr(cli, "INSTANCES", (("c4", "k2", (1, None)),
+                                               ("k4", "k2", (2, 5))))
+        code, out, _ = run(capsys, "verify", "--json")
+        assert code == 0
+        docs = json.loads(out)
+        assert [(d["topology"], d["mode"], d["cases"]) for d in docs] == [
+            ("c4", "exhaustive", 16), ("k4", "random", 5)]
 
     def test_one_id_alone_is_an_error(self, capsys):
         code, _, err = run(capsys, "verify", "--topology", "c4", "--max-cap", "1")

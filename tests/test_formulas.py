@@ -324,6 +324,37 @@ class TestDispatch:
             nc.place_vnuma("k300_300", "c4", (1,) * 5)
         assert built == [0]
 
+    @pytest.mark.parametrize("front_end,pnuma,vnuma,message", [
+        # the solver's count, and its witness, which enumerates first
+        (nc.vmcap, "k40_40", "c4", "oracle supports hosts up to 8 vertices"),
+        (nc.place_vnuma, "k5_5", "c4", "oracle supports hosts up to 8 vertices"),
+        (nc.place_vnuma, "k40_40", "c4",
+         "embedding enumeration supports at most 12 vertices, got 80"),
+        # a peeled witness
+        (nc.place_vnuma, "k40_40", "k2",
+         "embedding enumeration supports at most 12 vertices, got 80"),
+    ])
+    def test_a_host_past_a_node_limit_builds_no_graph(
+        self, monkeypatch, front_end, pnuma, vnuma, message
+    ):
+        formulas._resolve.cache_clear()
+        nc.topology._expand.cache_clear()
+        built = self.count_graphs(monkeypatch)
+        n = nc.parse_topology(pnuma).vertex_count
+        for _ in range(2):
+            with pytest.raises(nc.ScaleLimitError) as info:
+                front_end(pnuma, vnuma, (1,) * n)
+            assert str(info.value) == message
+        assert built == [0]
+        assert nc.topology._expand.cache_info().currsize == 0
+
+    def test_a_guest_larger_than_its_host_places_nothing_unbuilt(self, monkeypatch):
+        formulas._resolve.cache_clear()
+        built = self.count_graphs(monkeypatch)
+        assert nc.place_vnuma("k13", "k14", (1,) * 13) == nc.Placement(())
+        assert nc.place_vnuma("c4", "k5", (1,) * 4) == nc.Placement(())
+        assert built == [0]
+
     def test_oracle_fallback_scale_limit(self):
         with pytest.raises(nc.ScaleLimitError):
             nc.vmcap("star8", "k1_2", (1,) * 9)
@@ -403,6 +434,10 @@ class TestCompiledDispatch:
     def test_unhashable_id_is_a_topology_error(self, pnuma, vnuma):
         with pytest.raises(nc.TopologyError):
             nc.vmcap(pnuma, vnuma, (1, 1, 1, 1))
+        with pytest.raises(nc.TopologyError):
+            nc.place_vnuma(pnuma, vnuma, (1, 1, 1, 1))
+        with pytest.raises(nc.TopologyError):
+            nc.closed_form_evaluator(pnuma, vnuma)
 
     def test_vmcap_sees_a_patched_formula(self, patch_formula):
         assert nc.vmcap("c4", "k2", (2, 5, 3, 1)).count == 5

@@ -163,6 +163,14 @@ class TestParsing:
         assert expanded.degree_sequence() == twin.degree_sequence()
         assert len(expanded.edges) == len(twin.edges)
 
+    @pytest.mark.parametrize("fields,message", [
+        (("c4", 0, 1), "c4 takes no parameters"),
+        (("zz",), "unknown topology kind 'zz'"),
+    ])
+    def test_rejects_bad_fields(self, fields, message):
+        with pytest.raises(nc.TopologyError, match=message):
+            nc.TopologyId(*fields)
+
     def test_as_topology_id_passthrough(self):
         assert nc.as_topology_id(nc.CQ3) is nc.CQ3
         assert nc.as_topology_id("k3") == nc.K3
