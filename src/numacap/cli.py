@@ -44,7 +44,7 @@ from .errors import (
     TopologyError,
 )
 from .formulas import INSTANCES, bind_solver, closed_form_evaluator, place_vnuma, vmcap
-from .oracle import MAX_ORACLE_TOTAL_CAPACITY
+from .oracle import MAX_ORACLE_TOTAL_CAPACITY, MAX_ORACLE_VERTICES, refuse_host
 from .placement import verify_placement
 from .topology import TopologyId, expand_topology, parse_topology
 
@@ -164,7 +164,8 @@ def cmd_cluster(args) -> int:
 
 def _pairs(args) -> list:
     """(host, guest, sweep) for each registry instance when no id is
-    given, else for the named pair alone, with the sweep None."""
+    given, else for the named pair alone, with the sweep None; a named
+    host past the solver's node limit raises ScaleLimitError."""
     if args.topology is None and args.vnuma is None:
         return [(parse_topology(host), parse_topology(guest), sweep)
                 for host, guest, sweep in INSTANCES]
@@ -176,6 +177,10 @@ def _pairs(args) -> list:
     tid, gid = parse_topology(args.topology), parse_topology(args.vnuma)
     if closed_form_evaluator(tid, gid) is None:
         raise TopologyError(f"no closed-form evaluator for pair {tid}/{gid}")
+    if tid.vertex_count > MAX_ORACLE_VERTICES:
+        # the solver refuses the host whatever the vectors hold, so this
+        # comes before any vector is drawn or skipped for its sum
+        refuse_host()
     return [(tid, gid, None)]
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DimensionError, TopologyError
-from .oracle import MAX_ORACLE_VERTICES, oracle_vmcap, refuse_host
+from .oracle import MAX_ORACLE_VERTICES, pair_solver, refuse_host
 from .placement import Placement, peel, place_kn_kk
 from .topology import (
     C4,
@@ -444,22 +444,37 @@ def _bind(pair: Pair, pid: TopologyId, gid: TopologyId):
 
 
 def bind_solver(pid: TopologyId, gid: TopologyId):
-    """The exhaustive solver's (count, witness, "oracle") for a pair."""
+    """The exhaustive solver's (count, witness, "oracle") for a pair.
+
+    Both call the pair's one oracle.pair_solver, looked up with its
+    graphs and embeddings on the first call, after b passed its checks,
+    and kept: the count dives from floor(LP) and searches only where the
+    dive turns back, and the witness takes the same multiplicities.  A
+    host past the solver's node limit is refused with no graph built.
+    """
     if pid.vertex_count > MAX_ORACLE_VERTICES:
         # refused with no graph built; the witness enumerates, then solves
         if pid.vertex_count > MAX_ENUMERATION_VERTICES:
             return refuse_host, partial(refuse_enumeration, pid.vertex_count), "oracle"
         return refuse_host, refuse_host, "oracle"
+    solver = embeddings = None
+
+    def build():
+        nonlocal solver, embeddings
+        host, guest = expand_topology(pid), expand_topology(gid)
+        solver = pair_solver(host, guest)
+        embeddings = enumerate_embeddings(host, guest)
 
     def count(b):
-        return oracle_vmcap(expand_topology(pid), expand_topology(gid), b).count
+        if solver is None:
+            build()
+        return solver.count(b)
 
     def witness(b):
-        host, guest = expand_topology(pid), expand_topology(gid)
-        embeddings = enumerate_embeddings(host, guest)
+        if solver is None:
+            build()
         return Placement.from_runs(
-            (embeddings[i], t)
-            for i, t in oracle_vmcap(host, guest, b).multiplicities
+            (embeddings[i], t) for i, t in solver.solve(b)[1]
         )
 
     return count, witness, "oracle"
@@ -485,10 +500,13 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     its closed form and witness, any other pair the exhaustive solver.
     count and witness read a checked vector; evaluator is a closed
     form's count behind check_capacities, and None for the solver.
-    No binding expands a graph here: the solver looks its graphs up when
-    it runs, in expand_topology's memo, and the peeled witness on its
-    first call, after the caller has checked b.  Either refuses a host
-    past its node limit with ScaleLimitError, and builds no graph for it.
+    No binding expands a graph here.  A solver binding looks up its
+    graphs and the pair's one solver on its first call, after the caller
+    has checked b, and keeps them: each count dives from floor(LP) and
+    falls back to the descending search only where the dive turns back.
+    The peeled witness looks up its embeddings on its first call too.
+    Either refuses a host past its node limit with ScaleLimitError, and
+    builds no graph for it.
     """
     pid = as_topology_id(pnuma)
     n = pid.vertex_count

@@ -1,13 +1,21 @@
 """Exact reference solver for small instances.
 
 The solver enumerates every embedding of the guest shape in the host
-graph and asks, for each target count from a bound down, whether they
-pack that many copies under the per-node capacities.  The bound is the
-floor of the packing LP's optimum, read off the vertices of its covering
-dual, which double description finds once per (host, guest) pair and
-packs one term per field of an integer, so each search step evaluates
-all of its cuts at once.  The search is exhaustive: the closed-form
-evaluators are tested against it, never the reverse.
+graph and packs copies of them under the per-node capacities.  Its upper
+bound is the floor of the packing LP's optimum, read off the vertices of
+its covering dual, which double description finds once per (host, guest)
+pair and packs one term per field of an integer, so each step evaluates
+all of its cuts at once.
+
+Each pair's solver is built once (pair_solver): its statics, packed cuts
+and closures.  A call first dives: from floor(LP), it takes at each
+embedding the largest multiplicity every cut allows and never turns
+back.  A dive that places floor(LP) copies meets the upper bound, so its
+count is exact and its path is the witness.  Where a step's range is
+empty, the call falls back to the descending target search, with a memo
+that starts empty.  The dive is that search's first branch, so both give
+the same count and multiplicities.  The search is exhaustive: the
+closed-form evaluators are tested against it, never the reverse.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from operator import mul
-from typing import NoReturn, Optional, Sequence
+from typing import Callable, NamedTuple, NoReturn, Optional, Sequence
 
 from .errors import ScaleLimitError
 from .topology import Graph, check_capacities, enumerate_embeddings
@@ -44,6 +52,14 @@ def refuse_host(*_) -> NoReturn:
     raise ScaleLimitError(f"oracle supports hosts up to {MAX_ORACLE_VERTICES} vertices")
 
 
+def refuse_total(total: int) -> NoReturn:
+    """The solver's refusal of sum(b) = total past MAX_ORACLE_TOTAL_CAPACITY."""
+    raise ScaleLimitError(
+        f"oracle supports total capacity up to {MAX_ORACLE_TOTAL_CAPACITY},"
+        f" got {total}"
+    )
+
+
 def oracle_vmcap(
     host: Graph,
     guest: Graph,
@@ -53,16 +69,11 @@ def oracle_vmcap(
 ) -> OracleSolution:
     """Maximum simultaneous embeddings of guest into host under capacities.
 
-    A descending target search: find(idx, residual, need) asks whether
-    the embeddings from idx on pack `need` copies into the residual
-    capacities, trying each multiplicity from high to low.  The count is
-    the first target, from the root bound down, that packs, and the
-    multiplicities find chose are the witness.  The bound is the LP
-    bound.  With the embeddings from idx on as the packing's columns,
-    every point y >= 0 with y(e) >= 1 for each of them (y(e) the sum of
-    y over e's vertices) is dual-feasible, so at most residual . y
-    copies fit.  The minimum over y is attained at a vertex of that
-    polyhedron, and each vertex, kept as integer weights W over a
+    The bound is the LP bound.  With the embeddings from idx on as the
+    packing's columns, every point y >= 0 with y(e) >= 1 for each of them
+    (y(e) the sum of y over e's vertices) is dual-feasible, so at most
+    residual . y copies fit.  The minimum over y is attained at a vertex
+    of that polyhedron, and each vertex, kept as integer weights W over a
     denominator D, gives the term floor(sum(W_v * residual_v) / D); the
     smallest term is floor(LP).  It is never above the subset-cover
     bound, whose terms are dual-feasible points too.  On a complete host
@@ -71,24 +82,39 @@ def oracle_vmcap(
     so a multiply-add per host node evaluates them all, and only the
     terms that bind are read back and divided.
 
+    First the dive: from the root bound, at each index, the largest
+    multiplicity t that every cut W.residual - D * need >= t * slope of
+    the next index allows, on one residual list, never turning back.
+    When it places the root bound's copies, that is the count and its
+    path is the witness.  Otherwise the descending target search runs:
+    find(idx, residual, need) asks whether the embeddings from idx on
+    pack `need` copies, trying each multiplicity from high to low, and
+    the count is the first target, from the root bound down, that packs.
+    The dive is find's first branch, so either way the multiplicities
+    are find's.
+
     A node where find fails stores need - 1 under its key, the index and
     the alive residuals.  Those fix the node's optimum, so the entry
-    bounds it whatever vector the search started from, and a dict passed
-    as `cache` shares the memo across calls for one (host, guest) pair.
-    With memoize=False a plain recursion with only floor(residual sum /
-    k), replayed for the witness, runs instead (slow; a cross-check).
+    bounds it whatever vector the search started from.  The memo starts
+    empty on every call, and a dict passed as `cache` is used in its
+    place, sharing it across calls for one (host, guest) pair.  Without
+    one, the pair's solver is built once (pair_solver) and reused.  With
+    memoize=False a plain recursion with only floor(residual sum / k),
+    replayed for the witness, runs instead (slow; a cross-check).
     """
     caps = check_capacities(capacities, host.vertex_count)
     if host.vertex_count > MAX_ORACLE_VERTICES:
         refuse_host()
     total = sum(caps)
     if total > MAX_ORACLE_TOTAL_CAPACITY:
-        raise ScaleLimitError(
-            f"oracle supports total capacity up to {MAX_ORACLE_TOTAL_CAPACITY},"
-            f" got {total}"
-        )
-    solve = _make_solver(host, guest, memoize, cache)
-    return OracleSolution(*solve(tuple(caps)))
+        refuse_total(total)
+    if not memoize:
+        return OracleSolution(*_plain_search(_pair_statics(host, guest), caps))
+    if cache is None:
+        solver = pair_solver(host, guest)
+    else:
+        solver = _make_solver(_pair_statics(host, guest), cache)
+    return OracleSolution(*solver.solve(caps))
 
 
 @dataclass(frozen=True)
@@ -268,70 +294,107 @@ def _cut_range(pack: tuple, residual: Sequence[int], need: int, hi: int):
     return lo, top
 
 
-def _make_solver(host: Graph, guest: Graph, memoize: bool, cache: Optional[dict]):
-    """solve(start) -> (count, multiplicities) for one (host, guest) pair."""
-    statics = _pair_statics(host, guest)
+class PairSolver(NamedTuple):
+    """The exact solver of one (host, guest) pair.
+
+    count(b) -> int and solve(b) -> (count, multiplicities) read a tuple
+    of b in the host's labels that check_capacities has passed; each
+    refuses sum(b) > MAX_ORACLE_TOTAL_CAPACITY, and neither looks up a
+    graph.
+    """
+
+    count: Callable[[tuple[int, ...]], int]
+    solve: Callable[[tuple[int, ...]], tuple[int, tuple[tuple[int, int], ...]]]
+
+
+@lru_cache(maxsize=256)
+def pair_solver(host: Graph, guest: Graph) -> PairSolver:
+    """The pair's solver, built once: its statics, packed cuts and closures.
+
+    Each call's memo starts empty, so nothing a call learns outlives it.
+    """
+    return _make_solver(_pair_statics(host, guest), None)
+
+
+def _make_solver(statics: _PairStatics, cache: Optional[dict]) -> PairSolver:
+    """The dive, then the descending search where the dive turns back;
+    the search's memo is `cache`, or a new dict on each call."""
+    root, k = statics.root, statics.k
+
+    def count(b: tuple[int, ...]) -> int:
+        total = sum(b)
+        if total > MAX_ORACLE_TOTAL_CAPACITY:
+            refuse_total(total)
+        # the root bound: floor(LP), the smallest dual-vertex term, which
+        # is never above sum // k (y = 1/k everywhere is dual-feasible)
+        _, need = _cut_range(root, b, 0, total // k)
+        if need and _dive(statics, b, need) is None:
+            need = _descend(statics, b, need, {} if cache is None else cache)[0]
+        return need
+
+    def solve(b: tuple[int, ...]):
+        total = sum(b)
+        if total > MAX_ORACLE_TOTAL_CAPACITY:
+            refuse_total(total)
+        _, need = _cut_range(root, b, 0, total // k)
+        if not need:
+            return 0, ()
+        path = _dive(statics, b, need)
+        if path is None:
+            return _descend(statics, b, need, {} if cache is None else cache)
+        return need, tuple(path)
+
+    return PairSolver(count, solve)
+
+
+def _dive(statics: _PairStatics, start: Sequence[int], need: int) -> Optional[list]:
+    """find's first branch all the way down: at each index the largest
+    multiplicity that every cut allows, the top of _cut_range, on one
+    residual list updated in place, with no memo and no backtracking.
+
+    Returns the (index, multiplicity) pairs, in index order, once `need`
+    copies are placed, and None at the first index whose range is empty.
+    """
+    verts = statics.verts
+    cuts = statics.cuts
+    last = len(verts) - 1
+    residual = list(start)
+    path = []
+    for idx, vs in enumerate(verts):
+        hi = need
+        for v in vs:
+            if residual[v] < hi:
+                hi = residual[v]
+        if idx == last:
+            # the last embedding's one cut, from the term ((), 1) past
+            # it, is t >= need: it takes every copy left or fails
+            if hi < need:
+                return None
+            path.append((idx, need))
+            return path
+        if not hi:
+            continue
+        lo, hi = _cut_range(cuts[idx], residual, need, hi)
+        if hi < lo:
+            return None
+        if hi:
+            path.append((idx, hi))
+            if hi == need:
+                return path
+            need -= hi
+            for v in vs:
+                residual[v] -= hi
+    return None
+
+
+def _descend(statics: _PairStatics, start: tuple[int, ...], need: int, memo: dict):
+    """(count, multiplicities): the first target from `need` down that the
+    embeddings pack, by a depth-first search that tries each multiplicity
+    from high to low and learns in `memo` where it fails."""
     verts = statics.verts
     alive = statics.alive
-    m = len(verts)
-    k = statics.k
-
-    if not memoize:
-
-        def solve_plain(idx: int, residual: tuple[int, ...]) -> int:
-            if idx == m:
-                return 0
-            bound = sum(residual) // k
-            if bound == 0:
-                return 0
-            vs = verts[idx]
-            tmax = min(residual[v] for v in vs)
-            if tmax == 0:
-                return solve_plain(idx + 1, residual)
-            work = list(residual)
-            for v in vs:
-                work[v] -= tmax
-            best = 0
-            t = tmax
-            while True:
-                val = t + solve_plain(idx + 1, tuple(work))
-                if val > best:
-                    best = val
-                    if best >= bound:
-                        break
-                if t == 0:
-                    break
-                t -= 1
-                for v in vs:
-                    work[v] += 1
-            return best
-
-        def replay(start: tuple[int, ...]):
-            count = solve_plain(0, start)
-            mults = []
-            residual = start
-            remaining = count
-            for idx in range(m):
-                vs = verts[idx]
-                tmax = min(residual[v] for v in vs)
-                for t in range(min(tmax, remaining), -1, -1):
-                    work = list(residual)
-                    for v in vs:
-                        work[v] -= t
-                    nxt = tuple(work)
-                    if t + solve_plain(idx + 1, nxt) == remaining:
-                        if t:
-                            mults.append((idx, t))
-                        residual = nxt
-                        remaining -= t
-                        break
-            assert remaining == 0
-            return count, tuple(mults)
-
-        return replay
-
-    memo = cache if cache is not None else {}
     cuts = statics.cuts
+    m = len(verts)
 
     def key_of(idx: int, residual: tuple[int, ...]) -> int:
         # the alive residuals packed into one int: entries stay under 256
@@ -380,23 +443,74 @@ def _make_solver(host: Graph, guest: Graph, memoize: bool, cache: Optional[dict]
                         path.append((idx, t))
                     return True
         elif hi == need:
-            # the last embedding's one cut, from the term ((), 1) past it,
-            # is t >= need: it takes every copy left or fails
+            # the last embedding's one cut, as in _dive
             path.append((idx, need))
             return True
         memo[key_of(idx, residual) if key is None else key] = need - 1
         return False
 
-    def search(start: tuple[int, ...]):
-        # the root bound: floor(LP), the smallest dual-vertex term, which
-        # is never above sum // k (y = 1/k everywhere is dual-feasible)
-        _, need = _cut_range(statics.root, start, 0, sum(start) // k)
-        path: list = []
-        while need and not find(0, start, need, path):
-            need -= 1
-        return need, tuple(reversed(path))
+    path: list = []
+    while need and not find(0, start, need, path):
+        need -= 1
+    return need, tuple(reversed(path))
 
-    return search
+
+def _plain_search(statics: _PairStatics, start: tuple[int, ...]):
+    """(count, multiplicities) by a plain recursion bounded only by
+    floor(residual sum / k), replayed for the witness: no LP term, no
+    dive and no memo, so it checks the search independently (slow)."""
+    verts = statics.verts
+    m = len(verts)
+    k = statics.k
+
+    def solve_plain(idx: int, residual: tuple[int, ...]) -> int:
+        if idx == m:
+            return 0
+        bound = sum(residual) // k
+        if bound == 0:
+            return 0
+        vs = verts[idx]
+        tmax = min(residual[v] for v in vs)
+        if tmax == 0:
+            return solve_plain(idx + 1, residual)
+        work = list(residual)
+        for v in vs:
+            work[v] -= tmax
+        best = 0
+        t = tmax
+        while True:
+            val = t + solve_plain(idx + 1, tuple(work))
+            if val > best:
+                best = val
+                if best >= bound:
+                    break
+            if t == 0:
+                break
+            t -= 1
+            for v in vs:
+                work[v] += 1
+        return best
+
+    count = solve_plain(0, start)
+    mults = []
+    residual = start
+    remaining = count
+    for idx in range(m):
+        vs = verts[idx]
+        tmax = min(residual[v] for v in vs)
+        for t in range(min(tmax, remaining), -1, -1):
+            work = list(residual)
+            for v in vs:
+                work[v] -= t
+            nxt = tuple(work)
+            if t + solve_plain(idx + 1, nxt) == remaining:
+                if t:
+                    mults.append((idx, t))
+                residual = nxt
+                remaining -= t
+                break
+    assert remaining == 0
+    return count, tuple(mults)
 
 
 def expand_to_simple_matching(

@@ -237,6 +237,12 @@ def parse_topology(text: str) -> TopologyId:
                 raise TopologyError(
                     f"topology id {s[:10]}... has too many digits"
                 ) from None
+            if max(params) > MAX_CAPACITY:
+                # no count reaches a host or guest this large, and a later
+                # error that printed the parameter would run to kilobytes
+                raise TopologyError(
+                    f"topology id parameters must be at most {MAX_CAPACITY}"
+                )
             return build(*params)
     raise TopologyError(f"unknown topology id {text!r}")
 

@@ -432,6 +432,46 @@ class TestLongTopologyIds:
                             "--flavor", "m2"], "flavors[0].vnuma: ")
 
 
+class TestOversizedParameters:
+    """A parameter past MAX_CAPACITY but within int()'s digit limit is a
+    bad id: exit 2 with one short error line that does not echo it."""
+
+    HUGE_ID = "k" + "9" * 4000
+
+    def check(self, capsys, argv, where):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == (f"error: {where}topology id parameters must be at most"
+                       f" {numacap.MAX_CAPACITY}\n")
+        assert len(err.encode()) < 200
+
+    def test_eval(self, capsys):
+        self.check(capsys, ["eval", "--topology", self.HUGE_ID, "--vnuma", "k2",
+                            "--caps", "1"], "")
+
+    def test_state_file(self, capsys, tmp_path):
+        doc = json.loads(json.dumps(STATE_DOC))
+        doc["servers"][1]["components"][0]["topology"] = self.HUGE_ID
+        state = write_json(tmp_path, "state.json", doc)
+        flavors = write_json(tmp_path, "flavors.json", FLAVOR_DOC)
+        self.check(capsys, ["cluster", "--state", state, "--flavors", flavors,
+                            "--flavor", "m2"], "servers[1].components[0].topology: ")
+
+    def test_flavor_file(self, capsys, tmp_path):
+        state = write_json(tmp_path, "state.json", STATE_DOC)
+        doc = {"flavors": [{"id": "m2", "vnuma": "k2_" + "9" * 4000,
+                            "demand": {"cpu": 1}}]}
+        flavors = write_json(tmp_path, "flavors.json", doc)
+        self.check(capsys, ["cluster", "--state", state, "--flavors", flavors,
+                            "--flavor", "m2"], "flavors[0].vnuma: ")
+
+    def test_largest_parameter_still_parses(self):
+        tid = numacap.parse_topology(f"k2_{numacap.MAX_CAPACITY}")
+        assert tid.n == numacap.MAX_CAPACITY
+        with pytest.raises(numacap.TopologyError, match="at most"):
+            numacap.parse_topology(f"star{numacap.MAX_CAPACITY + 1}")
+
+
 def reference_state(path):
     """The per-object loader the whole-file screen replaced, kept as the
     reference: each server and component is built and checked one by one,
@@ -818,6 +858,20 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == "error: oracle supports hosts up to 8 vertices\n"
         assert numacap.topology._expand.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("pnuma,sweep", [
+        # the default range draws 80-node vectors past sum(b) = 200
+        ("k40_40", ["--samples", "3"]),
+        # 3^100000 vectors, a count of 47,713 digits
+        ("k100000", ["--max-cap", "2"]),
+    ])
+    def test_host_past_the_solver_limit_is_named_first(self, capsys, pnuma, sweep):
+        # the host's size rules the pair out before the sweep is sized
+        # or any vector is skipped
+        code, out, err = run(capsys, "verify", "--topology", pnuma, "--vnuma",
+                             "k2", *sweep)
+        assert code == 2 and out == ""
+        assert err == "error: oracle supports hosts up to 8 vertices\n"
 
 
 class TestRegistrySweeps:

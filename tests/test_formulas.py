@@ -5,6 +5,7 @@ import pickle
 import random
 
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import numacap as nc
 from numacap import formulas
-from numacap.oracle import _pair_statics
+from numacap.oracle import _pair_statics, pair_solver
 from conftest import (
     CQ3_SWAP,
     LARGE_PAIRS,
@@ -296,20 +297,22 @@ class TestDispatch:
         return built
 
     def test_solver_pairs_are_bound_once(self, monkeypatch):
-        # after a warm-up call the solver binding reuses its graphs, and
-        # the solver finds their table in _pair_statics' cache
+        # after a warm-up call the solver binding reuses its graphs and its
+        # pair's solver, and looks up neither that nor the solver's table
         pairs = [("cq3", "k1_2"), ("l4", "c4")]
         for pname, gname in pairs:
             nc.vmcap(pname, gname, (1,) * 8)
         built = self.count_graphs(monkeypatch)
-        misses = _pair_statics.cache_info().misses
+        statics = _pair_statics.cache_info()
+        solvers = pair_solver.cache_info()
         for pname, gname in pairs:
             for b in random_vectors(f"{pname}/{gname} bound once", 50, 8, 6):
                 assert nc.vmcap(pname, gname, b).via == "oracle"
             for b in random_vectors(f"{pname}/{gname} placed once", 5, 8, 6):
                 nc.place_vnuma(pname, gname, b)
         assert built == [0]
-        assert _pair_statics.cache_info().misses == misses
+        assert _pair_statics.cache_info() == statics
+        assert pair_solver.cache_info() == solvers
 
     def test_binding_a_solver_pair_builds_no_graph(self, monkeypatch):
         # resolving, or rejecting b, must not build a host graph whose
@@ -358,6 +361,23 @@ class TestDispatch:
     def test_oracle_fallback_scale_limit(self):
         with pytest.raises(nc.ScaleLimitError):
             nc.vmcap("star8", "k1_2", (1,) * 9)
+
+    def test_bound_solver_count_keeps_the_limit_messages(self):
+        # the count bound to the pair's solver refuses what oracle_vmcap
+        # refuses, with the same words
+        count = formulas.bind_solver(nc.L4, nc.C4)[0]
+        assert count((25,) * 8) == nc.oracle_vmcap(
+            nc.expand_topology("l4"), nc.expand_topology("c4"), (25,) * 8
+        ).count
+        for refuse in (count, partial(nc.vmcap, "l4", "c4")):
+            with pytest.raises(nc.ScaleLimitError) as info:
+                refuse((26,) * 7 + (19,))
+            assert str(info.value) == "oracle supports total capacity up to 200, got 201"
+        nine = formulas.bind_solver(nc.km_n(4, 5), nc.C4)[0]
+        for refuse in (nine, partial(nc.vmcap, "k4_5", "c4")):
+            with pytest.raises(nc.ScaleLimitError) as info:
+                refuse((1,) * 9)
+            assert str(info.value) == "oracle supports hosts up to 8 vertices"
 
     def test_capacity_validation(self):
         with pytest.raises(nc.DimensionError):

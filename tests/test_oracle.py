@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import numacap as nc
 from numacap.formulas import vmcap_kn_kk_rec
+from numacap import oracle
 from numacap.oracle import _cut_range, _pair_statics
 from conftest import (
     CQ3_SWAP,
@@ -534,8 +535,77 @@ class TestFullRange:
         host, guest = expanded("q33"), expanded("k1_3")
         caps = (15, 10, 20, 16, 5, 11, 27, 16)
         assert min(root_terms(host, guest, caps)) == 30
+        # the dive from 30 stops short, so the search takes over
+        assert oracle._dive(_pair_statics(host, guest), caps, 30) is None
         sol = nc.oracle_vmcap(host, guest, caps)
         assert sol.count == 29
         assert sum(m for _, m in sol.multiplicities) == 29
         used = usage_from_witness(host, guest, sol)
         assert all(u <= c for u, c in zip(used, caps))
+
+
+# capbench's solver-fallback pool
+POOL_PAIRS = [
+    ("l4", "c4"), ("k5", "c4"), ("k6", "k2_3"), ("k6", "c4"),
+    ("star4", "k1_2"), ("cq3", "k1_2"), ("l4", "k1_2"), ("k2_3", "c4"),
+    ("c4", "k2_2"), ("q33", "k2_2"),
+]
+
+
+def gap_vectors(count):
+    """k3_5/k1_3 vectors, entries 0..6, on which the dive stops short."""
+    statics = _pair_statics(expanded("k3_5"), expanded("k1_3"))
+    out = []
+    for caps in random_vectors("k3_5/k1_3 gap", 2000, 8, 6):
+        _, need = _cut_range(statics.root, caps, 0, sum(caps) // statics.k)
+        if need and oracle._dive(statics, caps, need) is None:
+            out.append(caps)
+            if len(out) == count:
+                return out
+    raise AssertionError(f"found {len(out)} gap vectors, wanted {count}")
+
+
+class TestDive:
+    @pytest.mark.parametrize(
+        "pname,gname,label,per_sum",
+        [(p, g, "pool", 4) for p, g in POOL_PAIRS]
+        + [(p, g, "parity", 10) for p, g in EXACT_VALUE_COUNTS],
+    )
+    def test_search_alone_gives_the_dive_answer(
+        self, monkeypatch, pname, gname, label, per_sum
+    ):
+        # the dive is find's first branch: with it made to fail, the
+        # descending search returns the same count and multiplicities; the
+        # parity vectors are those of EXACT_VALUE_COUNTS
+        host, guest = expanded(pname), expanded(gname)
+        vectors = [
+            caps
+            for total in FULL_RANGE_SUMS
+            for caps in compositions(f"{pname}/{gname} {label} {total}", per_sum,
+                                     total, host.vertex_count)
+        ]
+        answers = [nc.oracle_vmcap(host, guest, caps) for caps in vectors]
+        counts = [nc.vmcap(pname, gname, caps).count for caps in vectors]
+        monkeypatch.setattr(oracle, "_dive", lambda statics, start, need: None)
+        for caps, answer, count in zip(vectors, answers, counts):
+            assert nc.oracle_vmcap(host, guest, caps) == answer, caps
+            assert nc.vmcap(pname, gname, caps).count == count == answer.count, caps
+
+    def test_memo_is_empty_when_each_call_starts(self, monkeypatch):
+        gaps = gap_vectors(20)
+        nc.vmcap("k3_5", "k1_3", gaps[0])
+        real = oracle._descend
+        entries, learned = [], []
+
+        def spy(statics, start, need, memo):
+            entries.append(len(memo))
+            result = real(statics, start, need, memo)
+            learned.append(len(memo))
+            return result
+
+        monkeypatch.setattr(oracle, "_descend", spy)
+        for i in range(1000):
+            nc.vmcap("k3_5", "k1_3", gaps[i % len(gaps)])
+        assert entries == [0] * 1000
+        # each call's search did store entries, so a shared memo would show
+        assert min(learned) > 0
