@@ -446,36 +446,34 @@ def _bind(pair: Pair, pid: TopologyId, gid: TopologyId):
 def bind_solver(pid: TopologyId, gid: TopologyId):
     """The exhaustive solver's (count, witness, "oracle") for a pair.
 
-    Both call the pair's one oracle.pair_solver, looked up with its
+    Both call the pair's one oracle.pair_solver solve, looked up with its
     graphs and embeddings on the first call, after b passed its checks,
-    and kept: the count dives from floor(LP) and searches only where the
-    dive turns back, and the witness takes the same multiplicities.  A
-    host past the solver's node limit is refused with no graph built.
+    and kept: the count is its count, and the witness its multiplicities
+    as runs.  A host past the solver's node limit is refused with no
+    graph built.
     """
     if pid.vertex_count > MAX_ORACLE_VERTICES:
         # refused with no graph built; the witness enumerates, then solves
         if pid.vertex_count > MAX_ENUMERATION_VERTICES:
             return refuse_host, partial(refuse_enumeration, pid.vertex_count), "oracle"
         return refuse_host, refuse_host, "oracle"
-    solver = embeddings = None
+    solve = embeddings = None
 
     def build():
-        nonlocal solver, embeddings
+        nonlocal solve, embeddings
         host, guest = expand_topology(pid), expand_topology(gid)
-        solver = pair_solver(host, guest)
+        solve = pair_solver(host, guest)
         embeddings = enumerate_embeddings(host, guest)
 
     def count(b):
-        if solver is None:
+        if solve is None:
             build()
-        return solver.count(b)
+        return solve(b)[0]
 
     def witness(b):
-        if solver is None:
+        if solve is None:
             build()
-        return Placement.from_runs(
-            (embeddings[i], t) for i, t in solver.solve(b)[1]
-        )
+        return Placement.from_runs((embeddings[i], t) for i, t in solve(b)[1])
 
     return count, witness, "oracle"
 
@@ -501,10 +499,9 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     count and witness read a checked vector; evaluator is a closed
     form's count behind check_capacities, and None for the solver.
     No binding expands a graph here.  A solver binding looks up its
-    graphs and the pair's one solver on its first call, after the caller
-    has checked b, and keeps them: each count dives from floor(LP) and
-    falls back to the descending search only where the dive turns back.
-    The peeled witness looks up its embeddings on its first call too.
+    graphs and the pair's one solve on its first call, after the caller
+    has checked b, and keeps them.  The peeled witness looks up its
+    embeddings on its first call too.
     Either refuses a host past its node limit with ScaleLimitError, and
     builds no graph for it.
     """

@@ -1,21 +1,43 @@
 """Exact reference solver for small instances.
 
 The solver enumerates every embedding of the guest shape in the host
-graph and packs copies of them under the per-node capacities.  Its upper
-bound is the floor of the packing LP's optimum, read off the vertices of
-its covering dual, which double description finds once per (host, guest)
-pair and packs one term per field of an integer, so each step evaluates
-all of its cuts at once.
+graph and packs copies of them under the per-node capacities.  The
+search is exhaustive: the closed-form evaluators are tested against it,
+never the reverse.
 
-Each pair's solver is built once (pair_solver): its statics, packed cuts
-and closures.  A call first dives: from floor(LP), it takes at each
-embedding the largest multiplicity every cut allows and never turns
-back.  A dive that places floor(LP) copies meets the upper bound, so its
-count is exact and its path is the witness.  Where a step's range is
-empty, the call falls back to the descending target search, with a memo
-that starts empty.  The dive is that search's first branch, so both give
-the same count and multiplicities.  The search is exhaustive: the
-closed-form evaluators are tested against it, never the reverse.
+The bound is the LP bound.  With the embeddings from idx on as the
+packing's columns, every point y >= 0 with y(e) >= 1 for each of them
+(y(e) the sum of y over e's vertices) is dual-feasible, so at most
+residual . y copies fit.  The minimum over y is attained at a vertex of
+that polyhedron, and each vertex, kept as integer weights W over a
+denominator D, gives the term floor(sum(W_v * residual_v) / D); the
+smallest term is floor(LP).  It is never above the subset-cover bound,
+whose terms are dual-feasible points too.  On a complete host the root
+bound is the clique bound, so there the first target already packs.
+Double description finds the vertices for every suffix of the embedding
+list once per (host, guest) pair (_pair_statics).  Each step's terms sit
+one per field of an integer, so a multiply-add per host node evaluates
+them all, and only the terms that bind are read back and divided.
+
+Each pair's solve is built once (pair_solver).  A call first dives: from
+the root bound, at each index, the largest multiplicity t that every cut
+W.residual - D * need >= t * slope of the next index allows, on one
+residual list, never turning back.  A dive that places the root bound's
+copies meets the upper bound, so its count is exact and its path is the
+witness.  Where a step's range is empty, the descending target search
+runs: find(idx, residual, need) asks whether the embeddings from idx on
+pack `need` copies, trying each multiplicity from high to low, and the
+count is the first target, from the root bound down, that packs.  The
+dive is find's first branch, so either way the multiplicities are
+find's.
+
+A node where find fails stores need - 1 in the memo under its key, the
+index and the alive residuals.  Those fix the node's optimum, so the
+entry bounds it whatever vector the search started from.  The memo
+starts empty on every call, so nothing a call learns outlives it.
+_plain_search answers the same question by a plain recursion bounded
+only by floor(residual sum / k), with no LP term, dive or memo: slow,
+but an independent check of the search.
 """
 
 from __future__ import annotations
@@ -24,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from operator import mul
-from typing import Callable, NamedTuple, NoReturn, Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence
 
 from .errors import ScaleLimitError
 from .topology import Graph, check_capacities, enumerate_embeddings
@@ -47,7 +69,7 @@ class OracleSolution:
 
 
 def refuse_host(*_) -> NoReturn:
-    """oracle_vmcap's refusal of a host past MAX_ORACLE_VERTICES nodes;
+    """The solver's refusal of a host past MAX_ORACLE_VERTICES nodes;
     ignores its arguments."""
     raise ScaleLimitError(f"oracle supports hosts up to {MAX_ORACLE_VERTICES} vertices")
 
@@ -61,60 +83,12 @@ def refuse_total(total: int) -> NoReturn:
 
 
 def oracle_vmcap(
-    host: Graph,
-    guest: Graph,
-    capacities: Sequence[int],
-    memoize: bool = True,
-    cache: Optional[dict] = None,
+    host: Graph, guest: Graph, capacities: Sequence[int]
 ) -> OracleSolution:
-    """Maximum simultaneous embeddings of guest into host under capacities.
-
-    The bound is the LP bound.  With the embeddings from idx on as the
-    packing's columns, every point y >= 0 with y(e) >= 1 for each of them
-    (y(e) the sum of y over e's vertices) is dual-feasible, so at most
-    residual . y copies fit.  The minimum over y is attained at a vertex
-    of that polyhedron, and each vertex, kept as integer weights W over a
-    denominator D, gives the term floor(sum(W_v * residual_v) / D); the
-    smallest term is floor(LP).  It is never above the subset-cover
-    bound, whose terms are dual-feasible points too.  On a complete host
-    the root bound is the clique bound, so there the first target
-    already packs.  Each step's terms sit one per field of an integer,
-    so a multiply-add per host node evaluates them all, and only the
-    terms that bind are read back and divided.
-
-    First the dive: from the root bound, at each index, the largest
-    multiplicity t that every cut W.residual - D * need >= t * slope of
-    the next index allows, on one residual list, never turning back.
-    When it places the root bound's copies, that is the count and its
-    path is the witness.  Otherwise the descending target search runs:
-    find(idx, residual, need) asks whether the embeddings from idx on
-    pack `need` copies, trying each multiplicity from high to low, and
-    the count is the first target, from the root bound down, that packs.
-    The dive is find's first branch, so either way the multiplicities
-    are find's.
-
-    A node where find fails stores need - 1 under its key, the index and
-    the alive residuals.  Those fix the node's optimum, so the entry
-    bounds it whatever vector the search started from.  The memo starts
-    empty on every call, and a dict passed as `cache` is used in its
-    place, sharing it across calls for one (host, guest) pair.  Without
-    one, the pair's solver is built once (pair_solver) and reused.  With
-    memoize=False a plain recursion with only floor(residual sum / k),
-    replayed for the witness, runs instead (slow; a cross-check).
-    """
+    """Maximum simultaneous embeddings of guest into host under capacities,
+    with a witness: the pair's solve (pair_solver) on the checked vector."""
     caps = check_capacities(capacities, host.vertex_count)
-    if host.vertex_count > MAX_ORACLE_VERTICES:
-        refuse_host()
-    total = sum(caps)
-    if total > MAX_ORACLE_TOTAL_CAPACITY:
-        refuse_total(total)
-    if not memoize:
-        return OracleSolution(*_plain_search(_pair_statics(host, guest), caps))
-    if cache is None:
-        solver = pair_solver(host, guest)
-    else:
-        solver = _make_solver(_pair_statics(host, guest), cache)
-    return OracleSolution(*solver.solve(caps))
+    return OracleSolution(*pair_solver(host, guest)(caps))
 
 
 @dataclass(frozen=True)
@@ -294,57 +268,33 @@ def _cut_range(pack: tuple, residual: Sequence[int], need: int, hi: int):
     return lo, top
 
 
-class PairSolver(NamedTuple):
-    """The exact solver of one (host, guest) pair.
-
-    count(b) -> int and solve(b) -> (count, multiplicities) read a tuple
-    of b in the host's labels that check_capacities has passed; each
-    refuses sum(b) > MAX_ORACLE_TOTAL_CAPACITY, and neither looks up a
-    graph.
-    """
-
-    count: Callable[[tuple[int, ...]], int]
-    solve: Callable[[tuple[int, ...]], tuple[int, tuple[tuple[int, int], ...]]]
-
-
 @lru_cache(maxsize=256)
-def pair_solver(host: Graph, guest: Graph) -> PairSolver:
-    """The pair's solver, built once: its statics, packed cuts and closures.
-
-    Each call's memo starts empty, so nothing a call learns outlives it.
+def pair_solver(host: Graph, guest: Graph) -> Callable[[tuple[int, ...]], tuple]:
+    """The pair's solve(b) -> (count, multiplicities), built once over its
+    statics; b is a tuple in the host's labels that check_capacities has
+    passed.  A host past MAX_ORACLE_VERTICES is refused before any
+    statics are built, and solve refuses sum(b) > MAX_ORACLE_TOTAL_CAPACITY.
     """
-    return _make_solver(_pair_statics(host, guest), None)
-
-
-def _make_solver(statics: _PairStatics, cache: Optional[dict]) -> PairSolver:
-    """The dive, then the descending search where the dive turns back;
-    the search's memo is `cache`, or a new dict on each call."""
+    if host.vertex_count > MAX_ORACLE_VERTICES:
+        refuse_host()
+    statics = _pair_statics(host, guest)
     root, k = statics.root, statics.k
 
-    def count(b: tuple[int, ...]) -> int:
+    def solve(b: tuple[int, ...]):
         total = sum(b)
         if total > MAX_ORACLE_TOTAL_CAPACITY:
             refuse_total(total)
         # the root bound: floor(LP), the smallest dual-vertex term, which
         # is never above sum // k (y = 1/k everywhere is dual-feasible)
         _, need = _cut_range(root, b, 0, total // k)
-        if need and _dive(statics, b, need) is None:
-            need = _descend(statics, b, need, {} if cache is None else cache)[0]
-        return need
-
-    def solve(b: tuple[int, ...]):
-        total = sum(b)
-        if total > MAX_ORACLE_TOTAL_CAPACITY:
-            refuse_total(total)
-        _, need = _cut_range(root, b, 0, total // k)
         if not need:
             return 0, ()
         path = _dive(statics, b, need)
         if path is None:
-            return _descend(statics, b, need, {} if cache is None else cache)
+            return _descend(statics, b, need, {})
         return need, tuple(path)
 
-    return PairSolver(count, solve)
+    return solve
 
 
 def _dive(statics: _PairStatics, start: Sequence[int], need: int) -> Optional[list]:

@@ -369,15 +369,24 @@ class TestDispatch:
         assert count((25,) * 8) == nc.oracle_vmcap(
             nc.expand_topology("l4"), nc.expand_topology("c4"), (25,) * 8
         ).count
-        for refuse in (count, partial(nc.vmcap, "l4", "c4")):
+        l4_c4 = partial(
+            nc.oracle_vmcap, nc.expand_topology("l4"), nc.expand_topology("c4")
+        )
+        for refuse in (count, partial(nc.vmcap, "l4", "c4"), l4_c4):
             with pytest.raises(nc.ScaleLimitError) as info:
                 refuse((26,) * 7 + (19,))
             assert str(info.value) == "oracle supports total capacity up to 200, got 201"
         nine = formulas.bind_solver(nc.km_n(4, 5), nc.C4)[0]
-        for refuse in (nine, partial(nc.vmcap, "k4_5", "c4")):
+        k4_5_c4 = partial(
+            nc.oracle_vmcap, nc.expand_topology("k4_5"), nc.expand_topology("c4")
+        )
+        statics = _pair_statics.cache_info()
+        for refuse in (nine, partial(nc.vmcap, "k4_5", "c4"), k4_5_c4):
             with pytest.raises(nc.ScaleLimitError) as info:
                 refuse((1,) * 9)
             assert str(info.value) == "oracle supports hosts up to 8 vertices"
+        # the host is refused before the pair's statics are looked up
+        assert _pair_statics.cache_info() == statics
 
     def test_capacity_validation(self):
         with pytest.raises(nc.DimensionError):

@@ -1,5 +1,6 @@
 """Exhaustive-search reference oracle and its cross-checks."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import numacap as nc
 from numacap.formulas import vmcap_kn_kk_rec
 from numacap import oracle
-from numacap.oracle import _cut_range, _pair_statics
+from numacap.oracle import _cut_range, _pack, _pair_statics
 from conftest import (
     CQ3_SWAP,
     LARGE_PAIRS,
@@ -25,6 +26,13 @@ from conftest import (
 
 def expanded(name):
     return nc.expand_topology(nc.parse_topology(name))
+
+
+def plain(host, guest, caps):
+    """(count, multiplicities) by the plain recursion, which shares no
+    bound, dive or memo with the solver."""
+    statics = _pair_statics(host, guest)
+    return oracle._plain_search(statics, nc.check_capacities(caps, host.vertex_count))
 
 
 def usage_from_witness(host, guest, solution):
@@ -72,10 +80,12 @@ class TestOracleBasics:
             assert all(u <= c for u, c in zip(used, caps))
 
     def test_scale_limits(self):
-        with pytest.raises(nc.ScaleLimitError):
+        with pytest.raises(nc.ScaleLimitError) as info:
             nc.oracle_vmcap(nc.expand_topology(nc.kn(9)), expanded("k2"), (1,) * 9)
-        with pytest.raises(nc.ScaleLimitError):
+        assert str(info.value) == "oracle supports hosts up to 8 vertices"
+        with pytest.raises(nc.ScaleLimitError) as info:
             nc.oracle_vmcap(expanded("c4"), expanded("k2"), (100, 100, 1, 0))
+        assert str(info.value) == "oracle supports total capacity up to 200, got 201"
 
     def test_capacity_validation(self):
         with pytest.raises(nc.DimensionError):
@@ -90,7 +100,7 @@ class TestMemoizationInvariants:
         host, guest = expanded(pname), expanded(gname)
         for caps in all_vectors(host.vertex_count, 2):
             fast = nc.oracle_vmcap(host, guest, caps).count
-            slow = nc.oracle_vmcap(host, guest, caps, memoize=False).count
+            slow = plain(host, guest, caps)[0]
             assert fast == slow, caps
 
     @pytest.mark.parametrize("pname,gname", LARGE_PAIRS)
@@ -98,17 +108,8 @@ class TestMemoizationInvariants:
         host, guest = expanded(pname), expanded(gname)
         for caps in random_vectors(f"{pname}/{gname} plain", 100, 8, 3):
             fast = nc.oracle_vmcap(host, guest, caps).count
-            slow = nc.oracle_vmcap(host, guest, caps, memoize=False).count
+            slow = plain(host, guest, caps)[0]
             assert fast == slow, caps
-
-    @pytest.mark.parametrize("pname,gname", LARGE_PAIRS)
-    def test_shared_cache_agrees_with_fresh_memo(self, pname, gname):
-        host, guest = expanded(pname), expanded(gname)
-        cache = {}
-        for caps in random_vectors(f"{pname}/{gname} cache", 60, 8, 12):
-            shared = nc.oracle_vmcap(host, guest, caps, cache=cache).count
-            fresh = nc.oracle_vmcap(host, guest, caps).count
-            assert shared == fresh, caps
 
 
 class TestSymmetry:
@@ -304,7 +305,7 @@ class TestSubsetCoverBound:
         host, guest = expanded(pname), expanded(gname)
         for caps in random_vectors(f"{pname}/{gname} cover", 60, host.vertex_count, 4):
             fast = nc.oracle_vmcap(host, guest, caps).count
-            slow = nc.oracle_vmcap(host, guest, caps, memoize=False).count
+            slow = plain(host, guest, caps)[0]
             assert fast == slow, caps
 
     @pytest.mark.parametrize("pname,gname", SOLVER_PAIRS)
@@ -328,7 +329,7 @@ class TestSubsetCoverBound:
                     n, k, caps
                 ), caps
 
-    def test_hard_inputs_stay_small(self):
+    def test_hard_inputs_stay_small(self, monkeypatch):
         # the search under the earlier bound family stored more than two
         # million memo entries on the first five and did not finish the
         # third; the exact-value search under the subset-cover bound
@@ -346,12 +347,19 @@ class TestSubsetCoverBound:
             ("cq3", "k1_2", (18, 5, 55, 21, 31, 27, 14, 29), 60),
             ("cq3", "k1_2", (14, 47, 8, 15, 25, 50, 20, 21), 55),
         ]
+        real = oracle._descend
         states = 0
+
+        def spy(statics, start, need, memo):
+            nonlocal states
+            result = real(statics, start, need, memo)
+            states += len(memo)
+            return result
+
+        monkeypatch.setattr(oracle, "_descend", spy)
         for pname, gname, caps, want in cases:
             host, guest = expanded(pname), expanded(gname)
-            cache = {}
-            sol = nc.oracle_vmcap(host, guest, caps, cache=cache)
-            states += len(cache)
+            sol = nc.oracle_vmcap(host, guest, caps)
             assert sol.count == want, caps
             assert sum(m for _, m in sol.multiplicities) == want
             used = usage_from_witness(host, guest, sol)
@@ -609,3 +617,36 @@ class TestDive:
         assert entries == [0] * 1000
         # each call's search did store entries, so a shared memo would show
         assert min(learned) > 0
+
+    def test_last_embedding_refuses_a_short_residual(self):
+        # every cut made the subset-cover term, W = 1 on every node and
+        # D = k: valid but looser than the LP terms, and constant along a
+        # dive (each copy takes k units of residual and one of need), so
+        # the dive never turns back before the last embedding, whose own
+        # cut is the only one that can refuse
+        host, guest = expanded("cq3"), expanded("k1_2")
+        exact = _pair_statics(host, guest)
+        n, k = host.vertex_count, exact.k
+        width = exact.root[6]  # _pack's field width
+        cover = ((tuple((v, 1) for v in range(n)), k),)
+        loose = dataclasses.replace(
+            exact, cuts=tuple(_pack(cover, [0], width, n) for _ in exact.cuts)
+        )
+        refused = 0
+        for caps in random_vectors("cq3/k1_2 loose cuts", 300, n, 4):
+            _, need = _cut_range(exact.root, caps, 0, sum(caps) // k)
+            if not need:
+                continue
+            want = nc.oracle_vmcap(host, guest, caps).count
+            path = oracle._dive(loose, caps, need)
+            if path is None:
+                refused += 1
+                count, mults = oracle._descend(loose, caps, need, {})
+            else:
+                count, mults = need, tuple(path)
+            assert count == want, caps
+            sol = nc.OracleSolution(count, mults)
+            assert sum(m for _, m in mults) == count, caps
+            used = usage_from_witness(host, guest, sol)
+            assert all(u <= c for u, c in zip(used, caps)), caps
+        assert refused >= 100
