@@ -5,8 +5,9 @@ kind fit a host topology given per-node counts b (canonical label order).
 PAIRS registers each formula with the sweep that checks it, and its
 witness, against the exhaustive solver.  _resolve binds every pair once
 to a count and a witness: its registry entry's, or the solver's when it
-has none.  vmcap() and place_vnuma() validate b and call that binding,
-and closed_form_evaluator() returns the count behind the same check; a
+has none, whose count is floor(LP) alone on a pair in LP_PROVED.
+vmcap() and place_vnuma() validate b and call that binding, and
+closed_form_evaluator() returns the count behind the same check; a
 bound count does not check b again.
 """
 
@@ -16,12 +17,15 @@ from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DimensionError, TopologyError
-from .oracle import MAX_ORACLE_VERTICES, pair_solver, refuse_host
+from .oracle import MAX_ORACLE_VERTICES, _cut_range, pair_solver, refuse_host, wide_root
 from .placement import Placement, peel, place_kn_kk
 from .topology import (
     C4,
+    CQ3,
     K2,
+    L4,
     MAX_ENUMERATION_VERTICES,
+    Q33,
     Graph,
     TopologyId,
     as_topology_id,
@@ -29,7 +33,9 @@ from .topology import (
     check_capacities,
     enumerate_embeddings,
     expand_topology,
+    km_n,
     refuse_enumeration,
+    star,
 )
 
 if TYPE_CHECKING:
@@ -37,7 +43,9 @@ if TYPE_CHECKING:
 
 
 class VmcapResult(NamedTuple):
-    """Count plus how it was obtained ("closed-form" or "oracle")."""
+    """Count plus how it was obtained: "closed-form" for a pair with a
+    formula, and "oracle" for a pair with none, whether its count is
+    floor(LP) on a pair in LP_PROVED or the solver's search."""
 
     count: int
     via: str = "closed-form"
@@ -399,6 +407,16 @@ PAIRS: dict[tuple[str, Optional[TopologyId]], Pair] = {
     ),
 }
 
+# Solver pairs whose count is floor(LP), the smallest root term of the
+# pair's dual vertices, at every vector: numacap.rounding proves it for
+# each (python -m numacap.rounding HOST/GUEST proves them again), and the
+# tests re-run the proof.  Keyed by the host as parsed, whose labels the
+# proof read, and the canonical guest: star2 is k1_2.
+LP_PROVED = frozenset({
+    (L4, C4), (star(4), star(2)), (CQ3, star(2)), (L4, star(2)),
+    (km_n(2, 3), C4), (Q33, star(2)), (km_n(3, 5), star(2)),
+})
+
 # A guest of its host's shape has one embedding, all n nodes, as the n-clique
 # has in K_n: min(b) copies of (1..n).
 SAME_SHAPE = Pair(
@@ -443,39 +461,49 @@ def _bind(pair: Pair, pid: TopologyId, gid: TopologyId):
     return count, witness, "closed-form"
 
 
-def bind_solver(pid: TopologyId, gid: TopologyId):
+def bind_solver(pid: TopologyId, gid: TopologyId, lp_proved: bool = False):
     """The exhaustive solver's (count, witness, "oracle") for a pair.
 
     Both call the pair's one oracle.pair_solver solve, looked up with its
     graphs and embeddings on the first call, after b passed its checks,
     and kept: the count is its count, and the witness its multiplicities
-    as runs.  A host past the solver's node limit is refused with no
-    graph built.
+    as runs.  With lp_proved, for a pair in LP_PROVED, the count is
+    floor(LP) alone, one _cut_range call on oracle.wide_root, with no sum
+    limit; that root is looked up together with the solve.  A host past
+    the solver's node limit is refused with no graph built.
     """
     if pid.vertex_count > MAX_ORACLE_VERTICES:
         # refused with no graph built; the witness enumerates, then solves
         if pid.vertex_count > MAX_ENUMERATION_VERTICES:
             return refuse_host, partial(refuse_enumeration, pid.vertex_count), "oracle"
         return refuse_host, refuse_host, "oracle"
-    solve = embeddings = None
+    solve = embeddings = root = None
+    k = gid.vertex_count
 
     def build():
-        nonlocal solve, embeddings
+        nonlocal solve, embeddings, root
         host, guest = expand_topology(pid), expand_topology(gid)
         solve = pair_solver(host, guest)
         embeddings = enumerate_embeddings(host, guest)
+        if lp_proved:
+            root = wide_root(host, guest)
 
     def count(b):
         if solve is None:
             build()
         return solve(b)[0]
 
+    def floor_lp(b):
+        if solve is None:
+            build()
+        return _cut_range(root, b, 0, sum(b) // k)[1]
+
     def witness(b):
         if solve is None:
             build()
         return Placement.from_runs((embeddings[i], t) for i, t in solve(b)[1])
 
-    return count, witness, "oracle"
+    return floor_lp if lp_proved else count, witness, "oracle"
 
 
 def _checked(count: Callable[[Sequence[int]], int], n: int):
@@ -495,7 +523,8 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     its own id, whose labels index the vector.  A single-node guest
     raises, and a guest larger than its host, then one of its host's
     shape, is ruled on before the PAIRS lookup.  A registry entry binds
-    its closed form and witness, any other pair the exhaustive solver.
+    its closed form and witness, any other pair the exhaustive solver,
+    whose count is floor(LP) on a pair in LP_PROVED.
     count and witness read a checked vector; evaluator is a closed
     form's count behind check_capacities, and None for the solver.
     No binding expands a graph here.  A solver binding looks up its
@@ -520,7 +549,7 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     else:
         pair = PAIRS.get((pid.kind, guest)) or PAIRS.get((pid.kind, None))
     if pair is None:
-        return (n, *bind_solver(pid, guest), None)
+        return (n, *bind_solver(pid, guest, (pid, guest) in LP_PROVED), None)
     count, witness, via = _bind(pair, pid, guest)
     return n, count, witness, via, _checked(count, n)
 
@@ -556,7 +585,8 @@ def vmcap(
     """How many guests of shape `vnuma` fit a `pnuma` host with counts b.
 
     Calls the pair's binding: its closed form when it has one, and
-    otherwise the exhaustive solver (small hosts only).  Guests must
+    otherwise the exhaustive solver (small hosts only), or floor(LP) on
+    a pair in LP_PROVED, which needs no search.  Guests must
     span at least two nodes; single-node guests are a plain sum and are
     handled by the server-level capacity functions.  b is checked here,
     once, and the binding trusts it.

@@ -49,7 +49,7 @@ from operator import mul
 from typing import Callable, NoReturn, Optional, Sequence
 
 from .errors import ScaleLimitError
-from .topology import Graph, check_capacities, enumerate_embeddings
+from .topology import MAX_CAPACITY, Graph, check_capacities, enumerate_embeddings
 
 MAX_ORACLE_VERTICES = 8
 MAX_ORACLE_TOTAL_CAPACITY = 200
@@ -188,13 +188,8 @@ def _pair_statics(host: Graph, guest: Graph) -> _PairStatics:
             alive_mask |= 1 << v
         alive[i] = tuple(v for v in range(n) if alive_mask >> v & 1)
         bound_terms[i] = tuple([term for _, _, term in rays if term])
-    # a field holds W.r - D.need - hi.slope, or W.b - D.need at the root;
-    # with sum(r), need and hi at most MAX_ORACLE_TOTAL_CAPACITY it is
-    # within that limit times max(sum W, D) of 0, and one more bit holds
-    # the sign; the memo key's 8-bit fields rest on the same limit
-    distinct = set().union(*bound_terms)
-    biggest = max(max(sum(w for _, w in ws), div) for ws, div in distinct)
-    width = (MAX_ORACLE_TOTAL_CAPACITY * biggest).bit_length() + 1
+    # the memo key's 8-bit fields rest on the same limit as the fields
+    width = _width(set().union(*bound_terms), MAX_ORACLE_TOTAL_CAPACITY)
     cuts = tuple(
         _pack(terms, [sum(w for v, w in ws if v in vs) - div for ws, div in terms],
               width, n)
@@ -209,6 +204,26 @@ def _pair_statics(host: Graph, guest: Graph) -> _PairStatics:
         root=root,
         k=k,
     )
+
+
+def _width(terms, total: int) -> int:
+    """The field width _pack needs for terms (W, D) on residuals that sum
+    to at most `total`.  A field holds W.r - D.need - hi.slope, or
+    W.b - D.hi at the root; with sum(r), need and hi at most total it is
+    within total times max(sum W, D) of 0, and one more bit holds the
+    sign."""
+    biggest = max(max(sum(w for _, w in ws), div) for ws, div in terms)
+    return (total * biggest).bit_length() + 1
+
+
+def wide_root(host: Graph, guest: Graph) -> tuple:
+    """The pair's root terms packed as _PairStatics.root is, with fields
+    wide enough for any vector check_capacities passes, so
+    _cut_range(root, b, 0, sum(b) // k)[1] is floor(LP) at entries up to
+    MAX_CAPACITY."""
+    terms = _pair_statics(host, guest).bound_terms[0]
+    n = host.vertex_count
+    return _pack(terms, [div for _, div in terms], _width(terms, n * MAX_CAPACITY), n)
 
 
 def _pack(terms: tuple, slopes: list, width: int, n: int) -> tuple:
@@ -411,6 +426,34 @@ def _plain_search(statics: _PairStatics, start: tuple[int, ...]):
     dive and no memo, so it checks the search independently (slow)."""
     verts = statics.verts
     m = len(verts)
+    solve_plain = _plain_solver(statics)
+    count = solve_plain(0, start)
+    mults = []
+    residual = start
+    remaining = count
+    for idx in range(m):
+        vs = verts[idx]
+        tmax = min(residual[v] for v in vs)
+        for t in range(min(tmax, remaining), -1, -1):
+            work = list(residual)
+            for v in vs:
+                work[v] -= t
+            nxt = tuple(work)
+            if t + solve_plain(idx + 1, nxt) == remaining:
+                if t:
+                    mults.append((idx, t))
+                residual = nxt
+                remaining -= t
+                break
+    assert remaining == 0
+    return count, tuple(mults)
+
+
+def _plain_solver(statics: _PairStatics) -> Callable[[int, tuple[int, ...]], int]:
+    """solve_plain(idx, residual): how many copies verts[idx:] pack into
+    residual, by the plain recursion _plain_search replays."""
+    verts = statics.verts
+    m = len(verts)
     k = statics.k
 
     def solve_plain(idx: int, residual: tuple[int, ...]) -> int:
@@ -441,26 +484,7 @@ def _plain_search(statics: _PairStatics, start: tuple[int, ...]):
                 work[v] += 1
         return best
 
-    count = solve_plain(0, start)
-    mults = []
-    residual = start
-    remaining = count
-    for idx in range(m):
-        vs = verts[idx]
-        tmax = min(residual[v] for v in vs)
-        for t in range(min(tmax, remaining), -1, -1):
-            work = list(residual)
-            for v in vs:
-                work[v] -= t
-            nxt = tuple(work)
-            if t + solve_plain(idx + 1, nxt) == remaining:
-                if t:
-                    mults.append((idx, t))
-                residual = nxt
-                remaining -= t
-                break
-    assert remaining == 0
-    return count, tuple(mults)
+    return solve_plain
 
 
 def expand_to_simple_matching(

@@ -372,10 +372,19 @@ class TestDispatch:
         l4_c4 = partial(
             nc.oracle_vmcap, nc.expand_topology("l4"), nc.expand_topology("c4")
         )
-        for refuse in (count, partial(nc.vmcap, "l4", "c4"), l4_c4):
+        # vmcap counts a pair in LP_PROVED by floor(LP), with no sum limit,
+        # so its case is a pair outside the table
+        assert (nc.CQ3, nc.star(3)) not in formulas.LP_PROVED
+        for refuse in (count, partial(nc.vmcap, "cq3", "k1_3"), l4_c4):
             with pytest.raises(nc.ScaleLimitError) as info:
                 refuse((26,) * 7 + (19,))
             assert str(info.value) == "oracle supports total capacity up to 200, got 201"
+        # l4/c4 is in the table: its count passes the limit, and its
+        # witness, still the solver's, keeps it
+        assert nc.vmcap("l4", "c4", (26,) * 8) == (52, "oracle")
+        with pytest.raises(nc.ScaleLimitError) as info:
+            nc.place_vnuma("l4", "c4", (26,) * 8)
+        assert str(info.value) == "oracle supports total capacity up to 200, got 208"
         nine = formulas.bind_solver(nc.km_n(4, 5), nc.C4)[0]
         k4_5_c4 = partial(
             nc.oracle_vmcap, nc.expand_topology("k4_5"), nc.expand_topology("c4")

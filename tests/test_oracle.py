@@ -551,6 +551,19 @@ class TestFullRange:
         used = usage_from_witness(host, guest, sol)
         assert all(u <= c for u, c in zip(used, caps))
 
+    # exact counts where floor(LP) is one above the count, so cq3/k1_3
+    # cannot join formulas.LP_PROVED; the counts are the plain search's
+    @pytest.mark.parametrize("caps,count,lp", [
+        ((1,) * 8, 1, 2),
+        ((2, 2, 2, 2, 1, 1, 1, 1), 2, 3),
+    ])
+    def test_cq3_k1_3_gap_rows(self, caps, count, lp):
+        host, guest = expanded("cq3"), expanded("k1_3")
+        assert plain(host, guest, caps)[0] == count
+        assert min(root_terms(host, guest, caps)) == lp
+        assert nc.oracle_vmcap(host, guest, caps).count == count
+        assert nc.vmcap("cq3", "k1_3", caps) == nc.VmcapResult(count, "oracle")
+
 
 # capbench's solver-fallback pool
 POOL_PAIRS = [
