@@ -17,7 +17,7 @@ from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DimensionError, TopologyError
-from .oracle import MAX_ORACLE_VERTICES, _cut_range, pair_solver, refuse_host, wide_root
+from .oracle import MAX_ORACLE_VERTICES, floor_lp, pair_solver, refuse_host
 from .placement import Placement, peel, place_kn_kk
 from .topology import (
     C4,
@@ -461,49 +461,48 @@ def _bind(pair: Pair, pid: TopologyId, gid: TopologyId):
     return count, witness, "closed-form"
 
 
-def bind_solver(pid: TopologyId, gid: TopologyId, lp_proved: bool = False):
+def bind_solver(pid: TopologyId, gid: TopologyId):
     """The exhaustive solver's (count, witness, "oracle") for a pair.
 
     Both call the pair's one oracle.pair_solver solve, looked up with its
     graphs and embeddings on the first call, after b passed its checks,
     and kept: the count is its count, and the witness its multiplicities
-    as runs.  With lp_proved, for a pair in LP_PROVED, the count is
-    floor(LP) alone, one _cut_range call on oracle.wide_root, with no sum
-    limit; that root is looked up together with the solve.  A host past
-    the solver's node limit is refused with no graph built.
+    as runs.  On a pair in LP_PROVED the count is oracle.floor_lp's
+    instead, with no sum limit, looked up together with the solve.  A
+    host past the solver's node limit is refused with no graph built.
     """
     if pid.vertex_count > MAX_ORACLE_VERTICES:
         # refused with no graph built; the witness enumerates, then solves
         if pid.vertex_count > MAX_ENUMERATION_VERTICES:
             return refuse_host, partial(refuse_enumeration, pid.vertex_count), "oracle"
         return refuse_host, refuse_host, "oracle"
-    solve = embeddings = root = None
-    k = gid.vertex_count
+    solve = embeddings = lp = None
+    proved = (pid, canonical_id(gid)) in LP_PROVED
 
     def build():
-        nonlocal solve, embeddings, root
+        nonlocal solve, embeddings, lp
         host, guest = expand_topology(pid), expand_topology(gid)
         solve = pair_solver(host, guest)
         embeddings = enumerate_embeddings(host, guest)
-        if lp_proved:
-            root = wide_root(host, guest)
+        if proved:
+            lp = floor_lp(host, guest)
 
     def count(b):
         if solve is None:
             build()
         return solve(b)[0]
 
-    def floor_lp(b):
+    def lp_count(b):
         if solve is None:
             build()
-        return _cut_range(root, b, 0, sum(b) // k)[1]
+        return lp(b)
 
     def witness(b):
         if solve is None:
             build()
         return Placement.from_runs((embeddings[i], t) for i, t in solve(b)[1])
 
-    return floor_lp if lp_proved else count, witness, "oracle"
+    return lp_count if proved else count, witness, "oracle"
 
 
 def _checked(count: Callable[[Sequence[int]], int], n: int):
@@ -549,7 +548,7 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     else:
         pair = PAIRS.get((pid.kind, guest)) or PAIRS.get((pid.kind, None))
     if pair is None:
-        return (n, *bind_solver(pid, guest, (pid, guest) in LP_PROVED), None)
+        return (n, *bind_solver(pid, guest), None)
     count, witness, via = _bind(pair, pid, guest)
     return n, count, witness, via, _checked(count, n)
 

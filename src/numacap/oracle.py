@@ -107,34 +107,32 @@ class _PairStatics:
     k: int
 
 
-def _cut(rays: list, emb: tuple[int, ...], bit: int, dim: int) -> list:
+def _cut(rays: list, row: Sequence, bit: int, dim: int, label=None) -> list:
     """One double description step (Motzkin et al. 1953; Fukuda & Prodon
     1996): the extreme rays of a pointed cone in R^dim, cut by the
-    inequality y(emb) >= s, from the extreme rays of the cone before.
+    inequality row . x >= 0, from the extreme rays of the cone before;
+    row holds its nonzero (coordinate, coefficient) pairs.
 
-    A ray is (vector, zero set, term), its last coordinate s; the zero
-    set has a bit for every inequality tight on the ray, `bit` is the new
-    one's, and the term is (W, D), the nonzero (vertex, y) pairs and s,
-    when s > 0 (None otherwise).  Rays on the kept side stay; each pair
+    A ray is (vector, zero set, label), the vector primitive; the zero
+    set has a bit for every inequality tight on the ray, and `bit` is the
+    new one's.  Rays on the kept side stay, with their labels; each pair
     across the cut that is adjacent, no third ray being tight on every
     inequality both are tight on, yields the point where their edge
-    crosses the hyperplane.  That point has s > 0, since the ray cut off
-    has y(emb) < s.
+    crosses the hyperplane, labelled label(vector) (None with no label).
     """
-    s = dim - 1
     out, pos, neg = [], [], []
     for ray in rays:
-        vec, zeros, term = ray
-        a = -vec[s]
-        for v in emb:
-            a += vec[v]
+        vec, zeros, tag = ray
+        a = 0
+        for j, c in row:
+            a += c * vec[j]
         if a > 0:
             out.append(ray)
             pos.append((a, vec, zeros))
         elif a < 0:
             neg.append((a, vec, zeros))
         else:
-            out.append((vec, zeros | bit, term))
+            out.append((vec, zeros | bit, tag))
     zero_sets = [ray[1] for ray in rays]
     for ap, p, zp in pos:
         for an, q, zq in neg:
@@ -149,12 +147,17 @@ def _cut(rays: list, emb: tuple[int, ...], bit: int, dim: int) -> list:
             if tight > 2:
                 continue
             vec = [ap * qv - an * pv for pv, qv in zip(p, q)]
-            # primitive, so W and D are coprime integers
             g = gcd(*vec)
             vec = tuple([x // g for x in vec])
-            weights = tuple([(v, y) for v, y in enumerate(vec[:s]) if y])
-            out.append((vec, common | bit, (weights, vec[s])))
+            out.append((vec, common | bit, label(vec) if label else None))
     return out
+
+
+def _term(vec: tuple[int, ...]) -> tuple:
+    """The term (W, D) of a ray (y, s) of the dual cone with s > 0: the
+    nonzero (vertex, y) pairs and s, coprime as the ray is primitive.
+    Every ray a cut adds has s > 0, as the ray cut off has y(emb) < s."""
+    return tuple([(v, y) for v, y in enumerate(vec[:-1]) if y]), vec[-1]
 
 
 @lru_cache(maxsize=256)
@@ -183,9 +186,12 @@ def _pair_statics(host: Graph, guest: Graph) -> _PairStatics:
     bound_terms: list[tuple] = [(((), 1),)] * (m + 1)
     alive_mask = 0
     for i in range(m - 1, -1, -1):
-        rays = _cut(rays, verts[i], 1 << (dim + i), dim)
+        # y(emb) - s >= 0
+        row = [(n, -1)]
         for v in verts[i]:
+            row.append((v, 1))
             alive_mask |= 1 << v
+        rays = _cut(rays, row, 1 << (dim + i), dim, _term)
         alive[i] = tuple(v for v in range(n) if alive_mask >> v & 1)
         bound_terms[i] = tuple([term for _, _, term in rays if term])
     # the memo key's 8-bit fields rest on the same limit as the fields
@@ -216,14 +222,20 @@ def _width(terms, total: int) -> int:
     return (total * biggest).bit_length() + 1
 
 
-def wide_root(host: Graph, guest: Graph) -> tuple:
-    """The pair's root terms packed as _PairStatics.root is, with fields
-    wide enough for any vector check_capacities passes, so
-    _cut_range(root, b, 0, sum(b) // k)[1] is floor(LP) at entries up to
+def floor_lp(host: Graph, guest: Graph) -> Callable[[Sequence[int]], int]:
+    """The pair's floor(LP), b -> min over its root terms (W, D) of
+    W.b // D, on any vector check_capacities passes: one _cut_range call
+    on the root terms packed with fields wide enough for entries up to
     MAX_CAPACITY."""
     terms = _pair_statics(host, guest).bound_terms[0]
-    n = host.vertex_count
-    return _pack(terms, [div for _, div in terms], _width(terms, n * MAX_CAPACITY), n)
+    n, k = host.vertex_count, guest.vertex_count
+    root = _pack(terms, [div for _, div in terms], _width(terms, n * MAX_CAPACITY), n)
+
+    def count(b: Sequence[int]) -> int:
+        # y = 1/k everywhere is dual-feasible, so floor(LP) <= sum // k
+        return _cut_range(root, b, 0, sum(b) // k)[1]
+
+    return count
 
 
 def _pack(terms: tuple, slopes: list, width: int, n: int) -> tuple:

@@ -48,7 +48,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import NumacapError
-from .oracle import MAX_ORACLE_VERTICES, _pair_statics, _plain_solver, refuse_host
+from .oracle import MAX_ORACLE_VERTICES, _cut, _pair_statics, _plain_solver, refuse_host
 from .topology import Graph, as_topology_id, canonical_id, expand_topology
 
 
@@ -146,40 +146,16 @@ def _bits(mask: int) -> list[int]:
 
 def _extreme_rays(rows: list, n: int) -> list:
     """The extreme rays (vector, zero set) of the pointed cone
-    {x : a.x >= 0 for each a in rows}, rows[:n] the unit vectors, by
-    double description (Motzkin et al. 1953; Fukuda & Prodon 1996) as in
-    oracle._cut: bit h of a zero set is set when rows[h] is tight on the
-    ray, and a pair of rays across a new row is adjacent when no third
-    ray is tight on every row both are tight on.  Each vector is
-    primitive.
+    {x : a.x >= 0 for each a in rows}, rows[:n] the unit vectors, by the
+    double description steps of oracle._cut: bit h of a zero set is set
+    when rows[h] is tight on the ray.  Each vector is primitive.
     """
     signs = (1 << n) - 1
-    rays = [(rows[v], signs ^ (1 << v)) for v in range(n)]
+    rays = [(rows[v], signs ^ (1 << v), None) for v in range(n)]
     for h in range(n, len(rows)):
-        a, bit = rows[h], 1 << h
-        out, pos, neg = [], [], []
-        for vec, zeros in rays:
-            s = sum(map(mul, a, vec))
-            if s > 0:
-                out.append((vec, zeros))
-                pos.append((s, vec, zeros))
-            elif s < 0:
-                neg.append((s, vec, zeros))
-            else:
-                out.append((vec, zeros | bit))
-        zero_sets = [zeros for _, zeros in rays]
-        for sp, p, zp in pos:
-            for sn, q, zq in neg:
-                common = zp & zq
-                if common.bit_count() < n - 2:
-                    continue
-                if sum(1 for zeros in zero_sets if zeros & common == common) > 2:
-                    continue
-                vec = [sp * y - sn * x for x, y in zip(p, q)]
-                g = gcd(*vec)
-                out.append((tuple([x // g for x in vec]), common | bit))
-        rays = out
-    return rays
+        row = [(j, c) for j, c in enumerate(rows[h]) if c]
+        rays = _cut(rays, row, 1 << h, n)
+    return [(vec, zeros) for vec, zeros, _ in rays]
 
 
 def _rank(vectors: list) -> int:

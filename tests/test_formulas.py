@@ -365,22 +365,25 @@ class TestDispatch:
     def test_bound_solver_count_keeps_the_limit_messages(self):
         # the count bound to the pair's solver refuses what oracle_vmcap
         # refuses, with the same words
-        count = formulas.bind_solver(nc.L4, nc.C4)[0]
+        # a pair in LP_PROVED is counted by floor(LP), with no sum limit,
+        # so the count's case is a pair outside the table
+        assert (nc.CQ3, nc.star(3)) not in formulas.LP_PROVED
+        count = formulas.bind_solver(nc.CQ3, nc.star(3))[0]
         assert count((25,) * 8) == nc.oracle_vmcap(
-            nc.expand_topology("l4"), nc.expand_topology("c4"), (25,) * 8
+            nc.expand_topology("cq3"), nc.expand_topology("k1_3"), (25,) * 8
         ).count
+        # the search's count, not floor(LP) = 2
+        assert count((1,) * 8) == 1
         l4_c4 = partial(
             nc.oracle_vmcap, nc.expand_topology("l4"), nc.expand_topology("c4")
         )
-        # vmcap counts a pair in LP_PROVED by floor(LP), with no sum limit,
-        # so its case is a pair outside the table
-        assert (nc.CQ3, nc.star(3)) not in formulas.LP_PROVED
         for refuse in (count, partial(nc.vmcap, "cq3", "k1_3"), l4_c4):
             with pytest.raises(nc.ScaleLimitError) as info:
                 refuse((26,) * 7 + (19,))
             assert str(info.value) == "oracle supports total capacity up to 200, got 201"
         # l4/c4 is in the table: its count passes the limit, and its
         # witness, still the solver's, keeps it
+        assert formulas.bind_solver(nc.L4, nc.C4)[0]((26,) * 8) == 52
         assert nc.vmcap("l4", "c4", (26,) * 8) == (52, "oracle")
         with pytest.raises(nc.ScaleLimitError) as info:
             nc.place_vnuma("l4", "c4", (26,) * 8)

@@ -10,7 +10,7 @@ import pytest
 
 import numacap as nc
 from numacap import formulas, oracle, rounding
-from numacap.oracle import _cut_range, _pair_statics
+from numacap.oracle import _pair_statics
 
 LISTED = sorted(formulas.LP_PROVED, key=str)
 
@@ -90,11 +90,10 @@ def test_gap_pairs_are_refused(host, guest, gap):
 @pytest.mark.parametrize("host,guest", LISTED, ids=lambda tid: str(tid))
 def test_wide_root_is_the_plain_minimum(host, guest):
     h, g = graphs(host, guest)
-    root = oracle.wide_root(h, g)
-    k = g.vertex_count
+    count = oracle.floor_lp(h, g)
     for b in wide_vectors(f"{host}/{guest} wide", h.vertex_count):
         want = floor_lp(host, guest, b)
-        assert _cut_range(root, b, 0, sum(b) // k)[1] == want, b
+        assert count(b) == want, b
         assert nc.vmcap(host, guest, b) == (want, "oracle"), b
 
 
