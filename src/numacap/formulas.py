@@ -5,7 +5,8 @@ kind fit a host topology given per-node counts b (canonical label order).
 PAIRS registers each formula with the sweep that checks it, and its
 witness, against the exhaustive solver.  _resolve binds every pair once
 to a count and a witness: its registry entry's, or the solver's when it
-has none, whose count is floor(LP) alone on a pair in LP_PROVED.
+has none.  On a pair in LP_PROVED that count is floor(LP) alone, and the
+witness is peeled from it.
 vmcap() and place_vnuma() validate b and call that binding, and
 closed_form_evaluator() returns the count behind the same check; a
 bound count does not check b again.
@@ -464,11 +465,13 @@ def _bind(pair: Pair, pid: TopologyId, gid: TopologyId):
 def bind_solver(pid: TopologyId, gid: TopologyId):
     """The exhaustive solver's (count, witness, "oracle") for a pair.
 
-    Both call the pair's one oracle.pair_solver solve, looked up with its
-    graphs and embeddings on the first call, after b passed its checks,
-    and kept: the count is its count, and the witness its multiplicities
-    as runs.  On a pair in LP_PROVED the count is oracle.floor_lp's
-    instead, with no sum limit, looked up together with the solve.  A
+    On a pair in LP_PROVED the count is oracle.floor_lp's field minimum,
+    looked up on the first call, after b passed its checks, and kept,
+    with no sum limit.  The proof makes it exact at every vector, so the
+    witness is peeled from it as a closed pair's is, and no solve is
+    built.  Any other pair calls its one oracle.pair_solver solve, looked
+    up with its graphs and embeddings on the first call and kept: the
+    count is its count, and the witness its multiplicities as runs.  A
     host past the solver's node limit is refused with no graph built.
     """
     if pid.vertex_count > MAX_ORACLE_VERTICES:
@@ -476,33 +479,36 @@ def bind_solver(pid: TopologyId, gid: TopologyId):
         if pid.vertex_count > MAX_ENUMERATION_VERTICES:
             return refuse_host, partial(refuse_enumeration, pid.vertex_count), "oracle"
         return refuse_host, refuse_host, "oracle"
-    solve = embeddings = lp = None
-    proved = (pid, canonical_id(gid)) in LP_PROVED
+    if (pid, canonical_id(gid)) in LP_PROVED:
+        lp = None
+
+        def lp_count(b):
+            nonlocal lp
+            if lp is None:
+                lp = floor_lp(expand_topology(pid), expand_topology(gid))
+            return lp(b)
+
+        count, witness, _ = _bind(Pair(lp_count, ()), pid, gid)
+        return count, witness, "oracle"
+    solve = embeddings = None
 
     def build():
-        nonlocal solve, embeddings, lp
+        nonlocal solve, embeddings
         host, guest = expand_topology(pid), expand_topology(gid)
         solve = pair_solver(host, guest)
         embeddings = enumerate_embeddings(host, guest)
-        if proved:
-            lp = floor_lp(host, guest)
 
     def count(b):
         if solve is None:
             build()
         return solve(b)[0]
 
-    def lp_count(b):
-        if solve is None:
-            build()
-        return lp(b)
-
     def witness(b):
         if solve is None:
             build()
         return Placement.from_runs((embeddings[i], t) for i, t in solve(b)[1])
 
-    return lp_count if proved else count, witness, "oracle"
+    return count, witness, "oracle"
 
 
 def _checked(count: Callable[[Sequence[int]], int], n: int):
@@ -523,7 +529,8 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     raises, and a guest larger than its host, then one of its host's
     shape, is ruled on before the PAIRS lookup.  A registry entry binds
     its closed form and witness, any other pair the exhaustive solver,
-    whose count is floor(LP) on a pair in LP_PROVED.
+    whose count is floor(LP) on a pair in LP_PROVED, with a witness
+    peeled from that count.
     count and witness read a checked vector; evaluator is a closed
     form's count behind check_capacities, and None for the solver.
     No binding expands a graph here.  A solver binding looks up its
@@ -605,7 +612,8 @@ def place_vnuma(
 ) -> Placement:
     """A placement of vmcap(pnuma, vnuma, capacities).count guests.
 
-    A closed pair takes its registry witness, and any other pair the
+    A closed pair takes its registry witness, a pair in LP_PROVED one
+    peeled from floor(LP) at any magnitude, and any other pair the
     solver's, which raises ScaleLimitError where vmcap does.  Peeling
     enumerates the host's embeddings, so a closed pair peeled on a host
     past enumerate_embeddings' node limit raises ScaleLimitError too.

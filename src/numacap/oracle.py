@@ -18,6 +18,8 @@ Double description finds the vertices for every suffix of the embedding
 list once per (host, guest) pair (_pair_statics).  Each step's terms sit
 one per field of an integer, so a multiply-add per host node evaluates
 them all, and only the terms that bind are read back and divided.
+floor_lp, the count of a pair whose floor(LP) is proved exact, takes
+the root terms' minimum over unsigned fields instead (_field_min).
 
 Each pair's solve is built once (pair_solver).  A call first dives: from
 the root bound, at each index, the largest multiplicity t that every cut
@@ -42,9 +44,10 @@ but an independent check of the search.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, NoReturn, Optional, Sequence
 
@@ -224,16 +227,56 @@ def _width(terms, total: int) -> int:
 
 def floor_lp(host: Graph, guest: Graph) -> Callable[[Sequence[int]], int]:
     """The pair's floor(LP), b -> min over its root terms (W, D) of
-    W.b // D, on any vector check_capacities passes: one _cut_range call
-    on the root terms packed with fields wide enough for entries up to
-    MAX_CAPACITY."""
-    terms = _pair_statics(host, guest).bound_terms[0]
-    n, k = host.vertex_count, guest.vertex_count
-    root = _pack(terms, [div for _, div in terms], _width(terms, n * MAX_CAPACITY), n)
+    W.b // D, on any vector check_capacities passes: one _field_min.
+    y = 1/k everywhere is dual-feasible, so the minimum is never above
+    sum(b) // k, and that term is left out."""
+    return _field_min(_pair_statics(host, guest).bound_terms[0], host.vertex_count)
+
+
+def _field_min(terms: tuple, n: int) -> Callable[[Sequence[int]], int]:
+    """b -> min over terms (W, D) of W.b // D, for b of n entries up to
+    MAX_CAPACITY, by one dot product and one minimum taken in C.
+
+    Over D* = lcm of the D, term j is W'_j = W_j * D* / D_j, and
+    min_j floor(W_j.b / D_j) = floor(min_j W'_j.b / D*).  W'.b >= 0, so
+    each term is one unsigned field of the integer sum(b_v * weights_v),
+    weights_v holding W'_jv in field j, and the field minimum is taken
+    over that integer's bytes cast to native unsigned ints.  A call uses
+    the narrowest of 16-, 32- and 64-bit fields that holds
+    sum(b) * max W'; terms that 64 bits cannot hold at every vector
+    raise ScaleLimitError here, before any call.
+    """
+    scale = lcm(*[div for _, div in terms])
+    scaled = [[(v, w * (scale // div)) for v, w in ws] for ws, div in terms]
+    top = max([w for ws in scaled for _, w in ws], default=1)
+    need = (n * MAX_CAPACITY * top).bit_length()
+    if need > 64:
+        raise ScaleLimitError(
+            f"floor(LP) fields hold up to 64 bits; these terms need {need}"
+        )
+    codes = {memoryview(bytes(8)).cast(code).itemsize: code for code in "HILQ"}
+    kernels = []
+    for size in (2, 4, 8):
+        width = 8 * size
+        weights = [0] * n
+        for shift, ws in zip(range(0, width * len(terms), width), scaled):
+            for v, w in ws:
+                weights[v] |= w << shift
+        kernels.append((((1 << width) - 1) // top, tuple(weights),
+                        size * len(terms), codes[size]))
+    (short, w16, n16, c16), (mid, w32, n32, c32), (_, w64, n64, c64) = kernels
+    order = sys.byteorder
 
     def count(b: Sequence[int]) -> int:
-        # y = 1/k everywhere is dual-feasible, so floor(LP) <= sum // k
-        return _cut_range(root, b, 0, sum(b) // k)[1]
+        total = sum(b)
+        if total <= short:
+            x = sum(map(mul, b, w16)).to_bytes(n16, order)
+            return min(memoryview(x).cast(c16)) // scale
+        if total <= mid:
+            x = sum(map(mul, b, w32)).to_bytes(n32, order)
+            return min(memoryview(x).cast(c32)) // scale
+        x = sum(map(mul, b, w64)).to_bytes(n64, order)
+        return min(memoryview(x).cast(c64)) // scale
 
     return count
 

@@ -124,29 +124,31 @@ class TestPlace:
         assert json.loads(out)["count"] == 8
 
     def test_pair_without_routine(self, capsys):
-        # a pair with no closed form prints the solver's witness
-        caps = (1,) * 8
-        code, out, _ = run(capsys, "place", "--topology", "l4", "--vnuma", "c4",
-                           "--caps", "1,1,1,1,1,1,1,1")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["count"] == numacap.vmcap("l4", "c4", caps).count == 2
-        numacap.verify_placement(
-            numacap.expand_topology("l4"), numacap.expand_topology("c4"), caps,
-            numacap.Placement.from_runs(doc["runs"]),
-        )
+        # l4/c4 has no closed form but is proved: its witness is peeled
+        # from floor(LP), below the solver's sum limit and past it
+        for caps, count in (((1,) * 8, 2), ((26,) * 8, 52)):
+            code, out, _ = run(capsys, "place", "--topology", "l4", "--vnuma", "c4",
+                               "--caps", ",".join(map(str, caps)))
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["count"] == numacap.vmcap("l4", "c4", caps).count == count
+            numacap.verify_placement(
+                numacap.expand_topology("l4"), numacap.expand_topology("c4"), caps,
+                numacap.Placement.from_runs(doc["runs"]),
+            )
 
         code, out, _ = run(capsys, "place", "--topology", "cq3", "--vnuma", "k3",
                            "--caps", "1,1,1,1,1,1,1,1")
         assert code == 0
         assert json.loads(out) == {"count": 0, "runs": []}
 
-        # past the solver's limit, place fails as eval does
-        code, out, err = run(capsys, "place", "--topology", "l4", "--vnuma", "c4",
-                             "--caps", "26,26,26,26,26,26,26,26")
-        assert code == 2
-        assert out == ""
-        assert "total capacity up to 200, got 208" in err
+        # past the solver's limit, place on an unproved pair fails as eval does
+        for cmd in ("place", "eval"):
+            code, out, err = run(capsys, cmd, "--topology", "cq3", "--vnuma", "k1_3",
+                                 "--caps", "26,26,26,26,26,26,26,26")
+            assert code == 2
+            assert out == ""
+            assert "total capacity up to 200, got 208" in err
 
     def test_top_entries_under_an_address_space_limit(self):
         # one group per copy would ask for 2^33 tuples; runs need a few bytes.

@@ -381,13 +381,19 @@ class TestDispatch:
             with pytest.raises(nc.ScaleLimitError) as info:
                 refuse((26,) * 7 + (19,))
             assert str(info.value) == "oracle supports total capacity up to 200, got 201"
-        # l4/c4 is in the table: its count passes the limit, and its
-        # witness, still the solver's, keeps it
+        # so does the solver's witness, on a pair outside the table
+        with pytest.raises(nc.ScaleLimitError) as info:
+            nc.place_vnuma("cq3", "k1_3", (26,) * 8)
+        assert str(info.value) == "oracle supports total capacity up to 200, got 208"
+        # l4/c4 is in the table: its count passes the limit, and so does
+        # its witness, peeled from that count
         assert formulas.bind_solver(nc.L4, nc.C4)[0]((26,) * 8) == 52
         assert nc.vmcap("l4", "c4", (26,) * 8) == (52, "oracle")
-        with pytest.raises(nc.ScaleLimitError) as info:
-            nc.place_vnuma("l4", "c4", (26,) * 8)
-        assert str(info.value) == "oracle supports total capacity up to 200, got 208"
+        placement = nc.place_vnuma("l4", "c4", (26,) * 8)
+        assert placement.count == 52
+        nc.verify_placement(
+            nc.expand_topology("l4"), nc.expand_topology("c4"), (26,) * 8, placement
+        )
         nine = formulas.bind_solver(nc.km_n(4, 5), nc.C4)[0]
         k4_5_c4 = partial(
             nc.oracle_vmcap, nc.expand_topology("k4_5"), nc.expand_topology("c4")

@@ -5,6 +5,8 @@ import random
 import re
 import subprocess
 import sys
+from functools import lru_cache
+from math import lcm
 
 import pytest
 
@@ -13,10 +15,18 @@ from numacap import formulas, oracle, rounding
 from numacap.oracle import _pair_statics
 
 LISTED = sorted(formulas.LP_PROVED, key=str)
+# pairs with no proof, whose floor(LP) the field minimum still computes:
+# the three gap pairs, and k8/k7, whose terms need the widest fields
+UNPROVED = [("cq3", "k1_3"), ("q33", "k1_3"), ("k4_4", "k1_3"), ("k8", "k7")]
 
 
 def graphs(host, guest):
     return nc.expand_topology(host), nc.expand_topology(guest)
+
+
+@lru_cache(maxsize=None)
+def proof(host, guest):
+    return rounding.prove(*graphs(host, guest))
 
 
 def floor_lp(host, guest, b):
@@ -40,10 +50,10 @@ def wide_vectors(seed, n):
 @pytest.mark.parametrize("host,guest", LISTED, ids=lambda tid: str(tid))
 def test_listed_pairs_are_proved(host, guest):
     # prove() raises unless its simplices tile every full-dimensional cone
-    proof = rounding.prove(*graphs(host, guest))
-    assert proof.proved, proof.failures[:5]
-    assert proof.simplices >= proof.cones > 0
-    assert proof.base_points >= proof.simplices
+    checked = proof(host, guest)
+    assert checked.proved, checked.failures[:5]
+    assert checked.simplices >= checked.cones > 0
+    assert checked.base_points >= checked.simplices
 
 
 @pytest.mark.parametrize("masks,fault", [
@@ -74,27 +84,127 @@ def test_tiling_check_refuses_a_bad_cover(masks, fault):
 @pytest.mark.parametrize("host,guest,gap", [
     ("cq3", "k1_3", (1,) * 8),
     ("q33", "k1_3", (0, 1, 1, 1, 1, 1, 1, 2)),
-    ("k4_4", "k1_3", (0, 1, 1, 1, 1, 1, 1, 2)),
 ])
 def test_gap_pairs_are_refused(host, guest, gap):
     # each failure is a base point or period where the plain search's
     # count is below floor(LP); the proof lists them all
-    proof = rounding.prove(*graphs(host, guest))
-    assert not proof.proved
-    assert gap in proof.failures
+    failures = proof(host, guest).failures
+    assert failures
+    assert gap in failures
     plain = oracle._plain_solver(_pair_statics(*graphs(host, guest)))
-    for b in proof.failures:
+    for b in failures:
         assert plain(0, b) < floor_lp(host, guest, b), b
 
 
-@pytest.mark.parametrize("host,guest", LISTED, ids=lambda tid: str(tid))
+def test_k4_4_has_the_gaps_of_q33_relabelled():
+    # q33 is k4_4 with its sides on the odd and the even labels, so
+    # q33/k1_3's gaps, carried over by that relabelling, are k4_4's
+    q33, k4_4 = nc.expand_topology("q33"), nc.expand_topology("k4_4")
+    to_k4_4 = {v: (v + 1) // 2 if v % 2 else 4 + v // 2 for v in q33.vertices()}
+    assert sorted(to_k4_4.values()) == list(k4_4.vertices())
+    edges = {tuple(sorted((to_k4_4[u], to_k4_4[v]))) for u, v in q33.edges}
+    assert edges == set(k4_4.edges)
+    plain = oracle._plain_solver(_pair_statics(*graphs("k4_4", "k1_3")))
+    failures = proof("q33", "k1_3").failures
+    assert len(failures) > 200
+    for b in failures:
+        c = [0] * 8
+        for v, x in zip(q33.vertices(), b):
+            c[to_k4_4[v] - 1] = x
+        c = tuple(c)
+        assert plain(0, c) < floor_lp("k4_4", "k1_3", c), c
+
+
+def scaled_top(host, guest):
+    """max W' over the root terms (W, D), each scaled to the common
+    denominator D* = lcm of the D."""
+    terms = _pair_statics(*graphs(host, guest)).bound_terms[0]
+    scale = lcm(*[div for _, div in terms])
+    return max(w * (scale // div) for ws, div in terms for _, w in ws)
+
+
+def switch_vectors(top, n, seed):
+    """Vectors whose sum(b) * top lies on either side of each switch
+    from 16- to 32- and from 32- to 64-bit fields: the largest sum with
+    sum * top <= 2^w - 1 and the next, each spread over the nodes
+    evenly, at random and on one node."""
+    rng = random.Random(seed)
+    out = []
+    for width in (16, 32):
+        low = ((1 << width) - 1) // top
+        for total in (low, low + 1):
+            out.append(tuple(total // n + (v < total % n) for v in range(n)))
+            cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+            out.append(tuple(b - a for a, b in zip((0, *cuts), (*cuts, total))))
+            if total <= nc.MAX_CAPACITY:
+                out.append((total,) + (0,) * (n - 1))
+    return out
+
+
+@pytest.mark.parametrize("host,guest", LISTED + UNPROVED, ids=lambda tid: str(tid))
 def test_wide_root_is_the_plain_minimum(host, guest):
     h, g = graphs(host, guest)
+    n, k = h.vertex_count, g.vertex_count
     count = oracle.floor_lp(h, g)
-    for b in wide_vectors(f"{host}/{guest} wide", h.vertex_count):
+    proved = (host, guest) in formulas.LP_PROVED
+    vectors = wide_vectors(f"{host}/{guest} wide", n)
+    vectors += switch_vectors(scaled_top(host, guest), n, f"{host}/{guest}")
+    for b in vectors:
         want = floor_lp(host, guest, b)
-        assert count(b) == want, b
-        assert nc.vmcap(host, guest, b) == (want, "oracle"), b
+        assert count(b) == count(list(b)) == want, b
+        # the root terms already hold the term sum(b) // k of y = 1/k
+        assert want <= sum(b) // k, b
+        if proved:
+            assert nc.vmcap(host, guest, b) == (want, "oracle"), b
+
+
+@pytest.mark.parametrize("width", [16, 32])
+def test_field_minimum_at_each_switch(width):
+    # term 0 reads sum(b), at the field's edge, in the lowest field: a
+    # field too narrow for it carries into term 1 or overflows
+    every = ((0, 1), (1, 1))
+    count = oracle._field_min(((every, 1), (((0, 1),), 1)), 2)
+    for total in ((1 << width) - 1, 1 << width):
+        b = (total // 2, total - total // 2)
+        assert count(b) == total // 2, b
+    # the same edge over D* = 6: sum(b) // 2 reads 3 * sum(b) / 6, which
+    # fills the field at sum(b) = (2^width - 1) / 3
+    count = oracle._field_min(((every, 2), (((0, 1),), 3)), 2)
+    for total in (((1 << width) - 1) // 3, ((1 << width) - 1) // 3 + 1):
+        for b in ((total, 0), (total - 1, 1)):
+            assert count(b) == min(total // 2, b[0] // 3), b
+
+
+def test_field_minimum_refuses_terms_past_64_bits():
+    # (2^32 - 1) * (2^32 + 1) = 2^64 - 1 fills a 64-bit field; one more is past it
+    top = nc.MAX_CAPACITY + 2
+    count = oracle._field_min(((((0, top),), 1),), 1)
+    assert count((nc.MAX_CAPACITY,)) == nc.MAX_CAPACITY * top
+    with pytest.raises(nc.ScaleLimitError) as info:
+        oracle._field_min(((((0, top + 1),), 1),), 1)
+    assert str(info.value) == "floor(LP) fields hold up to 64 bits; these terms need 65"
+    with pytest.raises(nc.ScaleLimitError):
+        oracle._field_min(((((0, 1), (7, 1)), 1), (((3, 1),), 1 << 40)), 8)
+
+
+def test_a_proved_pair_peels_its_witness_at_any_magnitude(monkeypatch):
+    # floor(LP) is exact at every vector, so peeling it needs no solver
+    def refuse(*args):
+        raise AssertionError("a pair_solver was built")
+
+    monkeypatch.setattr(formulas, "pair_solver", refuse)
+    formulas._resolve.cache_clear()
+    try:
+        for host, guest in LISTED:
+            h, g = graphs(host, guest)
+            n = h.vertex_count
+            wide = wide_vectors(f"{host}/{guest} peel", n)
+            for b in [(26,) * n, *wide[:12]]:
+                placement = nc.place_vnuma(host, guest, b)
+                assert placement.count == nc.vmcap(host, guest, b).count, b
+                nc.verify_placement(h, g, b, placement)
+    finally:
+        formulas._resolve.cache_clear()
 
 
 def test_the_proof_stays_off_the_hot_path(monkeypatch):
@@ -123,6 +233,20 @@ def test_the_package_does_not_import_the_prover():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_the_import_path_builds_nothing():
+    # importing the package and its command line loads neither the
+    # prover nor fractions, and builds no pair's statics
+    code = (
+        "import sys, numacap, numacap.cli; from numacap import oracle;"
+        "print(sorted({'numacap.rounding', 'fractions'} & set(sys.modules)),"
+        " oracle._pair_statics.cache_info().currsize)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nc.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[] 0"
 
 
 def test_command_line(capsys):
