@@ -197,8 +197,15 @@ def _pair_statics(host: Graph, guest: Graph) -> _PairStatics:
         rays = _cut(rays, row, 1 << (dim + i), dim, _term)
         alive[i] = tuple(v for v in range(n) if alive_mask >> v & 1)
         bound_terms[i] = tuple([term for _, _, term in rays if term])
-    # the memo key's 8-bit fields rest on the same limit as the fields
-    width = _width(set().union(*bound_terms), MAX_ORACLE_TOTAL_CAPACITY)
+    # The field width _pack needs for these terms (W, D) on residuals that
+    # sum to at most MAX_ORACLE_TOTAL_CAPACITY (the limit the memo key's
+    # 8-bit fields rest on too).  A field holds W.r - D.need - hi.slope,
+    # or W.b - D.hi at the root; with sum(r), need and hi at most that
+    # total it is within total times max(sum W, D) of 0, and one more bit
+    # holds the sign.
+    biggest = max(max(sum(w for _, w in ws), div)
+                  for ws, div in set().union(*bound_terms))
+    width = (MAX_ORACLE_TOTAL_CAPACITY * biggest).bit_length() + 1
     cuts = tuple(
         _pack(terms, [sum(w for v, w in ws if v in vs) - div for ws, div in terms],
               width, n)
@@ -213,16 +220,6 @@ def _pair_statics(host: Graph, guest: Graph) -> _PairStatics:
         root=root,
         k=k,
     )
-
-
-def _width(terms, total: int) -> int:
-    """The field width _pack needs for terms (W, D) on residuals that sum
-    to at most `total`.  A field holds W.r - D.need - hi.slope, or
-    W.b - D.hi at the root; with sum(r), need and hi at most total it is
-    within total times max(sum W, D) of 0, and one more bit holds the
-    sign."""
-    biggest = max(max(sum(w for _, w in ws), div) for ws, div in terms)
-    return (total * biggest).bit_length() + 1
 
 
 def floor_lp(host: Graph, guest: Graph) -> Callable[[Sequence[int]], int]:
@@ -242,8 +239,9 @@ def _field_min(terms: tuple, n: int) -> Callable[[Sequence[int]], int]:
     each term is one unsigned field of the integer sum(b_v * weights_v),
     weights_v holding W'_jv in field j, and the field minimum is taken
     over that integer's bytes cast to native unsigned ints.  A call uses
-    the narrowest of 16-, 32- and 64-bit fields that holds
-    sum(b) * max W'; terms that 64 bits cannot hold at every vector
+    16-bit fields where they hold sum(b) * max W', as on every vector of
+    at most MAX_ORACLE_TOTAL_CAPACITY for the proved pairs, and 64-bit
+    fields otherwise; terms that 64 bits cannot hold at every vector
     raise ScaleLimitError here, before any call.
     """
     scale = lcm(*[div for _, div in terms])
@@ -256,7 +254,7 @@ def _field_min(terms: tuple, n: int) -> Callable[[Sequence[int]], int]:
         )
     codes = {memoryview(bytes(8)).cast(code).itemsize: code for code in "HILQ"}
     kernels = []
-    for size in (2, 4, 8):
+    for size in (2, 8):
         width = 8 * size
         weights = [0] * n
         for shift, ws in zip(range(0, width * len(terms), width), scaled):
@@ -264,7 +262,7 @@ def _field_min(terms: tuple, n: int) -> Callable[[Sequence[int]], int]:
                 weights[v] |= w << shift
         kernels.append((((1 << width) - 1) // top, tuple(weights),
                         size * len(terms), codes[size]))
-    (short, w16, n16, c16), (mid, w32, n32, c32), (_, w64, n64, c64) = kernels
+    (short, w16, n16, c16), (_, w64, n64, c64) = kernels
     order = sys.byteorder
 
     def count(b: Sequence[int]) -> int:
@@ -272,9 +270,6 @@ def _field_min(terms: tuple, n: int) -> Callable[[Sequence[int]], int]:
         if total <= short:
             x = sum(map(mul, b, w16)).to_bytes(n16, order)
             return min(memoryview(x).cast(c16)) // scale
-        if total <= mid:
-            x = sum(map(mul, b, w32)).to_bytes(n32, order)
-            return min(memoryview(x).cast(c32)) // scale
         x = sum(map(mul, b, w64)).to_bytes(n64, order)
         return min(memoryview(x).cast(c64)) // scale
 

@@ -124,10 +124,10 @@ def scaled_top(host, guest):
 
 
 def switch_vectors(top, n, seed):
-    """Vectors whose sum(b) * top lies on either side of each switch
-    from 16- to 32- and from 32- to 64-bit fields: the largest sum with
-    sum * top <= 2^w - 1 and the next, each spread over the nodes
-    evenly, at random and on one node."""
+    """Vectors whose sum(b) * top lies on either side of 2^16 - 1, where
+    16-bit fields give way to 64-bit ones, and of 2^32 - 1: the largest
+    sum with sum * top <= 2^w - 1 and the next, each spread over the
+    nodes evenly, at random and on one node."""
     rng = random.Random(seed)
     out = []
     for width in (16, 32):
@@ -158,21 +158,22 @@ def test_wide_root_is_the_plain_minimum(host, guest):
             assert nc.vmcap(host, guest, b) == (want, "oracle"), b
 
 
-@pytest.mark.parametrize("width", [16, 32])
-def test_field_minimum_at_each_switch(width):
-    # term 0 reads sum(b), at the field's edge, in the lowest field: a
-    # field too narrow for it carries into term 1 or overflows
+def test_field_minimum_at_the_switch():
+    # term 0 reads sum(b) in the lowest field: past 2^16 - 1 a 16-bit
+    # field would carry into term 1, so the call must switch to 64-bit
+    # fields, which hold 2^32 - 1 and 2^32 as well
     every = ((0, 1), (1, 1))
     count = oracle._field_min(((every, 1), (((0, 1),), 1)), 2)
-    for total in ((1 << width) - 1, 1 << width):
+    for total in ((1 << 16) - 1, 1 << 16, (1 << 32) - 1, 1 << 32):
         b = (total // 2, total - total // 2)
         assert count(b) == total // 2, b
     # the same edge over D* = 6: sum(b) // 2 reads 3 * sum(b) / 6, which
-    # fills the field at sum(b) = (2^width - 1) / 3
+    # fills a 16-bit field at sum(b) = (2^16 - 1) / 3
     count = oracle._field_min(((every, 2), (((0, 1),), 3)), 2)
-    for total in (((1 << width) - 1) // 3, ((1 << width) - 1) // 3 + 1):
-        for b in ((total, 0), (total - 1, 1)):
-            assert count(b) == min(total // 2, b[0] // 3), b
+    for edge in ((1 << 16) - 1, (1 << 32) - 1):
+        for total in (edge // 3, edge // 3 + 1):
+            for b in ((total, 0), (total - 1, 1)):
+                assert count(b) == min(total // 2, b[0] // 3), b
 
 
 def test_field_minimum_refuses_terms_past_64_bits():
