@@ -1,17 +1,22 @@
 """Command line front end.
 
 Capacity counts, witness placements, cluster aggregation from JSON state
-files, and formula-vs-solver verification sweeps:
+files, formula-vs-solver sweeps and floor(LP) proofs:
 
     numacap eval --topology cq3 --vnuma k2 --caps 30,30,30,30,30,30,30,30
     numacap place --topology k4 --vnuma k2 --caps 3,2,1,0
     numacap cluster --state cluster.json --flavors flavors.json --flavor m2
     numacap verify --topology c4 --vnuma k2 --max-cap 5
     numacap verify --topology cq3 --vnuma k2 --samples 10000 --seed 7
+    numacap verify --topology l4 --vnuma c4
     numacap verify
 
-Without --topology and --vnuma, verify runs every instance of the pair
-registry over each entry's range unless --max-cap or --samples is given.
+verify sweeps a pair with a closed form against the solver, and proves
+of any other that floor(LP) is its count (numacap.rounding.prove), in a
+sweep's document with "mode": "proof".  Without --topology and --vnuma,
+it runs every instance of the pair registry over each entry's range
+unless --max-cap or --samples is given, then proves every pair in
+formulas.LP_PROVED: one run checks every count vmcap gives by no search.
 `place` answers wherever `eval` does and prints the witness as runs,
 {"count": N, "runs": [[[node, ...], copies], ...]}: each run is a node
 group and how many guests it carries, so the output grows with the
@@ -21,7 +26,7 @@ not this command's.
 
 Capacity lists are always given in canonical label order 1..n (see the
 topology module for the labelings).  Exit codes: 0 success, 1 verification
-found a mismatch, 2 bad usage or bad input.
+found a mismatch or the proof was refused, 2 bad usage or bad input.
 """
 
 from __future__ import annotations
@@ -36,14 +41,9 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .capacity import ClusterState, Flavor, cluster_capacity, flavors_from_document
-from .errors import (
-    NumacapError,
-    PlacementError,
-    ScaleLimitError,
-    SchemaError,
-    TopologyError,
-)
-from .formulas import INSTANCES, bind_solver, closed_form_evaluator, place_vnuma, vmcap
+from .errors import NumacapError, PlacementError, ScaleLimitError, SchemaError
+from .formulas import (INSTANCES, LP_PROVED, bind_solver, closed_form_evaluator,
+                       place_vnuma, vmcap)
 from .oracle import MAX_ORACLE_TOTAL_CAPACITY, MAX_ORACLE_VERTICES, refuse_host
 from .placement import verify_placement
 from .topology import TopologyId, expand_topology, parse_topology
@@ -163,24 +163,32 @@ def cmd_cluster(args) -> int:
 
 
 def _pairs(args) -> list:
-    """(host, guest, sweep) for each registry instance when no id is
-    given, else for the named pair alone, with the sweep None; a named
-    host past the solver's node limit raises ScaleLimitError."""
+    """(host, guest, sweep) for each registry instance, then (host, guest,
+    None) for each pair in LP_PROVED, when no id is given; else for the
+    named pair alone, with the sweep None.  A named host past the
+    solver's node limit raises ScaleLimitError, and a sweep flag given
+    for a named pair that is proved raises SchemaError."""
     if args.topology is None and args.vnuma is None:
+        proved = sorted(LP_PROVED, key=lambda pair: tuple(map(str, pair)))
         return [(parse_topology(host), parse_topology(guest), sweep)
-                for host, guest, sweep in INSTANCES]
+                for host, guest, sweep in INSTANCES] + [
+                (host, guest, None) for host, guest in proved]
     if args.topology is None or args.vnuma is None:
         raise SchemaError(
             "--topology" if args.topology is None else "--vnuma",
             "give --topology and --vnuma together, or neither",
         )
     tid, gid = parse_topology(args.topology), parse_topology(args.vnuma)
-    if closed_form_evaluator(tid, gid) is None:
-        raise TopologyError(f"no closed-form evaluator for pair {tid}/{gid}")
     if tid.vertex_count > MAX_ORACLE_VERTICES:
-        # the solver refuses the host whatever the vectors hold, so this
-        # comes before any vector is drawn or skipped for its sum
+        # the solver and the prover refuse the host whatever the vectors
+        # hold, so this comes before any vector is drawn or skipped
         refuse_host()
+    if closed_form_evaluator(tid, gid) is None:
+        for flag, value in (("--max-cap", args.max_cap),
+                            ("--samples", args.samples), ("--seed", args.seed)):
+            if value is not None:
+                raise SchemaError(flag, f"{tid}/{gid} has no closed form; it is"
+                                        " proved, not swept")
     return [(tid, gid, None)]
 
 
@@ -240,13 +248,32 @@ def _verify(tid: TopologyId, gid: TopologyId, vectors, mode: str) -> dict:
     return doc
 
 
+def _prove(tid: TopologyId, gid: TopologyId) -> dict:
+    """The floor(LP) proof of a pair, in a sweep's document: each vector
+    the proof fails at is an example with floor(LP) as its formula and
+    the plain search's count as its oracle."""
+    from .rounding import prove  # only here, so importing the cli loads no prover
+
+    proof = prove(expand_topology(tid), expand_topology(gid))
+    return {"topology": str(tid), "vnuma": str(gid), "mode": "proof",
+            "cases": proof.base_points, "skipped": 0,
+            "mismatches": len(proof.failures),
+            "examples": [{"caps": list(bv), "formula": lp, "oracle": count,
+                          "witness": None}
+                         for bv, (lp, count) in proof.failures.items()],
+            "cones": proof.cones, "simplices": proof.simplices}
+
+
 def cmd_verify(args) -> int:
     docs = []
     for tid, gid, sweep in _pairs(args):
+        if closed_form_evaluator(tid, gid) is None:
+            docs.append(_prove(tid, gid))
+            continue
         max_cap, samples = args.max_cap, args.samples
         if sweep is not None and max_cap is None and samples is None:
             max_cap, samples = sweep
-        vectors, mode = _sweep(tid.vertex_count, max_cap, samples, args.seed)
+        vectors, mode = _sweep(tid.vertex_count, max_cap, samples, args.seed or 0)
         docs.append(_verify(tid, gid, vectors, mode))
 
     if args.json:
@@ -258,6 +285,8 @@ def cmd_verify(args) -> int:
                     f" {doc['cases']} cases, {doc['mismatches']} mismatches")
             if doc["skipped"]:
                 line += f", skipped {doc['skipped']} ({_PAST_SOLVER})"
+            if doc["mode"] == "proof":
+                line += f" ({doc['cones']} cones, {doc['simplices']} simplices)"
             print(line)
             for ex in doc["examples"]:
                 print(f"  caps={ex['caps']} formula={ex['formula']}"
@@ -270,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="numacap",
         description="NUMA-aware VM capacity: closed-form counts, witness"
-        " placements, cluster totals, and formula-vs-solver sweeps.",
+        " placements, cluster totals, formula-vs-solver sweeps and floor(LP)"
+        " proofs.",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="Capacity lists follow canonical node label order 1..n.",
     )
@@ -297,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("verify", help="compare formulas against the solver")
+    p = sub.add_parser(
+        "verify", help="sweep formulas against the solver, prove floor(LP) elsewhere"
+    )
     p.add_argument("--topology", help="host id; omit both ids for every pair")
     p.add_argument("--vnuma", help="guest id")
     p.add_argument(
@@ -307,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exhaustive sweep bound, or value range for --samples (default 20)",
     )
     p.add_argument("--samples", type=int, default=None, help="random vector count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="--samples seed (default 0)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

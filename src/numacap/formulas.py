@@ -410,12 +410,13 @@ PAIRS: dict[tuple[str, Optional[TopologyId]], Pair] = {
 
 # Solver pairs whose count is floor(LP), the smallest root term of the
 # pair's dual vertices, at every vector: numacap.rounding proves it for
-# each (python -m numacap.rounding HOST/GUEST proves them again), and the
-# tests re-run the proof.  Keyed by the host as parsed, whose labels the
-# proof read, and the canonical guest: star2 is k1_2.
+# each, and a no-pair `numacap verify` and the tests prove them again.
+# Keyed by the host as parsed, whose labels the proof read, and the
+# canonical guest: star2 is k1_2.  star4 and k1_4 are one graph with the
+# same labels, so each spelling is listed.
 LP_PROVED = frozenset({
-    (L4, C4), (star(4), star(2)), (CQ3, star(2)), (L4, star(2)),
-    (km_n(2, 3), C4), (Q33, star(2)), (km_n(3, 5), star(2)),
+    (L4, C4), (star(4), star(2)), (km_n(1, 4), star(2)), (CQ3, star(2)),
+    (L4, star(2)), (km_n(2, 3), C4), (Q33, star(2)), (km_n(3, 5), star(2)),
 })
 
 # A guest of its host's shape has one embedding, all n nodes, as the n-clique

@@ -30,42 +30,36 @@ whose remaining ray is on the other side, and one interior point lies in
 exactly one simplex.  Crossing an inner facet then leaves the number of
 simplices that hold a point unchanged, so it is 1 all over the cone.
 
-The proof runs only here and in the tests, never when a pair is bound;
-numacap.formulas.LP_PROVED lists the pairs it proved.  Run
-
-    python -m numacap.rounding HOST/GUEST ...
-
-to prove pairs again: it prints, per pair, its cones, simplices, base
-points and seconds, and either the verdict or the failing vectors.
+The proof runs only in `numacap verify` and in the tests, never when a
+pair is bound; numacap.formulas.LP_PROVED lists the pairs it proved.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from math import gcd
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import NumacapError
 from .oracle import MAX_ORACLE_VERTICES, _cut, _pair_statics, _plain_solver, refuse_host
-from .topology import Graph, as_topology_id, canonical_id, expand_topology
+from .topology import Graph
 
 
 class Proof(NamedTuple):
     """What prove() checked for one pair.
 
-    failures are the periods and base points, in the host's labels, at
-    which the count is below floor(LP); the pair is proved when there
-    are none.  base_points counts each simplex's base points, so a point
-    shared by two simplices counts twice.
+    failures maps each period and base point, in the host's labels, at
+    which the count is below floor(LP) to (floor(LP), count), in vector
+    order; the pair is proved when there are none.  base_points counts
+    each simplex's base points, so a point shared by two simplices
+    counts twice.
     """
 
     cones: int
     simplices: int
     base_points: int
     seconds: float
-    failures: tuple[tuple[int, ...], ...]
+    failures: dict[tuple[int, ...], tuple[int, int]]
 
     @property
     def proved(self) -> bool:
@@ -99,7 +93,7 @@ def prove(host: Graph, guest: Graph) -> Proof:
         return got
 
     cones = simplices = base_points = 0
-    failures = set()
+    failures = {}
     for *w, div in terms:
         rows = [_dense(((v, 1),), n) for v in range(n)]
         for *wi, di in terms:
@@ -125,12 +119,13 @@ def prove(host: Graph, guest: Graph) -> Proof:
             base_points += len(points)
             # in C_j, floor(L) is term j's floor
             for q in periods + points:
-                if count(q) < sum(map(mul, w, q)) // div:
-                    failures.add(q)
+                got, lp = count(q), sum(map(mul, w, q)) // div
+                if got < lp:
+                    failures[q] = (lp, got)
         simplices += len(cells)
         _check_tiling(cells, vectors, tight)
     return Proof(cones, simplices, base_points, time.perf_counter() - start,
-                 tuple(sorted(failures)))
+                 dict(sorted(failures.items())))
 
 
 def _dense(weights: Sequence[tuple[int, int]], n: int) -> tuple[int, ...]:
@@ -301,37 +296,3 @@ def _check_tiling(cells: list, vectors: list, tight: set) -> None:
     if inside != 1:
         raise ValueError(f"an interior point lies in {inside} simplices")
 
-
-def main(argv: Sequence[str]) -> int:
-    """Prove each HOST/GUEST pair named; exit 1 when one is refused, and 2
-    on a bad id or a host past the solver's node limit."""
-    if not argv:
-        print("usage: python -m numacap.rounding HOST/GUEST ...", file=sys.stderr)
-        return 2
-    try:
-        pairs = [(as_topology_id(hid), canonical_id(gid))
-                 for hid, _, gid in (arg.partition("/") for arg in argv)]
-        for host, _ in pairs:
-            if host.vertex_count > MAX_ORACLE_VERTICES:
-                refuse_host()
-    except NumacapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    refused = 0
-    for host, guest in pairs:
-        proof = prove(expand_topology(host), expand_topology(guest))
-        print(f"{host}/{guest}: {proof.cones} cones, {proof.simplices} simplices,"
-              f" {proof.base_points} base points, {proof.seconds:.2f} s")
-        if proof.proved:
-            print("  floor(LP) is the count at every vector")
-            continue
-        refused += 1
-        print(f"  refused: the count is below floor(LP) at {len(proof.failures)}"
-              f" vectors")
-        for b in proof.failures:
-            print(f"  {b}")
-    return 1 if refused else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

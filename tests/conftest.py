@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 import pytest
 
 import numacap as nc
-from numacap import formulas
+from numacap import formulas, rounding
 
 # closed-form pairs grouped by host size; used by sweep-style tests
 SMALL_PAIRS = [("c4", "k2"), ("k4", "k2"), ("k4", "k3")]
@@ -63,6 +64,11 @@ def closed_form(pname: str, gname: str):
     fn = nc.closed_form_evaluator(nc.parse_topology(pname), nc.parse_topology(gname))
     assert fn is not None, f"no closed form registered for {pname}/{gname}"
     return fn
+
+
+# rounding.prove, once a session per pair of graphs: the prover's tests
+# and the no-pair verify run read the same proofs
+proved = lru_cache(maxsize=None)(rounding.prove)
 
 
 @pytest.fixture

@@ -13,16 +13,27 @@ from pathlib import Path
 import pytest
 
 import numacap
-from numacap import capacity, cli, formulas
+from numacap import capacity, cli, formulas, rounding
+from conftest import proved
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 GEN_PATH = Path(__file__).resolve().parents[1] / "capbench" / "gen.py"
+# children import the package from the tree the suite imported it from
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": str(Path(numacap.__file__).resolve().parents[1])}
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def shared_proofs(monkeypatch):
+    """verify proves through the session's proof cache, which the
+    prover's own tests fill, so each pair is proved once a run."""
+    monkeypatch.setattr(rounding, "prove", proved)
 
 
 def write_json(tmp_path, name, doc):
@@ -162,14 +173,13 @@ class TestPlace:
             resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
         top = 2**32 - 1
-        src = str(Path(numacap.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "numacap", "place", "--topology", "c4",
              "--vnuma", "k2", "--caps", ",".join([str(top)] * 4)],
             capture_output=True,
             text=True,
             timeout=120,
-            env={**os.environ, "PYTHONPATH": src},
+            env=CHILD_ENV,
             preexec_fn=limit_address_space,
         )
         assert proc.returncode == 0, proc.stderr
@@ -822,11 +832,54 @@ class TestVerify:
         assert out == ""
         assert "all 3 vectors have sum(b) > 200, the solver's limit" in err
 
-    def test_pair_without_closed_form(self, capsys):
-        code, _, err = run(capsys, "verify", "--topology", "l4", "--vnuma", "c4",
-                           "--max-cap", "1")
-        assert code == 2
-        assert "no closed-form evaluator" in err
+    def test_pair_without_closed_form(self, capsys, shared_proofs):
+        # proved, not swept: the proof's base points are its cases
+        code, out, _ = run(capsys, "verify", "--topology", "l4", "--vnuma", "c4",
+                           "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "topology": "l4", "vnuma": "c4", "mode": "proof", "cases": 28,
+            "skipped": 0, "mismatches": 0, "examples": [], "cones": 12,
+            "simplices": 28}
+        code, out, _ = run(capsys, "verify", "--topology", "star4", "--vnuma",
+                           "k1_2")
+        assert code == 0
+        assert out == ("star4/k1_2 proof: 23 cases, 0 mismatches"
+                       " (6 cones, 19 simplices)\n")
+
+    def test_refused_proof_lists_every_failing_vector(self, capsys, shared_proofs):
+        code, out, _ = run(capsys, "verify", "--topology", "cq3", "--vnuma",
+                           "k1_3", "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["mode"] == "proof"
+        assert doc["mismatches"] == len(doc["examples"]) == 5
+        assert {"caps": [1] * 8, "formula": 2, "oracle": 1,
+                "witness": None} in doc["examples"]
+        assert all(ex["oracle"] < ex["formula"] for ex in doc["examples"])
+        code, out, _ = run(capsys, "verify", "--topology", "cq3", "--vnuma", "k1_3")
+        assert code == 1
+        assert "  caps=[1, 1, 1, 1, 1, 1, 1, 1] formula=2 oracle=1" in out.splitlines()
+
+    @pytest.mark.parametrize("flag", ["--max-cap", "--samples", "--seed"])
+    def test_proved_pair_takes_no_sweep_flag(self, capsys, flag):
+        code, out, err = run(capsys, "verify", "--topology", "l4", "--vnuma", "c4",
+                             flag, "1")
+        assert code == 2 and out == ""
+        assert err == (f"error: {flag}: l4/c4 has no closed form; it is proved,"
+                       " not swept\n")
+
+    def test_bad_id_in_a_pair(self, capsys):
+        code, out, err = run(capsys, "verify", "--topology", "l4", "--vnuma", "x")
+        assert code == 2 and out == ""
+        assert err == "error: unknown topology id 'x'\n"
+
+    def test_proved_host_past_the_solver_limit_builds_no_graph(self, capsys):
+        numacap.topology._expand.cache_clear()
+        code, out, err = run(capsys, "verify", "--topology", "k3_6", "--vnuma", "c4")
+        assert code == 2 and out == ""
+        assert err == "error: oracle supports hosts up to 8 vertices\n"
+        assert numacap.topology._expand.cache_info().currsize == 0
 
     def test_exhaustive_sweep_size_guard(self, capsys):
         code, _, err = run(capsys, "verify", "--topology", "cq3", "--vnuma", "k2",
@@ -880,24 +933,33 @@ class TestRegistrySweeps:
     """verify with no pair runs every registry instance."""
 
     INSTANCES = [(host, guest) for host, guest, _ in formulas.INSTANCES]
+    PROVED = sorted((str(host), str(guest)) for host, guest in formulas.LP_PROVED)
 
-    def test_verify_every_instance(self, capsys):
+    def test_verify_every_instance(self, capsys, shared_proofs):
+        # the sweeps take the flags; then every pair in LP_PROVED is proved
         code, out, _ = run(capsys, "verify", "--samples", "30", "--max-cap", "3",
                            "--json")
         assert code == 0
         docs = json.loads(out)
-        assert [(d["topology"], d["vnuma"]) for d in docs] == self.INSTANCES
-        assert all(d["cases"] == 30 and d["mismatches"] == 0 for d in docs)
+        sweeps, proofs = docs[:len(self.INSTANCES)], docs[len(self.INSTANCES):]
+        assert [(d["topology"], d["vnuma"]) for d in sweeps] == self.INSTANCES
+        assert all(d["cases"] == 30 and d["mismatches"] == 0 for d in sweeps)
+        assert [(d["topology"], d["vnuma"]) for d in proofs] == self.PROVED
+        for d in proofs:
+            assert d["mode"] == "proof" and d["mismatches"] == 0, d
+            assert d["cases"] >= d["simplices"] >= d["cones"] > 0, d
 
-    def test_each_instance_takes_its_own_sweep(self, capsys, monkeypatch):
+    def test_each_instance_takes_its_own_sweep(self, capsys, monkeypatch,
+                                               shared_proofs):
         # (max_cap, samples): every vector of [0..1]^4, then 5 drawn ones
         monkeypatch.setattr(cli, "INSTANCES", (("c4", "k2", (1, None)),
                                                ("k4", "k2", (2, 5))))
+        monkeypatch.setattr(cli, "LP_PROVED", {(numacap.L4, numacap.C4)})
         code, out, _ = run(capsys, "verify", "--json")
         assert code == 0
         docs = json.loads(out)
         assert [(d["topology"], d["mode"], d["cases"]) for d in docs] == [
-            ("c4", "exhaustive", 16), ("k4", "random", 5)]
+            ("c4", "exhaustive", 16), ("k4", "random", 5), ("l4", "proof", 28)]
 
     def test_one_id_alone_is_an_error(self, capsys):
         code, _, err = run(capsys, "verify", "--topology", "c4", "--max-cap", "1")
@@ -921,6 +983,7 @@ class TestEntryPoints:
              "--vnuma", "k2", "--caps", "2,5,3,1"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "5"
@@ -957,6 +1020,7 @@ class TestEntryPoints:
                  "--caps", "5,0,0,0,0,0,5,0"],
                 capture_output=True,
                 text=True,
+                env=CHILD_ENV,
             )
             assert proc.returncode == 0, (exe, proc.stderr)
             assert json.loads(proc.stdout)["count"] == 5, exe

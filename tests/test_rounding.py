@@ -5,7 +5,6 @@ import random
 import re
 import subprocess
 import sys
-from functools import lru_cache
 from math import lcm
 
 import pytest
@@ -13,6 +12,7 @@ import pytest
 import numacap as nc
 from numacap import formulas, oracle, rounding
 from numacap.oracle import _pair_statics
+from conftest import proved
 
 LISTED = sorted(formulas.LP_PROVED, key=str)
 # pairs with no proof, whose floor(LP) the field minimum still computes:
@@ -24,9 +24,8 @@ def graphs(host, guest):
     return nc.expand_topology(host), nc.expand_topology(guest)
 
 
-@lru_cache(maxsize=None)
 def proof(host, guest):
-    return rounding.prove(*graphs(host, guest))
+    return proved(*graphs(host, guest))
 
 
 def floor_lp(host, guest, b):
@@ -51,9 +50,21 @@ def wide_vectors(seed, n):
 def test_listed_pairs_are_proved(host, guest):
     # prove() raises unless its simplices tile every full-dimensional cone
     checked = proof(host, guest)
-    assert checked.proved, checked.failures[:5]
+    assert checked.proved, list(checked.failures)[:5]
     assert checked.simplices >= checked.cones > 0
     assert checked.base_points >= checked.simplices
+
+
+def test_k1_4_is_counted_as_star4():
+    # one graph under both ids, hub on label 1; each is listed as proved
+    assert graphs("k1_4", "k1_2") == graphs("star4", "k1_2")
+    for b in [(50,) * 5, (nc.MAX_CAPACITY,) * 5]:
+        got = nc.vmcap("k1_4", "k1_2", b)
+        assert got == nc.vmcap("star4", "k1_2", b) == (b[0], "oracle"), b
+        for host in ("k1_4", "star4"):
+            placement = nc.place_vnuma(host, "k1_2", b)
+            assert placement.count == got.count, (host, b)
+            nc.verify_placement(*graphs(host, "k1_2"), b, placement)
 
 
 @pytest.mark.parametrize("masks,fault", [
@@ -87,13 +98,15 @@ def test_tiling_check_refuses_a_bad_cover(masks, fault):
 ])
 def test_gap_pairs_are_refused(host, guest, gap):
     # each failure is a base point or period where the plain search's
-    # count is below floor(LP); the proof lists them all
+    # count is below floor(LP); the proof lists them all, with both
     failures = proof(host, guest).failures
     assert failures
     assert gap in failures
+    assert list(failures) == sorted(failures)
     plain = oracle._plain_solver(_pair_statics(*graphs(host, guest)))
-    for b in failures:
-        assert plain(0, b) < floor_lp(host, guest, b), b
+    for b, (lp, count) in failures.items():
+        assert (lp, count) == (floor_lp(host, guest, b), plain(0, b)), b
+        assert count < lp, b
 
 
 def test_k4_4_has_the_gaps_of_q33_relabelled():
@@ -249,24 +262,3 @@ def test_the_import_path_builds_nothing():
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[] 0"
 
-
-def test_command_line(capsys):
-    assert rounding.main(["l4/c4", "star4/k1_2"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("l4/c4: 12 cones, 28 simplices, 28 base points, ")
-    assert out[1] == "  floor(LP) is the count at every vector"
-    assert out[2].startswith("star4/star2: ")
-    assert rounding.main(["cq3/k1_3"]) == 1
-    out = capsys.readouterr().out.splitlines()
-    assert out[1] == "  refused: the count is below floor(LP) at 5 vectors"
-    assert "  (1, 1, 1, 1, 1, 1, 1, 1)" in out
-    # a bad id, or a host past the solver's 8 nodes, is refused before
-    # any pair is proved
-    assert rounding.main(["l4/c4", "l4"]) == 2
-    assert rounding.main(["l4/c4", "k3_6/c4"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "error: unknown topology id ''",
-        "error: oracle supports hosts up to 8 vertices",
-    ]
