@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Unio
 
 from .errors import DimensionError, TopologyError
 from .oracle import MAX_ORACLE_VERTICES, floor_lp, pair_solver, refuse_host
-from .placement import Placement, peel, place_kn_kk
+from .placement import Placement, peel, wrap
 from .topology import (
     C4,
     CQ3,
@@ -94,7 +94,7 @@ def _cliques(n: int, k: int, b: Sequence[int]) -> int:
     """vmcap_kn_kk_rec on a vector already checked to hold n entries.
 
     n is b's length and is not read; the complete-host count takes the
-    (n, k) its witness, place_kn_kk, takes.  For k = 2 the recursion is
+    (n, k) its wrap-around sides take.  For k = 2 the recursion is
     min(floor(sum/2), sum - max(b)), which needs no sort.
     """
     total = sum(b)
@@ -278,7 +278,6 @@ def vmcap_q33_c4(b: Sequence[int]) -> int:
         b1, b2, b3, b4, b5, b6, b7, b8 = b
     except ValueError:
         raise _length_error(8, b) from None
-    # peeling a q33/c4 witness calls this a dozen times or more
     odd = b1 + b3 + b5 + b7
     top = b1 if b1 > b3 else b3
     if b5 > top:
@@ -353,24 +352,27 @@ def partial_means(values: Sequence[int], k: int) -> list[Fraction]:
 
 
 class Pair(NamedTuple):
-    """One closed form: its count, its witness and the sweeps that check both.
+    """One closed form: its count, its witness's sides and the sweeps
+    that check both.
 
-    count(*args, b) and witness(*args, b) read b in the host's labels;
-    args is params(host, guest) for an entry that covers a host family,
-    and empty otherwise.  count reads a vector its caller has checked,
-    a tuple from vmcap or the evaluator, a list from peel, and does not
-    check it again.  A complete host's entry names the wrap-around
-    clique layout as its witness; witness None peels one from count over
-    the pair's embeddings.  instances are the (host, guest, sweep) that
-    `numacap verify` runs when no pair is named; sweep (max_cap, samples)
-    draws `samples` random vectors from [0..max_cap]^n, or takes all of
-    them when samples is None.
+    count(*args, b) reads b in the host's labels; args is
+    params(host, guest) for an entry that covers a host family, and
+    empty otherwise.  count reads a vector its caller has checked, a
+    tuple from vmcap or the evaluator, a list from peel, and does not
+    check it again.  sides(*args) are the (labels, lanes) of a pair
+    whose count is the least, over those sides, of the lanes-clique
+    count on the side's labels; its witness is
+    placement.wrap(sides, count(b), b).  sides None peels the witness
+    from count over the pair's embeddings.  instances are the
+    (host, guest, sweep) that `numacap verify` runs when no pair is
+    named; sweep (max_cap, samples) draws `samples` random vectors from
+    [0..max_cap]^n, or takes all of them when samples is None.
     """
 
     count: Callable[..., int]
     instances: tuple[tuple[str, str, tuple[int, Optional[int]]], ...]
     params: Optional[Callable[[TopologyId, TopologyId], tuple]] = None
-    witness: Optional[Callable[..., Placement]] = None
+    sides: Optional[Callable[..., tuple]] = None
 
 
 # the verify sweeps, (max_cap, samples) as Pair reads them
@@ -378,24 +380,41 @@ ALL_TO_5 = (5, None)
 RANDOM_TO_20 = (20, 10_000)
 RANDOM_TO_12 = (12, 10_000)
 
+
+def _clique_sides(n: int, k: int) -> tuple:
+    """K_n's k-cliques: k lanes over all n nodes."""
+    return ((range(1, n + 1), k),)
+
+
+def _bipartite_sides(m: int, n: int) -> tuple:
+    """K_m,n's edges: one lane on each side."""
+    return ((range(1, m + 1), 1), (range(m + 1, m + n + 1), 1))
+
+
+# q33 is K4,4 on its odd and even nodes, and c4 is K2,2 on its diagonals
+ODD, EVEN = (1, 3, 5, 7), (2, 4, 6, 8)
+
 # Keyed by (host kind, canonical guest).  The host kind is taken as parsed,
 # not from its canonical form, as host labels index b.  Guest None on "kn"
 # is any guest that fits, K4's pairs and triples included: each k-subset of
 # K_n carries every k-node guest, so the count is the k-clique's.
 PAIRS: dict[tuple[str, Optional[TopologyId]], Pair] = {
-    ("c4", K2): Pair(vmcap_c4_k2, (("c4", "k2", ALL_TO_5),)),
+    ("c4", K2): Pair(vmcap_c4_k2, (("c4", "k2", ALL_TO_5),),
+                     sides=lambda: (((1, 3), 1), ((2, 4), 1))),
     ("l4", K2): Pair(vmcap_l4_k2, (("l4", "k2", RANDOM_TO_20),)),
     ("cq3", K2): Pair(vmcap_cq3_k2, (("cq3", "k2", RANDOM_TO_20),)),
-    ("q33", K2): Pair(vmcap_q33_k2, (("q33", "k2", RANDOM_TO_20),)),
+    ("q33", K2): Pair(vmcap_q33_k2, (("q33", "k2", RANDOM_TO_20),),
+                      sides=lambda: ((ODD, 1), (EVEN, 1))),
     ("cq3", C4): Pair(vmcap_cq3_c4, (("cq3", "c4", RANDOM_TO_20),)),
-    ("q33", C4): Pair(vmcap_q33_c4, (("q33", "c4", RANDOM_TO_20),)),
+    ("q33", C4): Pair(vmcap_q33_c4, (("q33", "c4", RANDOM_TO_20),),
+                      sides=lambda: ((ODD, 2), (EVEN, 2))),
     ("km_n", K2): Pair(
         _sides, (("k2_3", "k2", ALL_TO_5),),
-        params=lambda host, guest: (host.m, host.n),
+        params=lambda host, guest: (host.m, host.n), sides=_bipartite_sides,
     ),
     ("star", K2): Pair(
         _sides, (("star5", "k2", RANDOM_TO_20),),
-        params=lambda host, guest: (1, host.n),
+        params=lambda host, guest: (1, host.n), sides=_bipartite_sides,
     ),
     ("kn", None): Pair(
         _cliques,
@@ -404,7 +423,7 @@ PAIRS: dict[tuple[str, Optional[TopologyId]], Pair] = {
          ("k5", "k2_3", RANDOM_TO_12), ("k6", "k2", RANDOM_TO_12),
          ("k6", "c4", RANDOM_TO_12)),
         params=lambda host, guest: (host.n, guest.vertex_count),
-        witness=place_kn_kk,
+        sides=_clique_sides,
     ),
 }
 
@@ -426,11 +445,12 @@ SAME_SHAPE = Pair(
     (("c4", "c4", RANDOM_TO_20), ("c4", "k2_2", RANDOM_TO_20),
      ("star3", "k1_3", RANDOM_TO_20), ("l4", "l4", RANDOM_TO_20)),
     params=lambda host, guest: (host.vertex_count, host.vertex_count),
-    witness=place_kn_kk,
+    sides=_clique_sides,
 )
 
-# A guest with more nodes than its host has no embedding: no copy fits.
-NONE_FIT = Pair(lambda b: 0, (("c4", "k5", ALL_TO_5),), witness=lambda b: Placement(()))
+# A guest with more nodes than its host has no embedding: no copy fits,
+# and a count of 0 lays out nothing.
+NONE_FIT = Pair(lambda b: 0, (("c4", "k5", ALL_TO_5),), sides=lambda: ())
 
 # (host, guest, sweep) for every instance the no-pair sweeps run
 INSTANCES = tuple(
@@ -441,15 +461,16 @@ INSTANCES = tuple(
 
 
 def _bind(pair: Pair, pid: TopologyId, gid: TopologyId):
-    count, witness = pair.count, pair.witness
-    if pair.params is not None:
-        args = pair.params(pid, gid)
+    count = pair.count
+    args = () if pair.params is None else pair.params(pid, gid)
+    if args:
         count = partial(count, *args)
-        if witness is not None:
-            witness = partial(witness, *args)
-    if witness is None and pid.vertex_count > MAX_ENUMERATION_VERTICES:
-        witness = partial(refuse_enumeration, pid.vertex_count)
-    elif witness is None:
+    if pair.sides is not None:
+        sides = pair.sides(*args)
+
+        def witness(b):
+            return wrap(sides, count(b), b)
+    else:
         embeddings = None
 
         def witness(b):
@@ -529,17 +550,18 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     its own id, whose labels index the vector.  A single-node guest
     raises, and a guest larger than its host, then one of its host's
     shape, is ruled on before the PAIRS lookup.  A registry entry binds
-    its closed form and witness, any other pair the exhaustive solver,
+    its closed form and witness, laid out by wrap-around from its sides
+    or peeled from its count, any other pair the exhaustive solver,
     whose count is floor(LP) on a pair in LP_PROVED, with a witness
     peeled from that count.
     count and witness read a checked vector; evaluator is a closed
     form's count behind check_capacities, and None for the solver.
     No binding expands a graph here.  A solver binding looks up its
     graphs and the pair's one solve on its first call, after the caller
-    has checked b, and keeps them.  The peeled witness looks up its
-    embeddings on its first call too.
-    Either refuses a host past its node limit with ScaleLimitError, and
-    builds no graph for it.
+    has checked b, and keeps them, and refuses a host past its node
+    limit with ScaleLimitError, building no graph for it.  A peeled
+    witness looks up its embeddings on its first call too; only hosts of
+    8 nodes peel, and a wrap-around witness builds no graph at all.
     """
     pid = as_topology_id(pnuma)
     n = pid.vertex_count
@@ -613,11 +635,11 @@ def place_vnuma(
 ) -> Placement:
     """A placement of vmcap(pnuma, vnuma, capacities).count guests.
 
-    A closed pair takes its registry witness, a pair in LP_PROVED one
+    A closed pair takes its registry witness: a complete or complete
+    bipartite host's laid out by wrap-around on a host of any size, and
+    the others' peeled from the count.  A pair in LP_PROVED takes one
     peeled from floor(LP) at any magnitude, and any other pair the
-    solver's, which raises ScaleLimitError where vmcap does.  Peeling
-    enumerates the host's embeddings, so a closed pair peeled on a host
-    past enumerate_embeddings' node limit raises ScaleLimitError too.
+    solver's, which raises ScaleLimitError where vmcap does.
     """
     n, _, witness, _, _ = _resolved(pnuma, vnuma)
     return witness(check_capacities(capacities, n))

@@ -338,11 +338,14 @@ def pair_solver(host: Graph, guest: Graph) -> Callable[[tuple[int, ...]], tuple]
     """The pair's solve(b) -> (count, multiplicities), built once over its
     statics; b is a tuple in the host's labels that check_capacities has
     passed.  A host past MAX_ORACLE_VERTICES is refused before any
-    statics are built, and solve refuses sum(b) > MAX_ORACLE_TOTAL_CAPACITY.
+    statics are built, and solve refuses sum(b) > MAX_ORACLE_TOTAL_CAPACITY,
+    except on a pair with no embedding, where it is (0, ()) at any vector.
     """
     if host.vertex_count > MAX_ORACLE_VERTICES:
         refuse_host()
     statics = _pair_statics(host, guest)
+    if not statics.verts:
+        return lambda b: (0, ())
     root, k = statics.root, statics.k
 
     def solve(b: tuple[int, ...]):

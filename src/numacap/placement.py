@@ -6,16 +6,17 @@ at most b_i times over all runs.  The witness rules emit one run per
 distinct group, so a witness's size does not grow with the entries of b.
 Expanding it to one group per guest (`matches`, `as_lists`) is an
 explicit step, bounded by MAX_EXPANDED_GROUPS.  Two rules build every
-witness from a count alone: `peel` reads an optimum off any exact count
-over the pair's embeddings, and `place_kn_kk` lays cliques of a complete
-host out by wrap-around.  The pair registry in the formulas module names
-the rule for each pair; place_k2 and place_c4_vnuma ask that registry,
-through place_vnuma, for the witness of a k2 or c4 guest on a named host.
+witness from a count alone: `wrap` lays out the count of a pair whose
+count is a minimum over sides of clique counts (complete and complete
+bipartite hosts) by wrap-around, and `peel` reads an optimum off any
+exact count over the pair's embeddings.  The pair registry in the
+formulas module names each pair's sides, or none when it peels;
+place_k2 and place_c4_vnuma ask that registry, through place_vnuma, for
+the witness of a k2 or c4 guest on a named host.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterable, Sequence, Union
@@ -143,7 +144,9 @@ def peel(
     count must be exact on every residual; an overclaim raises
     PlacementError, and each returned group is an embedding within the
     residual, so a returned placement is valid and places count(b)
-    copies, in one run per embedding used.
+    copies, in one run per embedding used.  The probes move the one
+    residual list to r - t·e in place, and count reads it there, so
+    count must not keep a reference to its argument.
     At most 1 + len(embeddings) * (1 + (c - 1).bit_length()) count calls,
     c = min(count(b), max(b)).
     """
@@ -160,14 +163,16 @@ def peel(
         if not top:
             continue
         slack = len(e) - 1
-        # T is in fit..cap; the probes bisect (fit, bad), t the next one
-        fit, bad, cap, t = 0, top + 1, top, top
+        # T is in fit..cap; the probes bisect (fit, bad), t the next one;
+        # residual holds r - held·e
+        fit, bad, cap, t, held = 0, top + 1, top, top, 0
         while True:
             if t <= cap:
-                trial = residual[:]
+                step = t - held
                 for v in e:
-                    trial[v - 1] -= t
-                short = left - t - count(trial)
+                    residual[v - 1] -= step
+                held = t
+                short = left - t - count(residual)
                 if not short:
                     fit = t
                 else:
@@ -183,10 +188,12 @@ def peel(
             if bad - fit < 2:
                 break
             t = (fit + bad) // 2
+        if held != fit:
+            step = held - fit
+            for v in e:
+                residual[v - 1] += step
         if fit:
             runs.append((e, fit))
-            for v in e:
-                residual[v - 1] -= fit
             left -= fit
     if left:
         raise PlacementError(
@@ -196,42 +203,77 @@ def peel(
     return Placement._canonical(tuple(runs))
 
 
-def place_kn_kk(n: int, k: int, b: Sequence[int]) -> Placement:
-    """k-cliques in the complete graph on n nodes, by wrap-around.
+def wrap(
+    sides: Sequence[tuple[Sequence[int], int]], slots: int, caps: Sequence[int]
+) -> Placement:
+    """`slots` groups laid out side by side by wrap-around.
 
-    With T the clique count, node v fills min(b_v, T) cells of k lanes of
-    T slots each, in label order and lane after lane, until the lanes are
-    full; slot s of every lane forms one clique.  A node fills at most T
-    consecutive cells, so it never lands twice in one slot (McNaughton's
-    wrap-around rule), and the capped cells always fill the k·T cells.
-    A range of slots over which no lane changes node is one run, so the
-    placement holds at most n runs.
+    Each side (labels, lanes) fills `lanes` lanes of `slots` cells each:
+    its nodes, in label order, take min(caps_v, slots) consecutive cells
+    each, lane after lane, until the lanes are full.  Slot s of every
+    lane, side after side, forms one group, its nodes in that order.  A
+    node fills at most `slots` consecutive cells, so it never lands
+    twice in one slot (McNaughton's wrap-around rule), and the sides'
+    labels are disjoint.  A side fills its lanes exactly when slots is
+    at most its clique count, _cliques over its labels with k = lanes,
+    so slots = the least of those counts lays out an optimum; a side
+    that cannot fill its lanes, or slots on no sides at all, raises
+    PlacementError, as peel does when a count overclaims.
+    A lane changes node only at the offset where a node starts or wraps
+    into it, so the layout emits one run per distinct such offset: at
+    most one per node, whatever the entries of caps.
     """
-    caps = check_capacities(b, n)
-    slots = formulas.vmcap_kn_kk_rec(n, k, caps)
     if not slots:
         return Placement._canonical(())
-    cells = k * slots
-    labels: list[int] = []
-    ends: list[int] = []  # the cell past each laid-out node's run
-    filled = 0
-    for v, c in enumerate(caps, 1):
-        if c and filled < cells:
-            filled += c if c < slots else slots
-            if filled > cells:
-                filled = cells
-            labels.append(v)
-            ends.append(filled)
-    # a lane changes node only where some run ends
-    cuts = sorted({0, *[end % slots for end in ends]})
+    events = []  # (offset, lane, node): lane holds node from offset on
+    base = 0
+    for labels, lanes in sides:
+        cells = lanes * slots
+        filled = lane = offset = 0
+        for v in labels:
+            c = caps[v - 1]
+            if not c:
+                continue
+            events.append((offset, base + lane, v))
+            if c > slots:
+                c = slots
+            filled += c
+            if filled >= cells:
+                break
+            offset += c
+            if offset >= slots:
+                lane += 1
+                offset -= slots
+                if offset:
+                    # v runs on into the next lane, from its first slot
+                    events.append((0, base + lane, v))
+        else:
+            raise PlacementError(
+                f"count overclaims: {slots} slots leave {cells - filled} of"
+                f" {cells} cells empty on {lanes} lane(s) of {len(labels)} nodes"
+            )
+        base += lanes
+    if not events:
+        raise PlacementError(f"count overclaims: {slots} slots on no lanes")
+    events.sort()
+    group = [0] * base
     runs: list[Run] = []
-    for lo, hi in zip(cuts, cuts[1:] + [slots]):
-        # slot lo's cell in each lane: lo, lo + slots, ..., below cells
-        group = tuple([labels[bisect_right(ends, cell)]
-                       for cell in range(lo, cells, slots)])
-        runs.append((group, hi - lo))
-    # neighbouring runs differ: some lane changes node at each cut
+    start = 0
+    for offset, lane, v in events:
+        if offset != start:
+            runs.append((tuple(group), offset - start))
+            start = offset
+        group[lane] = v
+    runs.append((tuple(group), slots - start))
+    # neighbouring runs differ: some lane changes node at each offset
     return Placement._canonical(tuple(runs))
+
+
+def place_kn_kk(n: int, k: int, b: Sequence[int]) -> Placement:
+    """k-cliques in the complete graph on n nodes: the clique count laid
+    out by wrap, k lanes over nodes 1..n, in at most n runs."""
+    caps = check_capacities(b, n)
+    return wrap(((range(1, n + 1), k),), formulas.vmcap_kn_kk_rec(n, k, caps), caps)
 
 
 def place_k2(topology: Union[TopologyId, str], b: Sequence[int]) -> Placement:

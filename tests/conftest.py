@@ -59,6 +59,48 @@ def random_vectors(seed: str, count: int, length: int, max_cap: int):
     return [tuple(rng.randint(0, max_cap) for _ in range(length)) for _ in range(count)]
 
 
+def full_range_vectors(seed, n, count=60):
+    """The zero vector, then entries 0..256, entries up to 2^32-1, and
+    both mixed with zeros, count vectors of each."""
+    rng = random.Random(seed)
+    top = nc.MAX_CAPACITY
+    draws = [
+        lambda: rng.randint(0, 256),
+        lambda: rng.randint(0, top),
+        lambda: rng.choice((0, rng.randint(0, 256), rng.randint(0, top))),
+    ]
+    return [(0,) * n] + [
+        tuple(draw() for _ in range(n)) for draw in draws for _ in range(count)
+    ]
+
+
+def count_graphs(monkeypatch):
+    """A one-item list that counts every Graph built from now on."""
+    built = [0]
+    real = nc.Graph.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        real(self)
+
+    monkeypatch.setattr(nc.Graph, "__post_init__", counted)
+    return built
+
+
+def check_pair_witness(placement, m, caps):
+    """Check a k2 witness on K_m,n by hand: each group holds one node of
+    1..m and one of the other side, and no node is used past its entry.
+    verify_placement cannot check a host this large, as it enumerates
+    the host's embeddings."""
+    used = [0] * len(caps)
+    for group, copies in placement.runs:
+        left, right = sorted(group)
+        assert 1 <= left <= m < right <= len(caps), group
+        used[left - 1] += copies
+        used[right - 1] += copies
+    assert all(u <= c for u, c in zip(used, caps)), used
+
+
 def closed_form(pname: str, gname: str):
     """Resolve the closed-form evaluator for a topology pair, or fail loudly."""
     fn = nc.closed_form_evaluator(nc.parse_topology(pname), nc.parse_topology(gname))

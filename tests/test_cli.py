@@ -793,10 +793,12 @@ class TestVerify:
         assert f"{doc['cases']} cases, 0 mismatches" in out
         assert f"skipped {doc['skipped']} (sum(b) > 200, the solver's limit)" in out
 
-    def test_wrong_witness_is_caught(self, capsys, patch_formula):
-        # the count is right; the witness drops its first group
-        patch_formula("kn", None, lambda n, k, b: numacap.Placement(
-            numacap.place_kn_kk(n, k, b).matches[1:]), "witness")
+    def test_wrong_witness_is_caught(self, capsys, monkeypatch):
+        # the count is right; the layout the binding calls drops its
+        # first group
+        wrap = formulas.wrap
+        monkeypatch.setattr(formulas, "wrap", lambda *args: numacap.Placement(
+            wrap(*args).matches[1:]))
         code, out, _ = run(capsys, "verify", "--topology", "k4", "--vnuma", "k2",
                            "--max-cap", "1", "--json")
         assert code == 1
@@ -807,9 +809,10 @@ class TestVerify:
         assert ex["formula"] == ex["oracle"] == 1
         assert ex["witness"] == "places 0"
 
-    def test_witness_past_its_count_is_caught(self, capsys, patch_formula):
-        patch_formula("kn", None, lambda n, k, b: numacap.Placement(
-            numacap.place_kn_kk(n, k, b).matches * 2), "witness")
+    def test_witness_past_its_count_is_caught(self, capsys, monkeypatch):
+        wrap = formulas.wrap
+        monkeypatch.setattr(formulas, "wrap", lambda *args: numacap.Placement(
+            wrap(*args).matches * 2))
         code, out, _ = run(capsys, "verify", "--topology", "k4", "--vnuma", "k2",
                            "--max-cap", "1")
         assert code == 1

@@ -69,6 +69,16 @@ class TestOracleBasics:
         sol = nc.oracle_vmcap(expanded("c4"), expanded("k3"), (5, 5, 5, 5))
         assert sol.count == 0
 
+    @pytest.mark.parametrize("pname,gname,caps", [
+        ("c4", "k3", (60,) * 4), ("k1_4", "c4", (50,) * 5),
+        ("c4", "k3", (nc.MAX_CAPACITY,) * 4),
+    ])
+    def test_no_embedding_counts_zero_past_the_sum_limit(self, pname, gname, caps):
+        assert nc.vmcap(pname, gname, caps) == (0, "oracle")
+        sol = nc.oracle_vmcap(expanded(pname), expanded(gname), caps)
+        assert (sol.count, sol.multiplicities) == (0, ())
+        assert nc.place_vnuma(pname, gname, caps) == nc.Placement(())
+
     @pytest.mark.parametrize("pname,gname", SMALL_PAIRS + LARGE_PAIRS)
     def test_witness_accounts_for_count(self, pname, gname):
         host, guest = expanded(pname), expanded(gname)

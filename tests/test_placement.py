@@ -4,13 +4,20 @@ import json
 import pickle
 import random
 import tracemalloc
+from bisect import bisect_right
+from functools import partial
 
 import pytest
 
 import numacap as nc
 from numacap import cli, formulas
-from numacap.placement import MAX_EXPANDED_GROUPS, peel
-from conftest import random_vectors
+from numacap.placement import MAX_EXPANDED_GROUPS, peel, wrap
+from conftest import (
+    check_pair_witness,
+    count_graphs,
+    full_range_vectors,
+    random_vectors,
+)
 
 
 def expanded(name):
@@ -63,6 +70,88 @@ class TestCliquePlacement:
         assert all(u <= c for u, c in zip(used, caps))
         # one run per lane change, not one group per copy
         assert len(pl.runs) <= 40
+
+
+def bisect_layout(n, k, b):
+    """Runs of the clique layout that finds each lane's node at each cut
+    by bisecting the nodes' run ends: the reference that place_kn_kk's
+    offset sweep must match run for run."""
+    slots = nc.vmcap_kn_kk_rec(n, k, b)
+    if not slots:
+        return ()
+    cells = k * slots
+    labels, ends = [], []
+    filled = 0
+    for v, c in enumerate(b, 1):
+        if c and filled < cells:
+            filled = min(filled + min(c, slots), cells)
+            labels.append(v)
+            ends.append(filled)
+    cuts = sorted({0, *[end % slots for end in ends]})
+    return tuple(
+        (tuple(labels[bisect_right(ends, cell)]
+               for cell in range(lo, cells, slots)), hi - lo)
+        for lo, hi in zip(cuts, cuts[1:] + [slots])
+    )
+
+
+# each registry entry that names sides, with the instances its sweeps
+# run, then family hosts past the solver's and the enumeration's limits
+SIDES_CASES = [
+    pytest.param(pair, host, guest, id=f"{host}/{guest}")
+    for pair in (*formulas.PAIRS.values(), formulas.SAME_SHAPE, formulas.NONE_FIT)
+    if pair.sides is not None
+    for host, guest, _ in pair.instances
+] + [
+    pytest.param(formulas.PAIRS[key], host, guest, id=f"{host}/{guest}")
+    for key, host, guest in (
+        (("km_n", nc.K2), "k7_7", "k2"), (("km_n", nc.K2), "k3_9", "k2"),
+        (("star", nc.K2), "star12", "k2"), (("kn", None), "k13", "k4"),
+        (("kn", None), "k9", "c4"),
+    )
+]
+
+
+def bound_sides(pair, host, guest):
+    """(count, sides) as the binding takes them from the entry."""
+    pid = nc.parse_topology(host)
+    args = () if pair.params is None else pair.params(
+        pid, nc.canonical_id(nc.parse_topology(guest)))
+    return partial(pair.count, *args), pair.sides(*args)
+
+
+class TestWrap:
+    """Every complete and complete-bipartite witness is one wrap-around
+    layout of its count."""
+
+    @pytest.mark.parametrize("pair,host,guest", SIDES_CASES)
+    def test_count_is_the_least_side_clique_count(self, pair, host, guest):
+        # what makes the layout exact: each side fills its lanes at the count
+        count, sides = bound_sides(pair, host, guest)
+        labels = [v for side, _ in sides for v in side]
+        assert len(set(labels)) == len(labels)
+        n = nc.parse_topology(host).vertex_count
+        for b in full_range_vectors(f"{host}/{guest} sides", n, 20):
+            want = min((formulas._cliques(len(side), lanes, [b[v - 1] for v in side])
+                        for side, lanes in sides), default=0)
+            assert count(b) == want, b
+
+    @pytest.mark.parametrize("pair,host,guest", SIDES_CASES)
+    def test_one_copy_past_the_count_is_refused(self, pair, host, guest):
+        count, sides = bound_sides(pair, host, guest)
+        n = nc.parse_topology(host).vertex_count
+        for b in full_range_vectors(f"{host}/{guest} past", n, 5):
+            assert wrap(sides, count(b), b).count == count(b)
+            with pytest.raises(nc.PlacementError, match="overclaims"):
+                wrap(sides, count(b) + 1, b)
+
+    @pytest.mark.parametrize("n,k", [
+        (2, 2), (3, 1), (4, 2), (4, 3), (5, 3), (6, 2), (6, 4), (7, 5),
+        (8, 4), (8, 8), (13, 4), (40, 20),
+    ])
+    def test_clique_runs_match_the_bisected_layout(self, n, k):
+        for caps in peel_vectors(f"k{n}/k{k} layout", n, 60):
+            assert nc.place_kn_kk(n, k, caps).runs == bisect_layout(n, k, caps), caps
 
 
 class TestEdgeGuestPlacement:
@@ -207,7 +296,9 @@ class TestPeel:
         ("cq3", "c4", "cq3"), ("k2_3", "k2", "km_n"),
     ])
     def test_count_calls_are_bounded(self, patch_formula, pname, gname, key):
-        real = formulas.PAIRS[key, nc.parse_topology(gname)].count
+        embeddings = nc.enumerate_embeddings(expanded(pname), expanded(gname))
+        entry = formulas.PAIRS[key, nc.parse_topology(gname)]
+        real = entry.count if entry.sides is None else formulas._resolve(pname, gname)[1]
         calls = 0
 
         def counted(*args):
@@ -215,22 +306,33 @@ class TestPeel:
             calls += 1
             return real(*args)
 
-        patch_formula(key, gname, counted)
-        m = len(nc.enumerate_embeddings(expanded(pname), expanded(gname)))
+        if entry.sides is None:
+            patch_formula(key, gname, counted)
+            place = partial(nc.place_vnuma, pname, gname)
+        else:
+            # laid out by wrap-around: peel takes the bound count directly,
+            # so q33/c4 still holds it to its 36 embeddings
+            place = partial(peel, counted, embeddings)
+
+        m = len(embeddings)
         n = nc.parse_topology(pname).vertex_count
         for caps in random_vectors(f"{pname}/{gname} calls", 100, n, 300):
             want = nc.vmcap(pname, gname, caps).count
             calls = 0
-            pl = nc.place_vnuma(pname, gname, caps)
+            pl = place(caps)
             c = min(want, max(caps))
             assert calls <= 1 + m * (1 + (c - 1).bit_length()), caps
             assert pl.count == want, caps
 
-    def test_host_past_the_enumeration_limit(self):
-        caps = (1,) * 14
-        assert nc.vmcap("k7_7", "k2", caps).count == 7
-        with pytest.raises(nc.ScaleLimitError, match="at most 12 vertices"):
-            nc.place_vnuma("k7_7", "k2", caps)
+    def test_host_past_the_enumeration_limit(self, monkeypatch):
+        # laid out by wrap-around, with no graph built
+        formulas._resolve.cache_clear()
+        built = count_graphs(monkeypatch)
+        for caps in ((1,) * 14, (5, 0, 3, 2, 7, 1, 4) + (9, 2, 0, 6, 1, 3, 8)):
+            pl = nc.place_vnuma("k7_7", "k2", caps)
+            assert pl.count == nc.vmcap("k7_7", "k2", caps).count
+            check_pair_witness(pl, 7, caps)
+        assert built == [0]
 
 
 class TestVerification:
@@ -270,7 +372,8 @@ class TestRunLength:
     def test_every_instance_at_the_top_entries(self, pname, gname):
         n = nc.parse_topology(pname).vertex_count
         m = len(nc.enumerate_embeddings(expanded(pname), expanded(gname)))
-        for caps in ((TOP,) * n, MIXED[:n]):
+        for caps in ((TOP,) * n, MIXED[:n],
+                     *full_range_vectors(f"{pname}/{gname} top", n, 5)):
             pl = nc.place_vnuma(pname, gname, caps)
             check(pname, gname, caps, pl)
             assert pl.count == nc.vmcap(pname, gname, caps).count, caps
