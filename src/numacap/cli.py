@@ -1,7 +1,7 @@
 """Command line front end.
 
 Capacity counts, witness placements, cluster aggregation from JSON state
-files, formula-vs-solver sweeps and floor(LP) proofs:
+files, and floor(LP) proofs with formula sweeps against them:
 
     numacap eval --topology cq3 --vnuma k2 --caps 30,30,30,30,30,30,30,30
     numacap place --topology k4 --vnuma k2 --caps 3,2,1,0
@@ -11,18 +11,20 @@ files, formula-vs-solver sweeps and floor(LP) proofs:
     numacap verify --topology l4 --vnuma c4
     numacap verify
 
-verify sweeps a pair with a closed form against the solver, and proves
-of any other that floor(LP) is its count (numacap.rounding.prove), in a
-sweep's document with "mode": "proof".  Without --topology and --vnuma,
-it runs every instance of the pair registry over each entry's range
-unless --max-cap or --samples is given, then proves every pair in
-formulas.LP_PROVED: one run checks every count vmcap gives by no search.
-`place` answers wherever `eval` does and prints the witness as runs,
-{"count": N, "runs": [[[node, ...], copies], ...]}: each run is a node
-group and how many guests it carries, so the output grows with the
-distinct groups, not with the count.  verify checks each witness along
-with each count.  Timing is the benchmark's job (capbench/run.py),
-not this command's.
+verify proves that floor(LP), the LP bound rounded down, is the pair's
+count (numacap.rounding.prove); each vector the proof fails at is a
+mismatch.  A proved pair with a closed form is then swept: at each
+vector its formula and its witness's size must equal oracle.floor_lp,
+exact up to MAX_CAPACITY, and the witness must pass verify_placement.
+Every line carries the proof's cones and simplices, and the guest as
+vmcap binds it (k1_2 as star2).  With no pair named, each registry
+instance is swept over its own range, then formulas.FULL_RANGE, or over
+the one sweep --max-cap and --samples give, and every pair in
+formulas.LP_PROVED is proved.  The prover stops at 8 host nodes, so a
+host family's formula is checked on its instances of 8 nodes or fewer.
+`place` prints the witness as runs, {"count": N, "runs": [[[node, ...],
+copies], ...]}: each run is a node group and how many guests it
+carries.  Timing is the benchmark's job (capbench/run.py).
 
 Capacity lists are always given in canonical label order 1..n (see the
 topology module for the labelings).  Exit codes: 0 success, 1 verification
@@ -37,18 +39,18 @@ import json
 import random
 import sys
 from contextlib import contextmanager
-from itertools import product
+from itertools import chain, product
 from typing import Optional, Sequence
 
 from .capacity import ClusterState, Flavor, cluster_capacity, flavors_from_document
 from .errors import NumacapError, PlacementError, ScaleLimitError, SchemaError
-from .formulas import (INSTANCES, LP_PROVED, bind_solver, closed_form_evaluator,
+from .formulas import (FULL_RANGE, INSTANCES, LP_PROVED, closed_form_evaluator,
                        place_vnuma, vmcap)
-from .oracle import MAX_ORACLE_TOTAL_CAPACITY, MAX_ORACLE_VERTICES, refuse_host
+from .oracle import MAX_ORACLE_VERTICES, floor_lp, refuse_host
 from .placement import verify_placement
-from .topology import TopologyId, expand_topology, parse_topology
+from .topology import (MAX_CAPACITY, TopologyId, canonical_id, expand_topology,
+                       parse_topology)
 
-_PAST_SOLVER = f"sum(b) > {MAX_ORACLE_TOTAL_CAPACITY}, the solver's limit"
 _EXHAUSTIVE_LIMIT = 2_000_000
 
 
@@ -163,39 +165,44 @@ def cmd_cluster(args) -> int:
 
 
 def _pairs(args) -> list:
-    """(host, guest, sweep) for each registry instance, then (host, guest,
-    None) for each pair in LP_PROVED, when no id is given; else for the
-    named pair alone, with the sweep None.  A named host past the
-    solver's node limit raises ScaleLimitError, and a sweep flag given
-    for a named pair that is proved raises SchemaError."""
+    """(host, guest, sweeps) for each registry instance, then each pair
+    in LP_PROVED with no sweep, or for the named pair alone, the guest
+    canonical.  An instance's sweeps are its own and FULL_RANGE, unless
+    the flags give one.  A named host past the prover's node limit raises
+    ScaleLimitError, and a sweep flag on a named pair without a formula
+    SchemaError."""
+    flags = (args.max_cap, args.samples)
     if args.topology is None and args.vnuma is None:
         proved = sorted(LP_PROVED, key=lambda pair: tuple(map(str, pair)))
-        return [(parse_topology(host), parse_topology(guest), sweep)
+        return [(parse_topology(host), canonical_id(guest),
+                 (sweep, FULL_RANGE) if flags == (None, None) else (flags,))
                 for host, guest, sweep in INSTANCES] + [
-                (host, guest, None) for host, guest in proved]
+                (host, guest, ()) for host, guest in proved]
     if args.topology is None or args.vnuma is None:
         raise SchemaError(
             "--topology" if args.topology is None else "--vnuma",
             "give --topology and --vnuma together, or neither",
         )
-    tid, gid = parse_topology(args.topology), parse_topology(args.vnuma)
+    tid, gid = parse_topology(args.topology), canonical_id(args.vnuma)
     if tid.vertex_count > MAX_ORACLE_VERTICES:
-        # the solver and the prover refuse the host whatever the vectors
-        # hold, so this comes before any vector is drawn or skipped
+        # the prover refuses the host whatever the vectors hold, so this
+        # comes before any vector is drawn
         refuse_host()
-    if closed_form_evaluator(tid, gid) is None:
-        for flag, value in (("--max-cap", args.max_cap),
-                            ("--samples", args.samples), ("--seed", args.seed)):
-            if value is not None:
-                raise SchemaError(flag, f"{tid}/{gid} has no closed form; it is"
-                                        " proved, not swept")
-    return [(tid, gid, None)]
+    if closed_form_evaluator(tid, gid) is not None:
+        return [(tid, gid, (flags,))]
+    for flag, value in (("--max-cap", args.max_cap),
+                        ("--samples", args.samples), ("--seed", args.seed)):
+        if value is not None:
+            raise SchemaError(flag, f"{tid}/{gid} has no closed form; it is"
+                                    " proved, not swept")
+    return [(tid, gid, ())]
 
 
 def _sweep(n: int, max_cap: Optional[int], samples: Optional[int], seed: int):
     """The capacity vectors of one verify sweep, and its mode."""
-    if max_cap is not None and max_cap < 0:
-        raise SchemaError("--max-cap", "must be >= 0")
+    if max_cap is not None and not 0 <= max_cap <= MAX_CAPACITY:
+        raise SchemaError("--max-cap", "must be >= 0" if max_cap < 0
+                          else f"must be <= {MAX_CAPACITY}")
     if samples is not None:
         if samples < 1:
             raise SchemaError("--samples", "must be >= 1")
@@ -217,24 +224,38 @@ def _sweep(n: int, max_cap: Optional[int], samples: Optional[int], seed: int):
     return product(range(max_cap + 1), repeat=n), "exhaustive"
 
 
-def _verify(tid: TopologyId, gid: TopologyId, vectors, mode: str) -> dict:
-    """Compare the pair's closed form and witness against the solver on
-    every vector the solver takes; the others are counted as skipped, and
-    a sweep of nothing but those raises."""
+def _prove(tid: TopologyId, gid: TopologyId) -> dict:
+    """The floor(LP) proof of a pair, as a verify document: each vector
+    the proof fails at is an example with floor(LP) as its formula and
+    the plain search's count as its oracle."""
+    from .rounding import prove  # only here, so importing the cli loads no prover
+
+    proof = prove(expand_topology(tid), expand_topology(gid))
+    return {"topology": str(tid), "vnuma": str(gid), "mode": "proof",
+            "cases": proof.base_points, "mismatches": len(proof.failures),
+            "examples": [{"caps": list(bv), "formula": lp, "oracle": count,
+                          "witness": None}
+                         for bv, (lp, count) in proof.failures.items()],
+            "cones": proof.cones, "simplices": proof.simplices}
+
+
+def _check(tid: TopologyId, gid: TopologyId, sweeps: list) -> dict:
+    """The mode, cases, mismatches and examples of a proved pair's sweeps:
+    on each vector, its closed form and the size of the witness `place`
+    prints are compared with floor(LP), which the proof made its count,
+    and the witness must pass verify_placement."""
     fn = closed_form_evaluator(tid, gid)
-    solve = bind_solver(tid, gid)[0]
-    doc = {"topology": str(tid), "vnuma": str(gid), "mode": mode,
-           "cases": 0, "skipped": 0, "mismatches": 0, "examples": []}
-    for bv in vectors:
-        if sum(bv) > MAX_ORACLE_TOTAL_CAPACITY:
-            doc["skipped"] += 1
-            continue
+    host, guest = expand_topology(tid), expand_topology(gid)
+    lp = floor_lp(host, guest)
+    doc = {"mode": "+".join(mode for _, mode in sweeps), "cases": 0,
+           "mismatches": 0, "examples": []}
+    for bv in chain.from_iterable(vectors for vectors, _ in sweeps):
         doc["cases"] += 1
-        want = solve(bv)
+        want = lp(bv)
         got = fn(bv)
         try:
             placement = place_vnuma(tid, gid, bv)
-            verify_placement(expand_topology(tid), expand_topology(gid), bv, placement)
+            verify_placement(host, guest, bv, placement)
             fault = None if placement.count == want else f"places {placement.count}"
         except PlacementError as exc:
             fault = str(exc)
@@ -243,51 +264,28 @@ def _verify(tid: TopologyId, gid: TopologyId, vectors, mode: str) -> dict:
             if len(doc["examples"]) < 5:
                 doc["examples"].append({"caps": list(bv), "formula": got,
                                         "oracle": want, "witness": fault})
-    if doc["skipped"] and not doc["cases"]:
-        raise ScaleLimitError(f"all {doc['skipped']} vectors have {_PAST_SOLVER}")
     return doc
-
-
-def _prove(tid: TopologyId, gid: TopologyId) -> dict:
-    """The floor(LP) proof of a pair, in a sweep's document: each vector
-    the proof fails at is an example with floor(LP) as its formula and
-    the plain search's count as its oracle."""
-    from .rounding import prove  # only here, so importing the cli loads no prover
-
-    proof = prove(expand_topology(tid), expand_topology(gid))
-    return {"topology": str(tid), "vnuma": str(gid), "mode": "proof",
-            "cases": proof.base_points, "skipped": 0,
-            "mismatches": len(proof.failures),
-            "examples": [{"caps": list(bv), "formula": lp, "oracle": count,
-                          "witness": None}
-                         for bv, (lp, count) in proof.failures.items()],
-            "cones": proof.cones, "simplices": proof.simplices}
 
 
 def cmd_verify(args) -> int:
     docs = []
-    for tid, gid, sweep in _pairs(args):
-        if closed_form_evaluator(tid, gid) is None:
-            docs.append(_prove(tid, gid))
-            continue
-        max_cap, samples = args.max_cap, args.samples
-        if sweep is not None and max_cap is None and samples is None:
-            max_cap, samples = sweep
-        vectors, mode = _sweep(tid.vertex_count, max_cap, samples, args.seed or 0)
-        docs.append(_verify(tid, gid, vectors, mode))
+    for tid, gid, sweeps in _pairs(args):
+        # the flags are checked before the proof runs
+        sweeps = [_sweep(tid.vertex_count, max_cap, samples, args.seed or 0)
+                  for max_cap, samples in sweeps]
+        doc = _prove(tid, gid)
+        if sweeps and not doc["mismatches"]:
+            doc.update(_check(tid, gid, sweeps))
+        docs.append(doc)
 
     if args.json:
         # one document for a named pair, an array for the registry
         print(json.dumps(docs if args.topology is None else docs[0]))
     else:
         for doc in docs:
-            line = (f"{doc['topology']}/{doc['vnuma']} {doc['mode']}:"
-                    f" {doc['cases']} cases, {doc['mismatches']} mismatches")
-            if doc["skipped"]:
-                line += f", skipped {doc['skipped']} ({_PAST_SOLVER})"
-            if doc["mode"] == "proof":
-                line += f" ({doc['cones']} cones, {doc['simplices']} simplices)"
-            print(line)
+            print(f"{doc['topology']}/{doc['vnuma']} {doc['mode']}:"
+                  f" {doc['cases']} cases, {doc['mismatches']} mismatches"
+                  f" ({doc['cones']} cones, {doc['simplices']} simplices)")
             for ex in doc["examples"]:
                 print(f"  caps={ex['caps']} formula={ex['formula']}"
                       f" oracle={ex['oracle']}"
@@ -299,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="numacap",
         description="NUMA-aware VM capacity: closed-form counts, witness"
-        " placements, cluster totals, formula-vs-solver sweeps and floor(LP)"
-        " proofs.",
+        " placements, cluster totals, and floor(LP) proofs with formula"
+        " sweeps against them.",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="Capacity lists follow canonical node label order 1..n.",
     )
@@ -328,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser(
-        "verify", help="sweep formulas against the solver, prove floor(LP) elsewhere"
+        "verify", help="prove floor(LP) is the count, and sweep formulas against it"
     )
     p.add_argument("--topology", help="host id; omit both ids for every pair")
     p.add_argument("--vnuma", help="guest id")

@@ -3,7 +3,8 @@
 Each evaluator answers, in constant time, how many guest shapes of one
 kind fit a host topology given per-node counts b (canonical label order).
 PAIRS registers each formula with the sweep that checks it, and its
-witness, against the exhaustive solver.  _resolve binds every pair once
+witness, against the pair's floor(LP), which `numacap verify` proves is
+the count (numacap.rounding).  _resolve binds every pair once
 to a count and a witness: its registry entry's, or the solver's when it
 has none.  On a pair in LP_PROVED that count is floor(LP) alone, and the
 witness is peeled from it.
@@ -25,6 +26,7 @@ from .topology import (
     CQ3,
     K2,
     L4,
+    MAX_CAPACITY,
     MAX_ENUMERATION_VERTICES,
     Q33,
     Graph,
@@ -365,8 +367,9 @@ class Pair(NamedTuple):
     placement.wrap(sides, count(b), b).  sides None peels the witness
     from count over the pair's embeddings.  instances are the
     (host, guest, sweep) that `numacap verify` runs when no pair is
-    named; sweep (max_cap, samples) draws `samples` random vectors from
-    [0..max_cap]^n, or takes all of them when samples is None.
+    named, each then over FULL_RANGE too; sweep (max_cap, samples) draws
+    `samples` random vectors from [0..max_cap]^n, or takes all of them
+    when samples is None.
     """
 
     count: Callable[..., int]
@@ -377,6 +380,7 @@ class Pair(NamedTuple):
 
 # the verify sweeps, (max_cap, samples) as Pair reads them
 ALL_TO_5 = (5, None)
+FULL_RANGE = (MAX_CAPACITY, 256)
 RANDOM_TO_20 = (20, 10_000)
 RANDOM_TO_12 = (12, 10_000)
 
@@ -428,22 +432,22 @@ PAIRS: dict[tuple[str, Optional[TopologyId]], Pair] = {
 }
 
 # Solver pairs whose count is floor(LP), the smallest root term of the
-# pair's dual vertices, at every vector: numacap.rounding proves it for
-# each, and a no-pair `numacap verify` and the tests prove them again.
-# Keyed by the host as parsed, whose labels the proof read, and the
-# canonical guest: star2 is k1_2.  star4 and k1_4 are one graph with the
-# same labels, so each spelling is listed.
+# pair's dual vertices, at every vector, as numacap.rounding proves; a
+# no-pair `numacap verify` and the tests prove them again.  Keyed by the
+# host as parsed, whose labels the proof read, and the canonical guest
+# (star2 is k1_2); star4 and k1_4, and kM_N and kN_M, are listed apart.
 LP_PROVED = frozenset({
-    (L4, C4), (star(4), star(2)), (km_n(1, 4), star(2)), (CQ3, star(2)),
-    (L4, star(2)), (km_n(2, 3), C4), (Q33, star(2)), (km_n(3, 5), star(2)),
+    (L4, C4), (star(4), star(2)), (km_n(1, 4), star(2)), (km_n(4, 1), star(2)),
+    (CQ3, star(2)), (L4, star(2)), (km_n(2, 3), C4), (km_n(3, 2), C4),
+    (Q33, star(2)), (km_n(3, 5), star(2)), (km_n(5, 3), star(2)),
 })
 
 # A guest of its host's shape has one embedding, all n nodes, as the n-clique
 # has in K_n: min(b) copies of (1..n).
 SAME_SHAPE = Pair(
     _cliques,
-    (("c4", "c4", RANDOM_TO_20), ("c4", "k2_2", RANDOM_TO_20),
-     ("star3", "k1_3", RANDOM_TO_20), ("l4", "l4", RANDOM_TO_20)),
+    (("c4", "c4", RANDOM_TO_20), ("star3", "k1_3", RANDOM_TO_20),
+     ("l4", "l4", RANDOM_TO_20)),
     params=lambda host, guest: (host.vertex_count, host.vertex_count),
     sides=_clique_sides,
 )

@@ -18,8 +18,9 @@ Double description finds the vertices for every suffix of the embedding
 list once per (host, guest) pair (_pair_statics).  Each step's terms sit
 one per field of an integer, so a multiply-add per host node evaluates
 them all, and only the terms that bind are read back and divided.
-floor_lp, the count of a pair whose floor(LP) is proved exact, takes
-the root terms' minimum over unsigned fields instead (_field_min).
+The root bound is floor_lp, the root terms' minimum over unsigned
+fields (_field_min); it is also the count of a pair whose floor(LP) is
+proved exact.
 
 Each pair's solve is built once (pair_solver).  A call first dives: from
 the root bound, at each index, the largest multiplicity t that every cut
@@ -106,7 +107,6 @@ class _PairStatics:
     # per index i: bound_terms[i + 1] packed by _pack, each term with its
     # slope W(verts[i]) - D, the factor of t in find's cut on embedding i
     cuts: tuple
-    root: tuple  # bound_terms[0] packed, each term's slope its D
     k: int
 
 
@@ -199,10 +199,9 @@ def _pair_statics(host: Graph, guest: Graph) -> _PairStatics:
         bound_terms[i] = tuple([term for _, _, term in rays if term])
     # The field width _pack needs for these terms (W, D) on residuals that
     # sum to at most MAX_ORACLE_TOTAL_CAPACITY (the limit the memo key's
-    # 8-bit fields rest on too).  A field holds W.r - D.need - hi.slope,
-    # or W.b - D.hi at the root; with sum(r), need and hi at most that
-    # total it is within total times max(sum W, D) of 0, and one more bit
-    # holds the sign.
+    # 8-bit fields rest on too).  A field holds W.r - D.need - hi.slope;
+    # with sum(r), need and hi at most that total it is within total
+    # times max(sum W, D) of 0, and one more bit holds the sign.
     biggest = max(max(sum(w for _, w in ws), div)
                   for ws, div in set().union(*bound_terms))
     width = (MAX_ORACLE_TOTAL_CAPACITY * biggest).bit_length() + 1
@@ -211,13 +210,11 @@ def _pair_statics(host: Graph, guest: Graph) -> _PairStatics:
               width, n)
         for terms, vs in zip(bound_terms[1:], map(set, verts))
     )
-    root = _pack(bound_terms[0], [div for _, div in bound_terms[0]], width, n)
     return _PairStatics(
         verts=verts,
         alive=tuple(alive),
         bound_terms=tuple(bound_terms),
         cuts=cuts,
-        root=root,
         k=k,
     )
 
@@ -346,15 +343,13 @@ def pair_solver(host: Graph, guest: Graph) -> Callable[[tuple[int, ...]], tuple]
     statics = _pair_statics(host, guest)
     if not statics.verts:
         return lambda b: (0, ())
-    root, k = statics.root, statics.k
+    root = floor_lp(host, guest)
 
     def solve(b: tuple[int, ...]):
         total = sum(b)
         if total > MAX_ORACLE_TOTAL_CAPACITY:
             refuse_total(total)
-        # the root bound: floor(LP), the smallest dual-vertex term, which
-        # is never above sum // k (y = 1/k everywhere is dual-feasible)
-        _, need = _cut_range(root, b, 0, total // k)
+        need = root(b)
         if not need:
             return 0, ()
         path = _dive(statics, b, need)

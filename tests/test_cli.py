@@ -29,7 +29,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def shared_proofs(monkeypatch):
     """verify proves through the session's proof cache, which the
     prover's own tests fill, so each pair is proved once a run."""
@@ -779,19 +779,43 @@ class TestVerify:
         assert code == 1
         assert "mismatches" in out
 
-    def test_vectors_past_the_solver_limit_are_skipped(self, capsys):
-        args = ["verify", "--topology", "c4", "--vnuma", "k2",
-                "--samples", "40", "--max-cap", "80"]
+    def test_every_vector_at_any_magnitude_is_a_case(self, capsys):
+        args = ["verify", "--topology", "cq3", "--vnuma", "k2",
+                "--samples", "40", "--max-cap", str(numacap.MAX_CAPACITY)]
         code, out, _ = run(capsys, *args, "--json")
         assert code == 0
-        doc = json.loads(out)
-        assert doc["cases"] > 0 and doc["skipped"] > 0
-        assert doc["cases"] + doc["skipped"] == 40
-        assert doc["mismatches"] == 0
+        assert json.loads(out) == {
+            "topology": "cq3", "vnuma": "k2", "mode": "random", "cases": 40,
+            "mismatches": 0, "examples": [], "cones": 9, "simplices": 80}
         code, out, _ = run(capsys, *args)
         assert code == 0
-        assert f"{doc['cases']} cases, 0 mismatches" in out
-        assert f"skipped {doc['skipped']} (sum(b) > 200, the solver's limit)" in out
+        assert out == ("cq3/k2 random: 40 cases, 0 mismatches"
+                       " (9 cones, 80 simplices)\n")
+
+    def test_mismatch_at_a_large_entry_is_caught(self, capsys, monkeypatch,
+                                                 patch_formula):
+        # one too many only where an entry passes 10^6: a sweep of sums up
+        # to 200 never sees it, a sweep against floor(LP) at any magnitude does
+        real = formulas.vmcap_cq3_k2
+        patch_formula("cq3", "k2", lambda b: real(b) + (max(b) > 10**6))
+        code, out, _ = run(capsys, "verify", "--topology", "cq3", "--vnuma", "k2",
+                           "--samples", "40", "--max-cap", str(numacap.MAX_CAPACITY),
+                           "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["cases"] == 40 and doc["mismatches"] > 0
+        ex = doc["examples"][0]
+        assert max(ex["caps"]) > 10**6 and ex["formula"] == ex["oracle"] + 1
+        # the no-pair run finds it in its full-range sweep, past the
+        # instance's own range
+        monkeypatch.setattr(cli, "INSTANCES", (("cq3", "k2", (20, 50)),))
+        monkeypatch.setattr(cli, "LP_PROVED", set())
+        code, out, _ = run(capsys, "verify")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0].startswith("cq3/k2 random+random: 306 cases,")
+        caps = json.loads(lines[1].split("caps=")[1].split(" formula")[0])
+        assert max(caps) > 10**6
 
     def test_wrong_witness_is_caught(self, capsys, monkeypatch):
         # the count is right; the layout the binding calls drops its
@@ -819,38 +843,37 @@ class TestVerify:
         assert "16 cases, 11 mismatches" in out
         assert "witness: node" in out
 
-    def test_mismatch_in_a_sweep_with_skips(self, capsys, patch_formula):
-        patch_formula("c4", "k2", lambda b: 999)
+    def test_refused_proof_is_not_swept(self, capsys, monkeypatch):
+        # a closed pair whose proof fails: floor(LP) is not its count, so
+        # the proof's failures are the document and no vector is swept
+        real = rounding.prove
+
+        def refused(host, guest):
+            return real(host, guest)._replace(failures={(1, 1, 0, 0): (1, 0)})
+
+        monkeypatch.setattr(rounding, "prove", refused)
         code, out, _ = run(capsys, "verify", "--topology", "c4", "--vnuma", "k2",
-                           "--samples", "40", "--max-cap", "80", "--json")
+                           "--max-cap", "3")
         assert code == 1
-        doc = json.loads(out)
-        assert doc["skipped"] > 0
-        assert doc["mismatches"] == doc["cases"] > 0
+        assert out == ("c4/k2 proof: 6 cases, 1 mismatches (2 cones, 6 simplices)\n"
+                       "  caps=[1, 1, 0, 0] formula=1 oracle=0\n")
 
-    def test_every_vector_past_the_solver_limit(self, capsys):
-        code, out, err = run(capsys, "verify", "--topology", "c4", "--vnuma", "k2",
-                             "--samples", "3", "--max-cap", "1000")
-        assert code == 2
-        assert out == ""
-        assert "all 3 vectors have sum(b) > 200, the solver's limit" in err
-
-    def test_pair_without_closed_form(self, capsys, shared_proofs):
-        # proved, not swept: the proof's base points are its cases
+    def test_pair_without_closed_form(self, capsys):
+        # proved, not swept: the proof's base points are its cases, and the
+        # guest is named as vmcap binds it
         code, out, _ = run(capsys, "verify", "--topology", "l4", "--vnuma", "c4",
                            "--json")
         assert code == 0
         assert json.loads(out) == {
             "topology": "l4", "vnuma": "c4", "mode": "proof", "cases": 28,
-            "skipped": 0, "mismatches": 0, "examples": [], "cones": 12,
-            "simplices": 28}
+            "mismatches": 0, "examples": [], "cones": 12, "simplices": 28}
         code, out, _ = run(capsys, "verify", "--topology", "star4", "--vnuma",
                            "k1_2")
         assert code == 0
-        assert out == ("star4/k1_2 proof: 23 cases, 0 mismatches"
+        assert out == ("star4/star2 proof: 23 cases, 0 mismatches"
                        " (6 cones, 19 simplices)\n")
 
-    def test_refused_proof_lists_every_failing_vector(self, capsys, shared_proofs):
+    def test_refused_proof_lists_every_failing_vector(self, capsys):
         code, out, _ = run(capsys, "verify", "--topology", "cq3", "--vnuma",
                            "k1_3", "--json")
         assert code == 1
@@ -898,6 +921,13 @@ class TestVerify:
         assert out == ""
         assert "--max-cap" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--samples", "3"]])
+    def test_max_cap_past_the_largest_entry(self, capsys, extra):
+        code, out, err = run(capsys, "verify", "--topology", "c4", "--vnuma",
+                             "k2", "--max-cap", "5000000000", *extra)
+        assert code == 2 and out == ""
+        assert err == "error: --max-cap: must be <= 4294967295\n"
+
     def test_exhaustive_needs_bound(self, capsys):
         code, _, err = run(capsys, "verify", "--topology", "c4", "--vnuma", "k2")
         assert code == 2
@@ -925,7 +955,7 @@ class TestVerify:
     ])
     def test_host_past_the_solver_limit_is_named_first(self, capsys, pnuma, sweep):
         # the host's size rules the pair out before the sweep is sized
-        # or any vector is skipped
+        # or any vector is drawn
         code, out, err = run(capsys, "verify", "--topology", pnuma, "--vnuma",
                              "k2", *sweep)
         assert code == 2 and out == ""
@@ -935,10 +965,12 @@ class TestVerify:
 class TestRegistrySweeps:
     """verify with no pair runs every registry instance."""
 
-    INSTANCES = [(host, guest) for host, guest, _ in formulas.INSTANCES]
+    # hosts as given, guests as vmcap binds them: star3/k1_3 is star3/star3
+    INSTANCES = [(host, str(numacap.canonical_id(guest)))
+                 for host, guest, _ in formulas.INSTANCES]
     PROVED = sorted((str(host), str(guest)) for host, guest in formulas.LP_PROVED)
 
-    def test_verify_every_instance(self, capsys, shared_proofs):
+    def test_verify_every_instance(self, capsys):
         # the sweeps take the flags; then every pair in LP_PROVED is proved
         code, out, _ = run(capsys, "verify", "--samples", "30", "--max-cap", "3",
                            "--json")
@@ -946,23 +978,29 @@ class TestRegistrySweeps:
         docs = json.loads(out)
         sweeps, proofs = docs[:len(self.INSTANCES)], docs[len(self.INSTANCES):]
         assert [(d["topology"], d["vnuma"]) for d in sweeps] == self.INSTANCES
-        assert all(d["cases"] == 30 and d["mismatches"] == 0 for d in sweeps)
+        assert len(set(self.INSTANCES)) == len(self.INSTANCES)
+        assert ("star3", "star3") in self.INSTANCES
+        for d in sweeps:
+            assert d["mode"] == "random" and d["cases"] == 30, d
+            assert d["mismatches"] == 0 and d["simplices"] >= d["cones"] > 0, d
         assert [(d["topology"], d["vnuma"]) for d in proofs] == self.PROVED
         for d in proofs:
             assert d["mode"] == "proof" and d["mismatches"] == 0, d
             assert d["cases"] >= d["simplices"] >= d["cones"] > 0, d
 
-    def test_each_instance_takes_its_own_sweep(self, capsys, monkeypatch,
-                                               shared_proofs):
-        # (max_cap, samples): every vector of [0..1]^4, then 5 drawn ones
+    def test_each_instance_takes_its_own_sweep(self, capsys, monkeypatch):
+        # (max_cap, samples): every vector of [0..1]^4, then 5 drawn ones,
+        # each followed by the full-range sweep
         monkeypatch.setattr(cli, "INSTANCES", (("c4", "k2", (1, None)),
                                                ("k4", "k2", (2, 5))))
+        monkeypatch.setattr(cli, "FULL_RANGE", (numacap.MAX_CAPACITY, 3))
         monkeypatch.setattr(cli, "LP_PROVED", {(numacap.L4, numacap.C4)})
         code, out, _ = run(capsys, "verify", "--json")
         assert code == 0
         docs = json.loads(out)
         assert [(d["topology"], d["mode"], d["cases"]) for d in docs] == [
-            ("c4", "exhaustive", 16), ("k4", "random", 5), ("l4", "proof", 28)]
+            ("c4", "exhaustive+random", 19), ("k4", "random+random", 8),
+            ("l4", "proof", 28)]
 
     def test_one_id_alone_is_an_error(self, capsys):
         code, _, err = run(capsys, "verify", "--topology", "c4", "--max-cap", "1")

@@ -616,9 +616,11 @@ BENCHMARK_CLOSED_PAIRS = [
     ("q33", "k2"), ("k2_3", "k2"), ("star5", "k2"), ("k4", "k3"),
     ("k6", "k4"), ("cq3", "c4"), ("q33", "c4"),
 ]
+# those, every registry instance, and c4's own shape under its other guest id
 BOUND_PAIRS = sorted(
     set(BENCHMARK_CLOSED_PAIRS)
     | {(host, guest) for host, guest, _ in formulas.INSTANCES}
+    | {("c4", "k2_2")}
 )
 
 

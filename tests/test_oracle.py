@@ -421,7 +421,7 @@ class TestPackedCuts:
     def test_packed_cut_is_the_per_term_cut(self, pname, gname):
         host, guest = expanded(pname), expanded(gname)
         statics = _pair_statics(host, guest)
-        n, k = host.vertex_count, guest.vertex_count
+        n = host.vertex_count
         top = nc.oracle.MAX_ORACLE_TOTAL_CAPACITY
         rng = random.Random(f"{pname}/{gname} packed")
         drawn = [
@@ -445,9 +445,10 @@ class TestPackedCuts:
                 assert (lo, hi) == (want_lo, want_hi) or (
                     hi < lo and want_hi < want_lo and hi == want_hi
                 ), (idx, residual, need)
+        # the search's root bound is floor_lp, the root terms' minimum
+        root = oracle.floor_lp(host, guest)
         for caps in drawn:
-            _, bound = _cut_range(statics.root, caps, 0, sum(caps) // k)
-            assert bound == min(root_terms(host, guest, caps)), caps
+            assert root(caps) == min(root_terms(host, guest, caps)), caps
 
 
 FULL_RANGE_SUMS = (40, 80, 120, 160, 200)
@@ -585,10 +586,11 @@ POOL_PAIRS = [
 
 def gap_vectors(count):
     """k3_5/k1_3 vectors, entries 0..6, on which the dive stops short."""
-    statics = _pair_statics(expanded("k3_5"), expanded("k1_3"))
+    host, guest = expanded("k3_5"), expanded("k1_3")
+    statics, root = _pair_statics(host, guest), oracle.floor_lp(host, guest)
     out = []
     for caps in random_vectors("k3_5/k1_3 gap", 2000, 8, 6):
-        _, need = _cut_range(statics.root, caps, 0, sum(caps) // statics.k)
+        need = root(caps)
         if need and oracle._dive(statics, caps, need) is None:
             out.append(caps)
             if len(out) == count:
@@ -650,14 +652,15 @@ class TestDive:
         host, guest = expanded("cq3"), expanded("k1_2")
         exact = _pair_statics(host, guest)
         n, k = host.vertex_count, exact.k
-        width = exact.root[6]  # _pack's field width
+        width = exact.cuts[0][6]  # _pack's field width
+        root = oracle.floor_lp(host, guest)
         cover = ((tuple((v, 1) for v in range(n)), k),)
         loose = dataclasses.replace(
             exact, cuts=tuple(_pack(cover, [0], width, n) for _ in exact.cuts)
         )
         refused = 0
         for caps in random_vectors("cq3/k1_2 loose cuts", 300, n, 4):
-            _, need = _cut_range(exact.root, caps, 0, sum(caps) // k)
+            need = root(caps)
             if not need:
                 continue
             want = nc.oracle_vmcap(host, guest, caps).count

@@ -109,7 +109,7 @@ SIDES_CASES = [
         (("star", nc.K2), "star12", "k2"), (("kn", None), "k13", "k4"),
         (("kn", None), "k9", "c4"),
     )
-]
+] + [pytest.param(formulas.SAME_SHAPE, "c4", "k2_2", id="c4/k2_2")]
 
 
 def bound_sides(pair, host, guest):
@@ -221,10 +221,13 @@ class TestRingGuestPlacement:
                 )
 
 
-# every registry instance, pairs closed through canonical guest ids or the
-# same-shape rule, and guests that only the complete-host rule covers
+# every registry instance, and c4's own shape under its other guest id
+INSTANCE_PAIRS = sorted({(host, guest) for host, guest, _ in formulas.INSTANCES}
+                        | {("c4", "k2_2")})
+# those, pairs closed through canonical guest ids or the same-shape rule,
+# and guests that only the complete-host rule covers
 WITNESS_PAIRS = sorted(
-    {(host, guest) for host, guest, _ in formulas.INSTANCES}
+    set(INSTANCE_PAIRS)
     | {("c4", "c4"), ("c4", "k2_2"), ("q33", "k2_2"), ("k4", "k1_1"),
        ("star3", "k1_3"), ("l4", "l4"), ("k6", "c4"), ("k5", "k2_3")}
 )
@@ -366,9 +369,7 @@ MIXED = (511, 70_001, 2**20 + 3, TOP, 1_000, 2**24 + 7, 300, 2**31 + 5)
 class TestRunLength:
     """A placement costs time and memory per distinct group, not per copy."""
 
-    @pytest.mark.parametrize("pname,gname", sorted(
-        {(host, guest) for host, guest, _ in formulas.INSTANCES}
-    ))
+    @pytest.mark.parametrize("pname,gname", INSTANCE_PAIRS)
     def test_every_instance_at_the_top_entries(self, pname, gname):
         n = nc.parse_topology(pname).vertex_count
         m = len(nc.enumerate_embeddings(expanded(pname), expanded(gname)))
@@ -487,9 +488,6 @@ def peel_vectors(seed, n, count=40):
               for _ in range(n))
         for _ in range(count)
     ]
-
-
-INSTANCE_PAIRS = sorted({(host, guest) for host, guest, _ in formulas.INSTANCES})
 
 
 class TestShortfallPeel:

@@ -15,6 +15,9 @@ from numacap.oracle import _pair_statics
 from conftest import proved
 
 LISTED = sorted(formulas.LP_PROVED, key=str)
+# each registry instance once, its guest as vmcap binds it
+REGISTRY = sorted({(host, str(nc.canonical_id(guest)))
+                   for host, guest, _ in formulas.INSTANCES})
 # pairs with no proof, whose floor(LP) the field minimum still computes:
 # the three gap pairs, and k8/k7, whose terms need the widest fields
 UNPROVED = [("cq3", "k1_3"), ("q33", "k1_3"), ("k4_4", "k1_3"), ("k8", "k7")]
@@ -53,6 +56,28 @@ def test_listed_pairs_are_proved(host, guest):
     assert checked.proved, list(checked.failures)[:5]
     assert checked.simplices >= checked.cones > 0
     assert checked.base_points >= checked.simplices
+
+
+@pytest.mark.parametrize("host,guest", REGISTRY)
+def test_registry_instances_are_proved(host, guest):
+    # numacap verify sweeps each formula against floor(LP), which this
+    # proves is the count
+    checked = proof(host, guest)
+    assert checked.proved, list(checked.failures)[:5]
+    assert checked.simplices >= checked.cones > 0
+
+
+@pytest.mark.parametrize("host,guest,b,count", [
+    # the hosts of k2_3/c4, k1_4/k1_2 and k3_5/k1_2 with their sides swapped
+    ("k3_2", "c4", (50,) * 5, 50),
+    ("k4_1", "k1_2", (50,) * 5, 50),
+    ("k5_3", "k1_2", (50,) * 8, 133),
+])
+def test_side_swapped_hosts_are_counted_past_the_solver(host, guest, b, count):
+    assert nc.vmcap(host, guest, b) == (count, "oracle")
+    placement = nc.place_vnuma(host, guest, b)
+    assert placement.count == count
+    nc.verify_placement(*graphs(host, guest), b, placement)
 
 
 def test_k1_4_is_counted_as_star4():
