@@ -19,9 +19,11 @@ exact up to MAX_CAPACITY, and the witness must pass verify_placement.
 Every line carries the proof's cones and simplices, and the guest as
 vmcap binds it (k1_2 as star2).  With no pair named, each registry
 instance is swept over its own range, then formulas.FULL_RANGE, or over
-the one sweep --max-cap and --samples give, and every pair in
-formulas.LP_PROVED is proved.  The prover stops at 8 host nodes, so a
-host family's formula is checked on its instances of 8 nodes or fewer.
+the one sweep --max-cap and --samples give.  Then every graph pair that
+vmcap counts by floor(LP) (formulas.lp_pairs, 225 pairs, named by
+canonical ids) is proved: 244 lines, in about 15 s on two cores.  The
+prover stops at 8 host nodes, so a host family's formula is checked on
+its instances of 8 nodes or fewer.
 `place` prints the witness as runs, {"count": N, "runs": [[[node, ...],
 copies], ...]}: each run is a node group and how many guests it
 carries.  Timing is the benchmark's job (capbench/run.py).
@@ -44,7 +46,7 @@ from typing import Optional, Sequence
 
 from .capacity import ClusterState, Flavor, cluster_capacity, flavors_from_document
 from .errors import NumacapError, PlacementError, ScaleLimitError, SchemaError
-from .formulas import (FULL_RANGE, INSTANCES, LP_PROVED, closed_form_evaluator,
+from .formulas import (FULL_RANGE, INSTANCES, closed_form_evaluator, lp_pairs,
                        place_vnuma, vmcap)
 from .oracle import MAX_ORACLE_VERTICES, floor_lp, refuse_host
 from .placement import verify_placement
@@ -165,19 +167,18 @@ def cmd_cluster(args) -> int:
 
 
 def _pairs(args) -> list:
-    """(host, guest, sweeps) for each registry instance, then each pair
-    in LP_PROVED with no sweep, or for the named pair alone, the guest
+    """(host, guest, sweeps) for each registry instance, then each of
+    lp_pairs() with no sweep, or for the named pair alone, the guest
     canonical.  An instance's sweeps are its own and FULL_RANGE, unless
     the flags give one.  A named host past the prover's node limit raises
     ScaleLimitError, and a sweep flag on a named pair without a formula
     SchemaError."""
     flags = (args.max_cap, args.samples)
     if args.topology is None and args.vnuma is None:
-        proved = sorted(LP_PROVED, key=lambda pair: tuple(map(str, pair)))
         return [(parse_topology(host), canonical_id(guest),
                  (sweep, FULL_RANGE) if flags == (None, None) else (flags,))
                 for host, guest, sweep in INSTANCES] + [
-                (host, guest, ()) for host, guest in proved]
+                (host, guest, ()) for host, guest in lp_pairs()]
     if args.topology is None or args.vnuma is None:
         raise SchemaError(
             "--topology" if args.topology is None else "--vnuma",
@@ -199,7 +200,9 @@ def _pairs(args) -> list:
 
 
 def _sweep(n: int, max_cap: Optional[int], samples: Optional[int], seed: int):
-    """The capacity vectors of one verify sweep, and its mode."""
+    """The capacity vectors of one verify sweep, and its mode.  Drawn
+    over the full range, each entry takes a bit length uniform in 0..32,
+    so zeros and small entries meet large ones."""
     if max_cap is not None and not 0 <= max_cap <= MAX_CAPACITY:
         raise SchemaError("--max-cap", "must be >= 0" if max_cap < 0
                           else f"must be <= {MAX_CAPACITY}")
@@ -208,8 +211,11 @@ def _sweep(n: int, max_cap: Optional[int], samples: Optional[int], seed: int):
             raise SchemaError("--samples", "must be >= 1")
         cap = max_cap if max_cap is not None else 20
         rng = random.Random(seed)
+        bits = cap.bit_length() if cap == MAX_CAPACITY else 0
         vectors = (
-            tuple(rng.randint(0, cap) for _ in range(n)) for _ in range(samples)
+            tuple(rng.getrandbits(rng.randint(0, bits)) if bits
+                  else rng.randint(0, cap) for _ in range(n))
+            for _ in range(samples)
         )
         return vectors, "random"
     if max_cap is None:

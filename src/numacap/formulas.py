@@ -6,8 +6,8 @@ PAIRS registers each formula with the sweep that checks it, and its
 witness, against the pair's floor(LP), which `numacap verify` proves is
 the count (numacap.rounding).  _resolve binds every pair once
 to a count and a witness: its registry entry's, or the solver's when it
-has none.  On a pair in LP_PROVED that count is floor(LP) alone, and the
-witness is peeled from it.
+has none.  The solver's count is floor(LP) alone, with a witness peeled
+from it, on every pair but the LP_GAPS graphs, which the search counts.
 vmcap() and place_vnuma() validate b and call that binding, and
 closed_form_evaluator() returns the count behind the same check; a
 bound count does not check b again.
@@ -25,7 +25,6 @@ from .topology import (
     C4,
     CQ3,
     K2,
-    L4,
     MAX_CAPACITY,
     MAX_ENUMERATION_VERTICES,
     Q33,
@@ -35,6 +34,7 @@ from .topology import (
     canonical_id,
     check_capacities,
     enumerate_embeddings,
+    every_id,
     expand_topology,
     km_n,
     refuse_enumeration,
@@ -48,7 +48,7 @@ if TYPE_CHECKING:
 class VmcapResult(NamedTuple):
     """Count plus how it was obtained: "closed-form" for a pair with a
     formula, and "oracle" for a pair with none, whether its count is
-    floor(LP) on a pair in LP_PROVED or the solver's search."""
+    floor(LP) or, on an LP_GAPS pair, the solver's search."""
 
     count: int
     via: str = "closed-form"
@@ -431,15 +431,14 @@ PAIRS: dict[tuple[str, Optional[TopologyId]], Pair] = {
     ),
 }
 
-# Solver pairs whose count is floor(LP), the smallest root term of the
-# pair's dual vertices, at every vector, as numacap.rounding proves; a
-# no-pair `numacap verify` and the tests prove them again.  Keyed by the
-# host as parsed, whose labels the proof read, and the canonical guest
-# (star2 is k1_2); star4 and k1_4, and kM_N and kN_M, are listed apart.
-LP_PROVED = frozenset({
-    (L4, C4), (star(4), star(2)), (km_n(1, 4), star(2)), (km_n(4, 1), star(2)),
-    (CQ3, star(2)), (L4, star(2)), (km_n(2, 3), C4), (km_n(3, 2), C4),
-    (Q33, star(2)), (km_n(3, 5), star(2)), (km_n(5, 3), star(2)),
+# The solver pairs, by canonical host and guest, where rounding.prove
+# refuses floor(LP): the count is below it at some vector.  These 7 graph
+# pairs, 34 id spellings, are left to the search and its sum limit.  Every
+# other solver pair is counted by floor(LP), the smallest root term of its
+# dual vertices, which a no-pair `numacap verify` proves is the count.
+LP_GAPS = frozenset({
+    (CQ3, star(3)), (Q33, km_n(2, 4)), (Q33, star(3)), (Q33, star(4)),
+    (km_n(3, 3), star(3)), (km_n(3, 4), star(3)), (km_n(3, 5), star(3)),
 })
 
 # A guest of its host's shape has one embedding, all n nodes, as the n-clique
@@ -491,21 +490,22 @@ def _bind(pair: Pair, pid: TopologyId, gid: TopologyId):
 def bind_solver(pid: TopologyId, gid: TopologyId):
     """The exhaustive solver's (count, witness, "oracle") for a pair.
 
-    On a pair in LP_PROVED the count is oracle.floor_lp's field minimum,
-    looked up on the first call, after b passed its checks, and kept,
-    with no sum limit.  The proof makes it exact at every vector, so the
-    witness is peeled from it as a closed pair's is, and no solve is
-    built.  Any other pair calls its one oracle.pair_solver solve, looked
-    up with its graphs and embeddings on the first call and kept: the
-    count is its count, and the witness its multiplicities as runs.  A
-    host past the solver's node limit is refused with no graph built.
+    Unless the pair's graphs are in LP_GAPS, the count is oracle.floor_lp's
+    field minimum on the host's own labels, looked up on the first call,
+    after b passed its checks, and kept, with no sum limit.  The proof
+    makes it exact at every vector, so the witness is peeled from it as a
+    closed pair's is, and no solve is built.  A gap pair calls its one
+    oracle.pair_solver solve, looked up with its graphs and embeddings on
+    the first call and kept: the count is its count, and the witness its
+    multiplicities as runs.  A host past the solver's node limit is
+    refused with no graph built.
     """
     if pid.vertex_count > MAX_ORACLE_VERTICES:
         # refused with no graph built; the witness enumerates, then solves
         if pid.vertex_count > MAX_ENUMERATION_VERTICES:
             return refuse_host, partial(refuse_enumeration, pid.vertex_count), "oracle"
         return refuse_host, refuse_host, "oracle"
-    if (pid, canonical_id(gid)) in LP_PROVED:
+    if (canonical_id(pid), canonical_id(gid)) not in LP_GAPS:
         lp = None
 
         def lp_count(b):
@@ -544,20 +544,42 @@ def _checked(count: Callable[[Sequence[int]], int], n: int):
     return evaluate
 
 
+def _entry(pid: TopologyId, guest: TopologyId) -> Optional[Pair]:
+    """The registry entry for host pid and canonical guest, or None: a
+    guest larger than its host, then one of its host's shape, is ruled
+    on before the PAIRS lookup."""
+    if guest.vertex_count > pid.vertex_count:
+        return NONE_FIT
+    if guest == canonical_id(pid):
+        return SAME_SHAPE
+    return PAIRS.get((pid.kind, guest)) or PAIRS.get((pid.kind, None))
+
+
+def lp_pairs() -> list[tuple[TopologyId, TopologyId]]:
+    """The canonical (host, guest) of every id pair of at most
+    MAX_ORACLE_VERTICES nodes that binds the solver, LP_GAPS left out:
+    the pairs whose floor(LP) count a no-pair `numacap verify` proves.
+    A graph pair is here when any spelling reaches the solver, as
+    k4_4/c4 does where q33/c4 has a formula."""
+    ids = every_id(MAX_ORACLE_VERTICES)
+    pairs = {(canonical_id(host), canonical_id(guest))
+             for host in ids for guest in ids
+             if guest.vertex_count > 1 and _entry(host, canonical_id(guest)) is None}
+    return sorted(pairs - LP_GAPS, key=lambda pair: tuple(map(str, pair)))
+
+
 @lru_cache(maxsize=1024)
 def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     """(host vertex count, count, witness, via, evaluator): the pair's binding.
 
     Memoised, so each pair is parsed and bound once; an invalid id
     raises, and a raising call is never cached.  The guest id is
-    canonicalised (k2_2 is c4, k1_1 is k2, k1_N is starN); the host keeps
-    its own id, whose labels index the vector.  A single-node guest
-    raises, and a guest larger than its host, then one of its host's
-    shape, is ruled on before the PAIRS lookup.  A registry entry binds
-    its closed form and witness, laid out by wrap-around from its sides
-    or peeled from its count, any other pair the exhaustive solver,
-    whose count is floor(LP) on a pair in LP_PROVED, with a witness
-    peeled from that count.
+    canonicalised (topology.canonical_id); the host keeps its own id,
+    whose labels index the vector.  A single-node guest raises.  A
+    registry entry (_entry) binds its closed form and witness, laid out
+    by wrap-around from its sides or peeled from its count, any other
+    pair the exhaustive solver, whose count is floor(LP) off LP_GAPS,
+    with a witness peeled from that count.
     count and witness read a checked vector; evaluator is a closed
     form's count behind check_capacities, and None for the solver.
     No binding expands a graph here.  A solver binding looks up its
@@ -575,12 +597,7 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
             "guest shape needs >= 2 nodes; single-node capacity is the sum"
             " of node capacities"
         )
-    if guest.vertex_count > n:
-        pair = NONE_FIT
-    elif guest == canonical_id(pid):
-        pair = SAME_SHAPE
-    else:
-        pair = PAIRS.get((pid.kind, guest)) or PAIRS.get((pid.kind, None))
+    pair = _entry(pid, guest)
     if pair is None:
         return (n, *bind_solver(pid, guest), None)
     count, witness, via = _bind(pair, pid, guest)
@@ -618,8 +635,8 @@ def vmcap(
     """How many guests of shape `vnuma` fit a `pnuma` host with counts b.
 
     Calls the pair's binding: its closed form when it has one, and
-    otherwise the exhaustive solver (small hosts only), or floor(LP) on
-    a pair in LP_PROVED, which needs no search.  Guests must
+    otherwise the exhaustive solver (small hosts only), which counts by
+    floor(LP) with no search off LP_GAPS.  Guests must
     span at least two nodes; single-node guests are a plain sum and are
     handled by the server-level capacity functions.  b is checked here,
     once, and the binding trusts it.
@@ -641,9 +658,9 @@ def place_vnuma(
 
     A closed pair takes its registry witness: a complete or complete
     bipartite host's laid out by wrap-around on a host of any size, and
-    the others' peeled from the count.  A pair in LP_PROVED takes one
-    peeled from floor(LP) at any magnitude, and any other pair the
-    solver's, which raises ScaleLimitError where vmcap does.
+    the others' peeled from the count.  A solver pair takes one peeled
+    from floor(LP) at any magnitude, and an LP_GAPS pair the search's,
+    which raises ScaleLimitError where vmcap does.
     """
     n, _, witness, _, _ = _resolved(pnuma, vnuma)
     return witness(check_capacities(capacities, n))

@@ -19,28 +19,26 @@ list once per (host, guest) pair (_pair_statics).  Each step's terms sit
 one per field of an integer, so a multiply-add per host node evaluates
 them all, and only the terms that bind are read back and divided.
 The root bound is floor_lp, the root terms' minimum over unsigned
-fields (_field_min); it is also the count of a pair whose floor(LP) is
-proved exact.
+fields (_field_min); it is also the count of every pair of at most
+MAX_ORACLE_VERTICES nodes but the 7 graph pairs, 34 id spellings, where
+numacap.rounding refuses it (formulas.LP_GAPS).  So the search, and its
+limit of MAX_ORACLE_TOTAL_CAPACITY on sum(b), serve only those pairs and
+oracle_vmcap.
 
-Each pair's solve is built once (pair_solver).  A call first dives: from
-the root bound, at each index, the largest multiplicity t that every cut
-W.residual - D * need >= t * slope of the next index allows, on one
-residual list, never turning back.  A dive that places the root bound's
-copies meets the upper bound, so its count is exact and its path is the
-witness.  Where a step's range is empty, the descending target search
-runs: find(idx, residual, need) asks whether the embeddings from idx on
-pack `need` copies, trying each multiplicity from high to low, and the
-count is the first target, from the root bound down, that packs.  The
-dive is find's first branch, so either way the multiplicities are
-find's.
+Each pair's solve is built once (pair_solver).  It runs the descending
+target search: find(idx, residual, need) asks whether the embeddings
+from idx on pack `need` copies, trying each multiplicity t from high to
+low within the cuts W.residual - D * need >= t * slope of the next
+index, and the count is the first target, from the root bound down,
+that packs.
 
 A node where find fails stores need - 1 in the memo under its key, the
 index and the alive residuals.  Those fix the node's optimum, so the
 entry bounds it whatever vector the search started from.  The memo
 starts empty on every call, so nothing a call learns outlives it.
 _plain_search answers the same question by a plain recursion bounded
-only by floor(residual sum / k), with no LP term, dive or memo: slow,
-but an independent check of the search.
+only by floor(residual sum / k), with no LP term or memo: slow, but an
+independent check of the search.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, NoReturn, Optional, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from .errors import ScaleLimitError
 from .topology import MAX_CAPACITY, Graph, check_capacities, enumerate_embeddings
@@ -237,9 +235,9 @@ def _field_min(terms: tuple, n: int) -> Callable[[Sequence[int]], int]:
     weights_v holding W'_jv in field j, and the field minimum is taken
     over that integer's bytes cast to native unsigned ints.  A call uses
     16-bit fields where they hold sum(b) * max W', as on every vector of
-    at most MAX_ORACLE_TOTAL_CAPACITY for the proved pairs, and 64-bit
-    fields otherwise; terms that 64 bits cannot hold at every vector
-    raise ScaleLimitError here, before any call.
+    sum at most 156 for every pair of at most MAX_ORACLE_VERTICES nodes,
+    and 64-bit fields otherwise; terms that 64 bits cannot hold at every
+    vector raise ScaleLimitError here, before any call.
     """
     scale = lcm(*[div for _, div in terms])
     scaled = [[(v, w * (scale // div)) for v, w in ws] for ws, div in terms]
@@ -349,55 +347,9 @@ def pair_solver(host: Graph, guest: Graph) -> Callable[[tuple[int, ...]], tuple]
         total = sum(b)
         if total > MAX_ORACLE_TOTAL_CAPACITY:
             refuse_total(total)
-        need = root(b)
-        if not need:
-            return 0, ()
-        path = _dive(statics, b, need)
-        if path is None:
-            return _descend(statics, b, need, {})
-        return need, tuple(path)
+        return _descend(statics, b, root(b), {})
 
     return solve
-
-
-def _dive(statics: _PairStatics, start: Sequence[int], need: int) -> Optional[list]:
-    """find's first branch all the way down: at each index the largest
-    multiplicity that every cut allows, the top of _cut_range, on one
-    residual list updated in place, with no memo and no backtracking.
-
-    Returns the (index, multiplicity) pairs, in index order, once `need`
-    copies are placed, and None at the first index whose range is empty.
-    """
-    verts = statics.verts
-    cuts = statics.cuts
-    last = len(verts) - 1
-    residual = list(start)
-    path = []
-    for idx, vs in enumerate(verts):
-        hi = need
-        for v in vs:
-            if residual[v] < hi:
-                hi = residual[v]
-        if idx == last:
-            # the last embedding's one cut, from the term ((), 1) past
-            # it, is t >= need: it takes every copy left or fails
-            if hi < need:
-                return None
-            path.append((idx, need))
-            return path
-        if not hi:
-            continue
-        lo, hi = _cut_range(cuts[idx], residual, need, hi)
-        if hi < lo:
-            return None
-        if hi:
-            path.append((idx, hi))
-            if hi == need:
-                return path
-            need -= hi
-            for v in vs:
-                residual[v] -= hi
-    return None
 
 
 def _descend(statics: _PairStatics, start: tuple[int, ...], need: int, memo: dict):
@@ -456,7 +408,8 @@ def _descend(statics: _PairStatics, start: tuple[int, ...], need: int, memo: dic
                         path.append((idx, t))
                     return True
         elif hi == need:
-            # the last embedding's one cut, as in _dive
+            # the last embedding's one cut, from the term ((), 1) past
+            # it, is t >= need: it takes every copy left or fails
             path.append((idx, need))
             return True
         memo[key_of(idx, residual) if key is None else key] = need - 1
@@ -470,8 +423,8 @@ def _descend(statics: _PairStatics, start: tuple[int, ...], need: int, memo: dic
 
 def _plain_search(statics: _PairStatics, start: tuple[int, ...]):
     """(count, multiplicities) by a plain recursion bounded only by
-    floor(residual sum / k), replayed for the witness: no LP term, no
-    dive and no memo, so it checks the search independently (slow)."""
+    floor(residual sum / k), replayed for the witness: no LP term and
+    no memo, so it checks the search independently (slow)."""
     verts = statics.verts
     m = len(verts)
     solve_plain = _plain_solver(statics)

@@ -31,7 +31,9 @@ exactly one simplex.  Crossing an inner facet then leaves the number of
 simplices that hold a point unchanged, so it is 1 all over the cone.
 
 The proof runs only in `numacap verify` and in the tests, never when a
-pair is bound; numacap.formulas.LP_PROVED lists the pairs it proved.
+pair is bound.  It holds on every solver pair but the 7 graph pairs of
+numacap.formulas.LP_GAPS, which vmcap leaves to the search; a no-pair
+`numacap verify` proves the other 225 (formulas.lp_pairs) in about 11 s.
 """
 
 from __future__ import annotations

@@ -256,22 +256,37 @@ def as_topology_id(value: Union[TopologyId, str]) -> TopologyId:
 
 
 def canonical_id(topology: Union[TopologyId, str]) -> TopologyId:
-    """The preferred id of the same graph up to relabeling.
+    """The one id of a graph up to relabelling, so that a graph pair has
+    one key however its ids are spelled.
 
-    k1_1 and star1 are k2, k1_N is starN, and k2_2 is c4.  Every other id
-    is its own canonical form.  k2_2 numbers its nodes differently from
-    c4 (its 4-cycle is 1-3-2-4), so only label-free questions, such as
-    which guest shape is asked for, may swap one id for the other.
+    kM_N is kN_M, smaller side first; k1_N, kN_1 and starN are starN, and
+    k2 for N = 1; k2_2 is c4 and k4_4 is q33.  Every other id is its own
+    canonical form, and no two canonical ids name isomorphic graphs.  The
+    canonical id may number the nodes differently (k2_2's 4-cycle is
+    1-3-2-4), so only label-free questions, such as which guest shape is
+    asked for or which proof covers a pair, may swap one id for the other.
     """
     tid = as_topology_id(topology)
-    if tid.kind == "km_n":
-        if tid.m == 1:
-            return K2 if tid.n == 1 else star(tid.n)
-        if tid.m == tid.n == 2:
-            return C4
-    elif tid.kind == "star" and tid.n == 1:
-        return K2
-    return tid
+    if tid.kind == "star":
+        return K2 if tid.n == 1 else tid
+    if tid.kind != "km_n":
+        return tid
+    m, n = sorted((tid.m, tid.n))
+    if m == 1:
+        return K2 if n == 1 else star(n)
+    if m == n and m in (2, 4):
+        return C4 if m == 2 else Q33
+    return tid if tid.m == m else km_n(m, n)
+
+
+def every_id(max_nodes: int) -> list[TopologyId]:
+    """Every id the grammar parses with at most max_nodes nodes, each
+    spelling of a graph apart: the fixed kinds, then kN, kM_N and starN."""
+    return ([TopologyId(kind) for kind, n in _FIXED_KINDS.items() if n <= max_nodes]
+            + [kn(n) for n in range(1, max_nodes + 1)]
+            + [km_n(m, n) for m in range(1, max_nodes)
+               for n in range(1, max_nodes - m + 1)]
+            + [star(n) for n in range(1, max_nodes)])
 
 
 _L4_EDGES = (

@@ -809,13 +809,32 @@ class TestVerify:
         # the no-pair run finds it in its full-range sweep, past the
         # instance's own range
         monkeypatch.setattr(cli, "INSTANCES", (("cq3", "k2", (20, 50)),))
-        monkeypatch.setattr(cli, "LP_PROVED", set())
+        monkeypatch.setattr(cli, "lp_pairs", list)
         code, out, _ = run(capsys, "verify")
         assert code == 1
         lines = out.splitlines()
         assert lines[0].startswith("cq3/k2 random+random: 306 cases,")
         caps = json.loads(lines[1].split("caps=")[1].split(" formula")[0])
         assert max(caps) > 10**6
+
+    def test_zero_beside_a_large_entry_is_caught(self, capsys, monkeypatch,
+                                                 patch_formula):
+        # one too many only where a zero meets an entry past 10^6: the
+        # full-range sweep draws each entry's bit length, so zeros and
+        # small entries sit beside large ones
+        real = formulas._cliques
+        patch_formula("kn", None, lambda n, k, b: real(n, k, b)
+                      + (min(b) == 0 and max(b) > 10**6))
+        monkeypatch.setattr(cli, "INSTANCES", (("k6", "k2", formulas.RANDOM_TO_12),))
+        monkeypatch.setattr(cli, "lp_pairs", list)
+        code, out, _ = run(capsys, "verify", "--json")
+        assert code == 1
+        [doc] = json.loads(out)
+        assert (doc["topology"], doc["vnuma"], doc["cases"]) == ("k6", "k2", 10256)
+        assert doc["mismatches"] > 0
+        for ex in doc["examples"]:
+            assert min(ex["caps"]) == 0 and max(ex["caps"]) > 10**6, ex
+            assert ex["formula"] == ex["oracle"] + 1, ex
 
     def test_wrong_witness_is_caught(self, capsys, monkeypatch):
         # the count is right; the layout the binding calls drops its
@@ -968,10 +987,12 @@ class TestRegistrySweeps:
     # hosts as given, guests as vmcap binds them: star3/k1_3 is star3/star3
     INSTANCES = [(host, str(numacap.canonical_id(guest)))
                  for host, guest, _ in formulas.INSTANCES]
-    PROVED = sorted((str(host), str(guest)) for host, guest in formulas.LP_PROVED)
+    PROVED = [(str(host), str(guest)) for host, guest in formulas.lp_pairs()]
 
     def test_verify_every_instance(self, capsys):
-        # the sweeps take the flags; then every pair in LP_PROVED is proved
+        # the sweeps take the flags; then every graph pair counted by
+        # floor(LP) is proved, q33/c4 among them, as k4_4/c4 reaches the
+        # solver where q33/c4 has a formula
         code, out, _ = run(capsys, "verify", "--samples", "30", "--max-cap", "3",
                            "--json")
         assert code == 0
@@ -984,6 +1005,7 @@ class TestRegistrySweeps:
             assert d["mode"] == "random" and d["cases"] == 30, d
             assert d["mismatches"] == 0 and d["simplices"] >= d["cones"] > 0, d
         assert [(d["topology"], d["vnuma"]) for d in proofs] == self.PROVED
+        assert len(self.PROVED) == 225 and ("q33", "c4") in self.PROVED
         for d in proofs:
             assert d["mode"] == "proof" and d["mismatches"] == 0, d
             assert d["cases"] >= d["simplices"] >= d["cones"] > 0, d
@@ -994,7 +1016,7 @@ class TestRegistrySweeps:
         monkeypatch.setattr(cli, "INSTANCES", (("c4", "k2", (1, None)),
                                                ("k4", "k2", (2, 5))))
         monkeypatch.setattr(cli, "FULL_RANGE", (numacap.MAX_CAPACITY, 3))
-        monkeypatch.setattr(cli, "LP_PROVED", {(numacap.L4, numacap.C4)})
+        monkeypatch.setattr(cli, "lp_pairs", lambda: [(numacap.L4, numacap.C4)])
         code, out, _ = run(capsys, "verify", "--json")
         assert code == 0
         docs = json.loads(out)

@@ -358,9 +358,9 @@ class TestDispatch:
     def test_bound_solver_count_keeps_the_limit_messages(self):
         # the count bound to the pair's solver refuses what oracle_vmcap
         # refuses, with the same words
-        # a pair in LP_PROVED is counted by floor(LP), with no sum limit,
-        # so the count's case is a pair outside the table
-        assert (nc.CQ3, nc.star(3)) not in formulas.LP_PROVED
+        # a solver pair is counted by floor(LP), with no sum limit, so
+        # the count's case is a pair in LP_GAPS
+        assert (nc.CQ3, nc.star(3)) in formulas.LP_GAPS
         count = formulas.bind_solver(nc.CQ3, nc.star(3))[0]
         assert count((25,) * 8) == nc.oracle_vmcap(
             nc.expand_topology("cq3"), nc.expand_topology("k1_3"), (25,) * 8

@@ -30,7 +30,7 @@ def expanded(name):
 
 def plain(host, guest, caps):
     """(count, multiplicities) by the plain recursion, which shares no
-    bound, dive or memo with the solver."""
+    bound or memo with the solver."""
     statics = _pair_statics(host, guest)
     return oracle._plain_search(statics, nc.check_capacities(caps, host.vertex_count))
 
@@ -554,8 +554,10 @@ class TestFullRange:
         host, guest = expanded("q33"), expanded("k1_3")
         caps = (15, 10, 20, 16, 5, 11, 27, 16)
         assert min(root_terms(host, guest, caps)) == 30
-        # the dive from 30 stops short, so the search takes over
-        assert oracle._dive(_pair_statics(host, guest), caps, 30) is None
+        # the first branch from 30 stops short, and the memo learns where
+        memo = {}
+        assert oracle._descend(_pair_statics(host, guest), caps, 30, memo)[0] == 29
+        assert memo
         sol = nc.oracle_vmcap(host, guest, caps)
         assert sol.count == 29
         assert sum(m for _, m in sol.multiplicities) == 29
@@ -563,7 +565,7 @@ class TestFullRange:
         assert all(u <= c for u, c in zip(used, caps))
 
     # exact counts where floor(LP) is one above the count, so cq3/k1_3
-    # cannot join formulas.LP_PROVED; the counts are the plain search's
+    # is in formulas.LP_GAPS; the counts are the plain search's
     @pytest.mark.parametrize("caps,count,lp", [
         ((1,) * 8, 1, 2),
         ((2, 2, 2, 2, 1, 1, 1, 1), 2, 3),
@@ -585,17 +587,45 @@ POOL_PAIRS = [
 
 
 def gap_vectors(count):
-    """k3_5/k1_3 vectors, entries 0..6, on which the dive stops short."""
+    """k3_5/k1_3 vectors, entries 0..6, on which the search's first
+    branch from floor(LP) fails, so it stores memo entries."""
     host, guest = expanded("k3_5"), expanded("k1_3")
     statics, root = _pair_statics(host, guest), oracle.floor_lp(host, guest)
     out = []
     for caps in random_vectors("k3_5/k1_3 gap", 2000, 8, 6):
-        need = root(caps)
-        if need and oracle._dive(statics, caps, need) is None:
+        memo = {}
+        oracle._descend(statics, caps, root(caps), memo)
+        if memo:
             out.append(caps)
             if len(out) == count:
                 return out
     raise AssertionError(f"found {len(out)} gap vectors, wanted {count}")
+
+
+def dive(statics, start, need):
+    """find's first branch alone: at each index the top of _cut_range,
+    with no memo and no backtracking.  The (index, multiplicity) pairs
+    once `need` copies are placed, or None where a range is empty."""
+    verts, cuts = statics.verts, statics.cuts
+    residual, path = list(start), []
+    for idx, vs in enumerate(verts):
+        hi = min([need] + [residual[v] for v in vs])
+        if idx == len(verts) - 1:
+            # the last embedding takes every copy left or fails
+            return path + [(idx, need)] if hi == need else None
+        if not hi:
+            continue
+        lo, hi = _cut_range(cuts[idx], residual, need, hi)
+        if hi < lo:
+            return None
+        if hi:
+            path.append((idx, hi))
+            if hi == need:
+                return path
+            need -= hi
+            for v in vs:
+                residual[v] -= hi
+    return None
 
 
 class TestDive:
@@ -604,26 +634,28 @@ class TestDive:
         [(p, g, "pool", 4) for p, g in POOL_PAIRS]
         + [(p, g, "parity", 10) for p, g in EXACT_VALUE_COUNTS],
     )
-    def test_search_alone_gives_the_dive_answer(
-        self, monkeypatch, pname, gname, label, per_sum
-    ):
-        # the dive is find's first branch: with it made to fail, the
-        # descending search returns the same count and multiplicities; the
-        # parity vectors are those of EXACT_VALUE_COUNTS
+    def test_search_alone_gives_the_dive_answer(self, pname, gname, label, per_sum):
+        # the dive is find's first branch: where it places floor(LP)
+        # copies, the search returns its count and multiplicities, and
+        # every answer is vmcap's count; the parity vectors are those of
+        # EXACT_VALUE_COUNTS
         host, guest = expanded(pname), expanded(gname)
-        vectors = [
+        statics, root = _pair_statics(host, guest), oracle.floor_lp(host, guest)
+        dived = 0
+        for caps in [
             caps
             for total in FULL_RANGE_SUMS
             for caps in compositions(f"{pname}/{gname} {label} {total}", per_sum,
                                      total, host.vertex_count)
-        ]
-        answers = [nc.oracle_vmcap(host, guest, caps) for caps in vectors]
-        counts = [nc.vmcap(pname, gname, caps).count for caps in vectors]
-        monkeypatch.setattr(oracle, "_dive", lambda statics, start, need: None)
-        for caps, answer, count in zip(vectors, answers, counts):
-            assert nc.oracle_vmcap(host, guest, caps) == answer, caps
-            assert nc.vmcap(pname, gname, caps).count == count == answer.count, caps
-
+        ]:
+            answer = nc.oracle_vmcap(host, guest, caps)
+            need = root(caps)
+            path = dive(statics, caps, need) if need else []
+            if path is not None:
+                dived += 1
+                assert answer == nc.OracleSolution(need, tuple(path)), caps
+            assert nc.vmcap(pname, gname, caps).count == answer.count, caps
+        assert dived
     def test_memo_is_empty_when_each_call_starts(self, monkeypatch):
         gaps = gap_vectors(20)
         nc.vmcap("k3_5", "k1_3", gaps[0])
@@ -645,10 +677,10 @@ class TestDive:
 
     def test_last_embedding_refuses_a_short_residual(self):
         # every cut made the subset-cover term, W = 1 on every node and
-        # D = k: valid but looser than the LP terms, and constant along a
-        # dive (each copy takes k units of residual and one of need), so
-        # the dive never turns back before the last embedding, whose own
-        # cut is the only one that can refuse
+        # D = k: valid but looser than the LP terms, and constant along
+        # find's first branch (each copy takes k units of residual and one
+        # of need), so that branch never turns back before the last
+        # embedding, whose own cut is the only one that can refuse
         host, guest = expanded("cq3"), expanded("k1_2")
         exact = _pair_statics(host, guest)
         n, k = host.vertex_count, exact.k
@@ -664,12 +696,9 @@ class TestDive:
             if not need:
                 continue
             want = nc.oracle_vmcap(host, guest, caps).count
-            path = oracle._dive(loose, caps, need)
-            if path is None:
-                refused += 1
-                count, mults = oracle._descend(loose, caps, need, {})
-            else:
-                count, mults = need, tuple(path)
+            memo = {}
+            count, mults = oracle._descend(loose, caps, need, memo)
+            refused += bool(memo)
             assert count == want, caps
             sol = nc.OracleSolution(count, mults)
             assert sum(m for _, m in mults) == count, caps

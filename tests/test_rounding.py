@@ -1,4 +1,4 @@
-"""The floor(LP) prover, and the pairs whose count it binds to the root term."""
+"""The floor(LP) prover, and the solver pairs whose count is the root term."""
 
 import os
 import random
@@ -14,13 +14,26 @@ from numacap import formulas, oracle, rounding
 from numacap.oracle import _pair_statics
 from conftest import proved
 
-LISTED = sorted(formulas.LP_PROVED, key=str)
+# solver pairs counted by floor(LP), bipartite hosts with either side
+# first, and star4 also spelled k1_4 and k4_1
+LISTED = sorted([
+    (nc.L4, nc.C4), (nc.star(4), nc.star(2)), (nc.km_n(1, 4), nc.star(2)),
+    (nc.km_n(4, 1), nc.star(2)), (nc.CQ3, nc.star(2)), (nc.L4, nc.star(2)),
+    (nc.km_n(2, 3), nc.C4), (nc.km_n(3, 2), nc.C4), (nc.Q33, nc.star(2)),
+    (nc.km_n(3, 5), nc.star(2)), (nc.km_n(5, 3), nc.star(2)),
+], key=str)
 # each registry instance once, its guest as vmcap binds it
 REGISTRY = sorted({(host, str(nc.canonical_id(guest)))
                    for host, guest, _ in formulas.INSTANCES})
 # pairs with no proof, whose floor(LP) the field minimum still computes:
-# the three gap pairs, and k8/k7, whose terms need the widest fields
+# three spellings of gap pairs, and k8/k7, whose terms need the widest fields
 UNPROVED = [("cq3", "k1_3"), ("q33", "k1_3"), ("k4_4", "k1_3"), ("k8", "k7")]
+# each LP_GAPS pair, and how many periods and base points its proof fails at
+GAPS = [
+    ("cq3", "star3", 5), ("k3_3", "star3", 1), ("k3_4", "star3", 22),
+    ("k3_5", "star3", 177), ("q33", "k2_4", 16), ("q33", "star3", 254),
+    ("q33", "star4", 3),
+]
 
 
 def graphs(host, guest):
@@ -80,8 +93,25 @@ def test_side_swapped_hosts_are_counted_past_the_solver(host, guest, b, count):
     nc.verify_placement(*graphs(host, guest), b, placement)
 
 
+@pytest.mark.parametrize("host,guest", [
+    ("l4", "k2_1"), ("k2_3", "k2_1"), ("k3_2", "c4"), ("k4_4", "star2"),
+])
+def test_every_spelling_takes_the_canonical_count(host, guest):
+    # one graph pair, one answer: each spelling is counted by floor(LP),
+    # with no sum limit, as its canonical spelling is
+    h, g = graphs(host, guest)
+    canonical = [str(nc.canonical_id(tid)) for tid in (host, guest)]
+    assert canonical != [host, guest]
+    for b in [(50,) * h.vertex_count, (nc.MAX_CAPACITY,) * h.vertex_count]:
+        got = nc.vmcap(host, guest, b)
+        assert got == nc.vmcap(*canonical, b) and got.via == "oracle", b
+        placement = nc.place_vnuma(host, guest, b)
+        assert placement.count == got.count, b
+        nc.verify_placement(h, g, b, placement)
+
+
 def test_k1_4_is_counted_as_star4():
-    # one graph under both ids, hub on label 1; each is listed as proved
+    # one graph under both ids, hub on label 1; each is counted by floor(LP)
     assert graphs("k1_4", "k1_2") == graphs("star4", "k1_2")
     for b in [(50,) * 5, (nc.MAX_CAPACITY,) * 5]:
         got = nc.vmcap("k1_4", "k1_2", b)
@@ -117,40 +147,28 @@ def test_tiling_check_refuses_a_bad_cover(masks, fault):
             rounding._check_tiling(cells, vectors, tight)
 
 
-@pytest.mark.parametrize("host,guest,gap", [
-    ("cq3", "k1_3", (1,) * 8),
-    ("q33", "k1_3", (0, 1, 1, 1, 1, 1, 1, 2)),
-])
-def test_gap_pairs_are_refused(host, guest, gap):
+@pytest.mark.parametrize("host,guest,failing", GAPS)
+def test_gap_pairs_are_refused(host, guest, failing):
     # each failure is a base point or period where the plain search's
     # count is below floor(LP); the proof lists them all, with both
     failures = proof(host, guest).failures
-    assert failures
-    assert gap in failures
+    assert len(failures) == failing
     assert list(failures) == sorted(failures)
     plain = oracle._plain_solver(_pair_statics(*graphs(host, guest)))
     for b, (lp, count) in failures.items():
         assert (lp, count) == (floor_lp(host, guest, b), plain(0, b)), b
         assert count < lp, b
+        assert nc.vmcap(host, guest, b) == (count, "oracle"), b
 
 
-def test_k4_4_has_the_gaps_of_q33_relabelled():
-    # q33 is k4_4 with its sides on the odd and the even labels, so
-    # q33/k1_3's gaps, carried over by that relabelling, are k4_4's
-    q33, k4_4 = nc.expand_topology("q33"), nc.expand_topology("k4_4")
-    to_k4_4 = {v: (v + 1) // 2 if v % 2 else 4 + v // 2 for v in q33.vertices()}
-    assert sorted(to_k4_4.values()) == list(k4_4.vertices())
-    edges = {tuple(sorted((to_k4_4[u], to_k4_4[v]))) for u, v in q33.edges}
-    assert edges == set(k4_4.edges)
-    plain = oracle._plain_solver(_pair_statics(*graphs("k4_4", "k1_3")))
-    failures = proof("q33", "k1_3").failures
-    assert len(failures) > 200
-    for b in failures:
-        c = [0] * 8
-        for v, x in zip(q33.vertices(), b):
-            c[to_k4_4[v] - 1] = x
-        c = tuple(c)
-        assert plain(0, c) < floor_lp("k4_4", "k1_3", c), c
+def test_the_gaps_are_the_listed_pairs():
+    listed = {(nc.parse_topology(h), nc.parse_topology(g)) for h, g, _ in GAPS}
+    assert listed == formulas.LP_GAPS
+    # 34 id pairs spell them
+    ids = nc.topology.every_id(8)
+    spellings = [(h, g) for h in ids for g in ids
+                 if (nc.canonical_id(h), nc.canonical_id(g)) in formulas.LP_GAPS]
+    assert len(spellings) == 34
 
 
 def scaled_top(host, guest):
@@ -184,7 +202,8 @@ def test_wide_root_is_the_plain_minimum(host, guest):
     h, g = graphs(host, guest)
     n, k = h.vertex_count, g.vertex_count
     count = oracle.floor_lp(h, g)
-    proved = (host, guest) in formulas.LP_PROVED
+    key = (nc.canonical_id(host), nc.canonical_id(guest))
+    proved = key not in formulas.LP_GAPS and nc.closed_form_evaluator(host, guest) is None
     vectors = wide_vectors(f"{host}/{guest} wide", n)
     vectors += switch_vectors(scaled_top(host, guest), n, f"{host}/{guest}")
     for b in vectors:

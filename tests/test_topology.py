@@ -1,10 +1,15 @@
 """Graph shapes, canonical labelings, and embedding enumeration."""
 
+from itertools import combinations, permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
 import numacap as nc
-from numacap.topology import MAX_CAPACITY
+from numacap.topology import MAX_CAPACITY, every_id
+
+# every id of the grammar up to 8 nodes, spellings of one graph apart
+GRAMMAR = every_id(8)
 
 
 def test_check_capacities_accepts_and_normalizes():
@@ -127,6 +132,32 @@ class TestCanonicalShapes:
         assert nc.km_n(3, 4).vertex_count == 7
 
 
+def relabelling(tid):
+    """A map from tid's labels to canonical_id(tid)'s, written per family."""
+    n = tid.vertex_count
+    same = {v: v for v in range(1, n + 1)}
+    if tid.kind != "km_n":
+        return same
+    m = tid.m
+    if (tid.m, tid.n) == (2, 2):
+        # k2_2's sides {1, 2} and {3, 4} are c4's diagonals
+        return {1: 1, 2: 3, 3: 2, 4: 4}
+    if (tid.m, tid.n) == (4, 4):
+        # q33's sides are its odd and its even labels
+        return {v: 2 * v - 1 if v <= 4 else 2 * (v - 4) for v in same}
+    if tid.m > tid.n:
+        # the smaller side first; for kN_1 that puts the hub on label 1
+        return {v: v + tid.n if v <= m else v - m for v in same}
+    return same
+
+
+def isomorphic(a, b):
+    if a.degree_sequence() != b.degree_sequence():
+        return False
+    return any({tuple(sorted((p[u - 1], p[v - 1]))) for u, v in a.edges} == b.edges
+               for p in permutations(b.vertices()))
+
+
 class TestParsing:
     @pytest.mark.parametrize(
         "text", ["c4", "l4", "cq3", "q33", "k2", "k7", "k2_3", "k4_4", "star3"]
@@ -151,7 +182,9 @@ class TestParsing:
             ("star1", "k2"),
             ("k1_5", "star5"),
             ("k2_3", "k2_3"),
-            ("k4_4", "k4_4"),
+            ("k3_2", "k2_3"),
+            ("k4_1", "star4"),
+            ("k4_4", "q33"),
             ("c4", "c4"),
             ("star3", "star3"),
         ],
@@ -162,6 +195,25 @@ class TestParsing:
         twin = nc.expand_topology(nc.canonical_id(text))
         assert expanded.degree_sequence() == twin.degree_sequence()
         assert len(expanded.edges) == len(twin.edges)
+
+    @pytest.mark.parametrize("tid", GRAMMAR, ids=str)
+    def test_canonical_id_relabels_every_id(self, tid):
+        # an explicit map from tid's labels onto its canonical id's, which
+        # carries every edge onto an edge
+        canon = nc.canonical_id(tid)
+        assert nc.canonical_id(canon) == canon
+        mapping = relabelling(tid)
+        graph, twin = nc.expand_topology(tid), nc.expand_topology(canon)
+        assert sorted(mapping) == sorted(mapping.values()) == list(twin.vertices())
+        assert list(graph.vertices()) == list(twin.vertices())
+        assert {tuple(sorted((mapping[u], mapping[v]))) for u, v in graph.edges} \
+            == twin.edges
+
+    def test_distinct_canonical_ids_are_not_isomorphic(self):
+        canon = sorted({nc.canonical_id(tid) for tid in GRAMMAR}, key=str)
+        assert len(canon) == 25
+        for a, b in combinations(canon, 2):
+            assert not isomorphic(nc.expand_topology(a), nc.expand_topology(b)), (a, b)
 
     @pytest.mark.parametrize("fields,message", [
         (("c4", 0, 1), "c4 takes no parameters"),
