@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Unio
 
 from .errors import DimensionError, TopologyError
 from .oracle import MAX_ORACLE_VERTICES, floor_lp, pair_solver, refuse_host
-from .placement import Placement, peel, wrap
+from .placement import Placement, greedy, peel, wrap
 from .topology import (
     C4,
     CQ3,
@@ -167,6 +167,12 @@ def vmcap_l4_k2(b: Sequence[int]) -> int:
 
     End rungs are clipped to what their neighbors can absorb, after which
     the odd/even side sums bound the matching like a bipartite instance.
+    The ladder is bipartite, odd against even, and the even neighbours of
+    odd nodes 1, 3, 5, 7 are the windows 2-4, 2-6, 4-8 and 6-8 of the
+    evens in order 2, 4, 6, 8: a convex bipartite graph.  There Glover's
+    rule is optimal: take the evens in order, each serving first the odd
+    neighbour whose window ends first.  LADDER_ORDER is that rule as one
+    fixed order of edges, which greedy fills for the witness.
     """
     try:
         b1, b2, b3, b4, b5, b6, b7, b8 = b
@@ -224,11 +230,42 @@ def vmcap_cq3_k2(b: Sequence[int]) -> int:
     return best
 
 
+def _cq3_k2_layout(b: Sequence[int], want: int) -> Placement:
+    """The cq3/k2 witness of `want` pairs, split as vmcap_cq3_k2 counts.
+
+    Its clamped offset delta goes over the crossing edge (1, 7) when
+    positive, or -delta over (2, 8) when negative, and the ladder's
+    LADDER_ORDER places the other want - |delta| pairs on the residual,
+    an l4 instance.  Of 3,000 random fixed orders of cq3's edges tried
+    without the offset, the best missed the count on 132 of 300 vectors.
+    The offset repeats the formula's lines, which criterion 8 times,
+    rather than have the formula call out for it.
+    """
+    b1, b2, b3, b4, b5, b6, b7, b8 = b
+    delta = (b1 + b3 + b5 + b7 - b2 - b4 - b6 - b8) // 2
+    hi = b1 if b1 < b7 else b7
+    lo = b2 if b2 < b8 else b8
+    if delta > hi:
+        delta = hi
+    elif delta < -lo:
+        delta = -lo
+    if delta > 0:
+        rest = (b1 - delta, b2, b3, b4, b5, b6, b7 - delta, b8)
+        return greedy(LADDER_ORDER, rest, want - delta, (((1, 7), delta),))
+    if delta < 0:
+        rest = (b1, b2 + delta, b3, b4, b5, b6, b7, b8 + delta)
+        return greedy(LADDER_ORDER, rest, want + delta, (((2, 8), -delta),))
+    return greedy(LADDER_ORDER, b, want)
+
+
 def vmcap_cq3_c4(b: Sequence[int]) -> int:
     """4-cycles in the crossed cube.
 
     Every 4-cycle covers two opposite rungs, so rung minima reduce this
-    to pairs on a 4-cycle of rungs.
+    to pairs on a 4-cycle of rungs.  That 4-cycle is the complete
+    bipartite graph between rungs {12, 56} and {34, 78}, so CQ3_C4_ORDER,
+    the north-west-corner fill of its four edges, saturates one side and
+    lays out the witness.
     """
     try:
         b1, b2, b3, b4, b5, b6, b7, b8 = b
@@ -354,18 +391,20 @@ def partial_means(values: Sequence[int], k: int) -> list[Fraction]:
 
 
 class Pair(NamedTuple):
-    """One closed form: its count, its witness's sides and the sweeps
+    """One closed form: its count, its witness's layout and the sweeps
     that check both.
 
     count(*args, b) reads b in the host's labels; args is
     params(host, guest) for an entry that covers a host family, and
     empty otherwise.  count reads a vector its caller has checked, a
-    tuple from vmcap or the evaluator, a list from peel, and does not
-    check it again.  sides(*args) are the (labels, lanes) of a pair
-    whose count is the least, over those sides, of the lanes-clique
-    count on the side's labels; its witness is
-    placement.wrap(sides, count(b), b).  sides None peels the witness
-    from count over the pair's embeddings.  instances are the
+    tuple from vmcap or the evaluator, and does not check it again.
+    Each entry has sides or a layout.  sides(*args) are the
+    (labels, lanes) of a pair whose count is the least, over those
+    sides, of the lanes-clique count on the side's labels; its witness
+    is placement.wrap(sides, count(b), b).  layout(b, count(b)) is the
+    witness of a fixed-shape pair: a placement.greedy pass over an order
+    of its embeddings on which first-come is optimal, after cq3/k2's
+    crossing offset.  instances are the
     (host, guest, sweep) that `numacap verify` runs when no pair is
     named, each then over FULL_RANGE too; sweep (max_cap, samples) draws
     `samples` random vectors from [0..max_cap]^n, or takes all of them
@@ -376,6 +415,7 @@ class Pair(NamedTuple):
     instances: tuple[tuple[str, str, tuple[int, Optional[int]]], ...]
     params: Optional[Callable[[TopologyId, TopologyId], tuple]] = None
     sides: Optional[Callable[..., tuple]] = None
+    layout: Optional[Callable[[Sequence[int], int], Placement]] = None
 
 
 # the verify sweeps, (max_cap, samples) as Pair reads them
@@ -398,6 +438,14 @@ def _bipartite_sides(m: int, n: int) -> tuple:
 # q33 is K4,4 on its odd and even nodes, and c4 is K2,2 on its diagonals
 ODD, EVEN = (1, 3, 5, 7), (2, 4, 6, 8)
 
+# The greedy layouts' orders.  The ladder's edges by even node in order,
+# each even's odd neighbours by where their windows end (vmcap_l4_k2);
+# the crossed cube's 4-cycles, rung pairs of {12, 56} x {34, 78}, in
+# north-west-corner order (vmcap_cq3_c4).
+LADDER_ORDER = ((1, 2), (2, 3), (1, 4), (3, 4), (4, 5), (3, 6), (5, 6), (6, 7),
+                (5, 8), (7, 8))
+CQ3_C4_ORDER = ((1, 2, 3, 4), (1, 2, 7, 8), (3, 4, 5, 6), (5, 6, 7, 8))
+
 # Keyed by (host kind, canonical guest).  The host kind is taken as parsed,
 # not from its canonical form, as host labels index b.  Guest None on "kn"
 # is any guest that fits, K4's pairs and triples included: each k-subset of
@@ -405,11 +453,14 @@ ODD, EVEN = (1, 3, 5, 7), (2, 4, 6, 8)
 PAIRS: dict[tuple[str, Optional[TopologyId]], Pair] = {
     ("c4", K2): Pair(vmcap_c4_k2, (("c4", "k2", ALL_TO_5),),
                      sides=lambda: (((1, 3), 1), ((2, 4), 1))),
-    ("l4", K2): Pair(vmcap_l4_k2, (("l4", "k2", RANDOM_TO_20),)),
-    ("cq3", K2): Pair(vmcap_cq3_k2, (("cq3", "k2", RANDOM_TO_20),)),
+    ("l4", K2): Pair(vmcap_l4_k2, (("l4", "k2", RANDOM_TO_20),),
+                     layout=partial(greedy, LADDER_ORDER)),
+    ("cq3", K2): Pair(vmcap_cq3_k2, (("cq3", "k2", RANDOM_TO_20),),
+                      layout=_cq3_k2_layout),
     ("q33", K2): Pair(vmcap_q33_k2, (("q33", "k2", RANDOM_TO_20),),
                       sides=lambda: ((ODD, 1), (EVEN, 1))),
-    ("cq3", C4): Pair(vmcap_cq3_c4, (("cq3", "c4", RANDOM_TO_20),)),
+    ("cq3", C4): Pair(vmcap_cq3_c4, (("cq3", "c4", RANDOM_TO_20),),
+                      layout=partial(greedy, CQ3_C4_ORDER)),
     ("q33", C4): Pair(vmcap_q33_c4, (("q33", "c4", RANDOM_TO_20),),
                       sides=lambda: ((ODD, 2), (EVEN, 2))),
     ("km_n", K2): Pair(
@@ -474,16 +525,10 @@ def _bind(pair: Pair, pid: TopologyId, gid: TopologyId):
         def witness(b):
             return wrap(sides, count(b), b)
     else:
-        embeddings = None
+        layout = pair.layout
 
         def witness(b):
-            # looked up on the first call, after b passed its checks
-            nonlocal embeddings
-            if embeddings is None:
-                embeddings = enumerate_embeddings(
-                    expand_topology(pid), expand_topology(gid)
-                )
-            return peel(count, embeddings, b)
+            return layout(b, count(b))
     return count, witness, "closed-form"
 
 
@@ -493,12 +538,13 @@ def bind_solver(pid: TopologyId, gid: TopologyId):
     Unless the pair's graphs are in LP_GAPS, the count is oracle.floor_lp's
     field minimum on the host's own labels, looked up on the first call,
     after b passed its checks, and kept, with no sum limit.  The proof
-    makes it exact at every vector, so the witness is peeled from it as a
-    closed pair's is, and no solve is built.  A gap pair calls its one
-    oracle.pair_solver solve, looked up with its graphs and embeddings on
-    the first call and kept: the count is its count, and the witness its
-    multiplicities as runs.  A host past the solver's node limit is
-    refused with no graph built.
+    makes it exact at every vector, so the witness is peeled from it over
+    the pair's embeddings, looked up on the first witness call and kept,
+    and no solve is built.  A gap pair calls its one oracle.pair_solver
+    solve, looked up with its graphs and embeddings on the first call and
+    kept: the count is its count, and the witness its multiplicities as
+    runs.  A host past the solver's node limit is refused with no graph
+    built.
     """
     if pid.vertex_count > MAX_ORACLE_VERTICES:
         # refused with no graph built; the witness enumerates, then solves
@@ -506,7 +552,7 @@ def bind_solver(pid: TopologyId, gid: TopologyId):
             return refuse_host, partial(refuse_enumeration, pid.vertex_count), "oracle"
         return refuse_host, refuse_host, "oracle"
     if (canonical_id(pid), canonical_id(gid)) not in LP_GAPS:
-        lp = None
+        lp = embeddings = None
 
         def lp_count(b):
             nonlocal lp
@@ -514,8 +560,15 @@ def bind_solver(pid: TopologyId, gid: TopologyId):
                 lp = floor_lp(expand_topology(pid), expand_topology(gid))
             return lp(b)
 
-        count, witness, _ = _bind(Pair(lp_count, ()), pid, gid)
-        return count, witness, "oracle"
+        def peeled(b):
+            nonlocal embeddings
+            if embeddings is None:
+                embeddings = enumerate_embeddings(
+                    expand_topology(pid), expand_topology(gid)
+                )
+            return peel(lp_count, embeddings, b)
+
+        return lp_count, peeled, "oracle"
     solve = embeddings = None
 
     def build():
@@ -577,17 +630,16 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     canonicalised (topology.canonical_id); the host keeps its own id,
     whose labels index the vector.  A single-node guest raises.  A
     registry entry (_entry) binds its closed form and witness, laid out
-    by wrap-around from its sides or peeled from its count, any other
-    pair the exhaustive solver, whose count is floor(LP) off LP_GAPS,
-    with a witness peeled from that count.
+    by wrap-around from its sides or by its greedy layout, any other
+    pair the exhaustive solver (bind_solver), whose count is floor(LP)
+    off LP_GAPS, with a witness peeled from that count.
     count and witness read a checked vector; evaluator is a closed
     form's count behind check_capacities, and None for the solver.
     No binding expands a graph here.  A solver binding looks up its
-    graphs and the pair's one solve on its first call, after the caller
-    has checked b, and keeps them, and refuses a host past its node
-    limit with ScaleLimitError, building no graph for it.  A peeled
-    witness looks up its embeddings on its first call too; only hosts of
-    8 nodes peel, and a wrap-around witness builds no graph at all.
+    graphs, and its solve or embeddings, on its first call, after the
+    caller has checked b, and keeps them, and refuses a host past its
+    node limit with ScaleLimitError, building no graph for it.  A
+    closed pair's witness builds no graph at all.
     """
     pid = as_topology_id(pnuma)
     n = pid.vertex_count
@@ -658,9 +710,9 @@ def place_vnuma(
 
     A closed pair takes its registry witness: a complete or complete
     bipartite host's laid out by wrap-around on a host of any size, and
-    the others' peeled from the count.  A solver pair takes one peeled
-    from floor(LP) at any magnitude, and an LP_GAPS pair the search's,
-    which raises ScaleLimitError where vmcap does.
+    l4/k2's, cq3/k2's and cq3/c4's by one greedy pass.  A solver pair
+    takes one peeled from floor(LP) at any magnitude, and an LP_GAPS
+    pair the search's, which raises ScaleLimitError where vmcap does.
     """
     n, _, witness, _, _ = _resolved(pnuma, vnuma)
     return witness(check_capacities(capacities, n))

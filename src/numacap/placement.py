@@ -5,14 +5,17 @@ that carries the guest, and how many guests it carries; a node is used
 at most b_i times over all runs.  The witness rules emit one run per
 distinct group, so a witness's size does not grow with the entries of b.
 Expanding it to one group per guest (`matches`, `as_lists`) is an
-explicit step, bounded by MAX_EXPANDED_GROUPS.  Two rules build every
-witness from a count alone: `wrap` lays out the count of a pair whose
-count is a minimum over sides of clique counts (complete and complete
-bipartite hosts) by wrap-around, and `peel` reads an optimum off any
-exact count over the pair's embeddings.  The pair registry in the
-formulas module names each pair's sides, or none when it peels;
-place_k2 and place_c4_vnuma ask that registry, through place_vnuma, for
-the witness of a k2 or c4 guest on a named host.
+explicit step, bounded by MAX_EXPANDED_GROUPS.  Three rules build every
+witness from a count: `wrap` lays out the count of a pair whose count is
+a minimum over sides of clique counts (complete and complete bipartite
+hosts) by wrap-around, `greedy` fills a fixed order of groups on which
+first-come is optimal (the ladder's and crossed cube's pairs and the
+crossed cube's 4-cycles), and `peel` reads an optimum off any exact
+count over the pair's embeddings, which only the solver's floor(LP)
+pairs need.  The pair registry in the formulas module names each closed
+pair's sides or greedy layout; place_k2 and place_c4_vnuma ask that
+registry, through place_vnuma, for the witness of a k2 or c4 guest on a
+named host.
 """
 
 from __future__ import annotations
@@ -201,6 +204,45 @@ def peel(
         )
     # each embedding is a tuple and is used once
     return Placement._canonical(tuple(runs))
+
+
+def greedy(
+    groups: Sequence[tuple[int, ...]],
+    caps: Sequence[int],
+    want: int,
+    runs: Sequence[Run] = (),
+) -> Placement:
+    """`want` copies placed after `runs` by one pass over `groups`.
+
+    Each group in turn takes min(copies left, residual on its nodes),
+    caps being the residual the runs leave.  The pass reaches every
+    count only on an order where first-come is optimal, as the
+    registry's are; a want it cannot reach raises PlacementError, as
+    peel does when a count overclaims.
+    groups are distinct tuples, none the group of runs' last run, so the
+    result is canonical: one run per group that takes a copy.
+    """
+    # indexed by label: slot 0 pads, so no lookup subtracts 1
+    residual = [0, *caps]
+    out = list(runs)
+    left = want
+    for group in groups:
+        take = left
+        for v in group:
+            if residual[v] < take:
+                take = residual[v]
+        if take:
+            for v in group:
+                residual[v] -= take
+            out.append((group, take))
+            left -= take
+            if not left:
+                break
+    if left:
+        raise PlacementError(
+            f"count overclaims: {left} of {want} copies have no group left"
+        )
+    return Placement._canonical(tuple(out))
 
 
 def wrap(

@@ -7,6 +7,7 @@ import resource
 import shutil
 import subprocess
 import sys
+from functools import partial
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 
 import numacap
 from numacap import capacity, cli, formulas, rounding
+from numacap.placement import greedy
 from conftest import proved
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -851,6 +853,27 @@ class TestVerify:
         ex = doc["examples"][0]
         assert ex["formula"] == ex["oracle"] == 1
         assert ex["witness"] == "places 0"
+
+    def test_wrong_layout_is_caught(self, capsys, monkeypatch, patch_formula):
+        # the count is right; cq3/k2's greedy layout skips the crossing
+        # step, so the ladder's order alone falls short wherever the
+        # formula's offset is not 0
+        patch_formula("cq3", "k2", partial(greedy, formulas.LADDER_ORDER),
+                      field="layout")
+        code, out, _ = run(capsys, "verify", "--topology", "cq3", "--vnuma", "k2",
+                           "--samples", "80", "--seed", "1", "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["mismatches"] > 0
+        for ex in doc["examples"]:
+            assert ex["formula"] == ex["oracle"], ex
+            assert ex["witness"].startswith("count overclaims"), ex
+        # the no-pair run's sweeps check the layout too
+        monkeypatch.setattr(cli, "INSTANCES", (("cq3", "k2", (20, 50)),))
+        monkeypatch.setattr(cli, "lp_pairs", list)
+        code, out, _ = run(capsys, "verify")
+        assert code == 1
+        assert "witness: count overclaims" in out
 
     def test_witness_past_its_count_is_caught(self, capsys, monkeypatch):
         wrap = formulas.wrap

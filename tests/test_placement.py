@@ -11,8 +11,9 @@ import pytest
 
 import numacap as nc
 from numacap import cli, formulas
-from numacap.placement import MAX_EXPANDED_GROUPS, peel, wrap
+from numacap.placement import MAX_EXPANDED_GROUPS, greedy, peel, wrap
 from conftest import (
+    all_vectors,
     check_pair_witness,
     count_graphs,
     full_range_vectors,
@@ -284,24 +285,30 @@ class TestPeel:
     """Witnesses read off the count over the pair's embeddings."""
 
     def test_overclaiming_count_is_caught(self, capsys, patch_formula):
-        real = formulas.vmcap_cq3_k2
-        patch_formula("cq3", "k2", lambda b: real(b) + 1)
         caps = (3, 1, 4, 1, 5, 9, 2, 6)
-        with pytest.raises(nc.PlacementError, match="overclaims"):
-            nc.place_vnuma("cq3", "k2", caps)
-        code = cli.main(["place", "--topology", "cq3", "--vnuma", "k2",
-                         "--caps", ",".join(map(str, caps))])
-        assert code == 2
-        assert "overclaims" in capsys.readouterr().err
+        for pname, gname, real in (("l4", "k2", formulas.vmcap_l4_k2),
+                                   ("cq3", "k2", formulas.vmcap_cq3_k2),
+                                   ("cq3", "c4", formulas.vmcap_cq3_c4)):
+            patch_formula(pname, gname, lambda b, real=real: real(b) + 1)
+            with pytest.raises(nc.PlacementError, match="overclaims"):
+                nc.place_vnuma(pname, gname, caps)
+            code = cli.main(["place", "--topology", pname, "--vnuma", gname,
+                             "--caps", ",".join(map(str, caps))])
+            assert code == 2
+            assert "overclaims" in capsys.readouterr().err
 
     @pytest.mark.parametrize("pname,gname,key", [
         ("cq3", "k2", "cq3"), ("l4", "k2", "l4"), ("q33", "c4", "q33"),
         ("cq3", "c4", "cq3"), ("k2_3", "k2", "km_n"),
     ])
-    def test_count_calls_are_bounded(self, patch_formula, pname, gname, key):
-        embeddings = nc.enumerate_embeddings(expanded(pname), expanded(gname))
+    def test_count_calls_are_bounded(self, pname, gname, key):
+        # no registry pair peels: each is laid out by wrap-around or by
+        # greedy, so peel takes the bound count directly, and cq3's 12
+        # edges and q33/c4's 36 embeddings still hold it to its bound
         entry = formulas.PAIRS[key, nc.parse_topology(gname)]
-        real = entry.count if entry.sides is None else formulas._resolve(pname, gname)[1]
+        assert (entry.sides is None) != (entry.layout is None)
+        embeddings = nc.enumerate_embeddings(expanded(pname), expanded(gname))
+        real = formulas._resolve(pname, gname)[1]
         calls = 0
 
         def counted(*args):
@@ -309,20 +316,12 @@ class TestPeel:
             calls += 1
             return real(*args)
 
-        if entry.sides is None:
-            patch_formula(key, gname, counted)
-            place = partial(nc.place_vnuma, pname, gname)
-        else:
-            # laid out by wrap-around: peel takes the bound count directly,
-            # so q33/c4 still holds it to its 36 embeddings
-            place = partial(peel, counted, embeddings)
-
         m = len(embeddings)
         n = nc.parse_topology(pname).vertex_count
         for caps in random_vectors(f"{pname}/{gname} calls", 100, n, 300):
             want = nc.vmcap(pname, gname, caps).count
             calls = 0
-            pl = place(caps)
+            pl = peel(counted, embeddings, caps)
             c = min(want, max(caps))
             assert calls <= 1 + m * (1 + (c - 1).bit_length()), caps
             assert pl.count == want, caps
@@ -336,6 +335,65 @@ class TestPeel:
             assert pl.count == nc.vmcap("k7_7", "k2", caps).count
             check_pair_witness(pl, 7, caps)
         assert built == [0]
+
+
+# each greedy pair and the groups its layout may emit: cq3/k2 sends its
+# offset over a crossing edge first
+GREEDY_GROUPS = {
+    ("l4", "k2"): formulas.LADDER_ORDER,
+    ("cq3", "k2"): ((1, 7), (2, 8)) + formulas.LADDER_ORDER,
+    ("cq3", "c4"): formulas.CQ3_C4_ORDER,
+}
+GREEDY_PAIRS = sorted(GREEDY_GROUPS)
+
+
+class TestGreedy:
+    """The ladder's and crossed cube's witnesses: one pass over an order."""
+
+    @pytest.mark.parametrize("pname,gname", GREEDY_PAIRS)
+    def test_count_is_reached_everywhere(self, pname, gname):
+        vectors = list(all_vectors(8, 3)) + full_range_vectors(
+            f"{pname}/{gname} greedy", 8, 200)
+        for caps in vectors:
+            assert (nc.place_vnuma(pname, gname, caps).count
+                    == nc.vmcap(pname, gname, caps).count), caps
+
+    @pytest.mark.parametrize("pname,gname", GREEDY_PAIRS)
+    def test_witness_is_valid_and_canonical(self, pname, gname):
+        # with (0, ...) or a balanced vector the cq3/k2 offset clamps to
+        # 0, and no 0-copy crossing run may be emitted
+        vectors = random_vectors(f"{pname}/{gname} canonical", 300, 8, 40) + [
+            (0, 1, 5, 1, 5, 1, 5, 1), (1, 0, 1, 5, 1, 5, 1, 5), (2,) * 8,
+            (5, 5, 0, 0, 0, 0, 0, 0), (9, 0, 0, 0, 0, 0, 0, 9), (0,) * 8,
+        ]
+        allowed = set(GREEDY_GROUPS[pname, gname])
+        for caps in vectors:
+            pl = nc.place_vnuma(pname, gname, caps)
+            check(pname, gname, caps, pl)
+            assert nc.Placement.from_runs(pl.runs) == pl, caps
+            assert {group for group, _ in pl.runs} <= allowed, caps
+
+    @pytest.mark.parametrize("pname,gname", GREEDY_PAIRS)
+    def test_one_copy_past_the_count_is_refused(self, pname, gname):
+        layout = formulas.PAIRS[pname, nc.parse_topology(gname)].layout
+        for caps in full_range_vectors(f"{pname}/{gname} past", 8, 20):
+            want = nc.vmcap(pname, gname, caps).count
+            assert layout(caps, want).count == want
+            with pytest.raises(nc.PlacementError, match="overclaims"):
+                layout(caps, want + 1)
+
+    @pytest.mark.parametrize("pname,gname", GREEDY_PAIRS)
+    def test_groups_are_embeddings(self, pname, gname):
+        groups = GREEDY_GROUPS[pname, gname]
+        assert len(set(groups)) == len(groups)
+        embeddings = set(nc.enumerate_embeddings(expanded(pname), expanded(gname)))
+        assert set(groups) <= embeddings
+
+    def test_runs_follow_on_from_given_runs(self):
+        pl = greedy(((1, 2), (3, 4)), (2, 1, 5, 5), 4, (((2, 3), 1),))
+        assert pl.runs == (((2, 3), 1), ((1, 2), 1), ((3, 4), 3))
+        with pytest.raises(nc.PlacementError, match="1 of 2 copies"):
+            greedy(((1, 2),), (1, 1), 2)
 
 
 class TestVerification:
