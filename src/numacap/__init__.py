@@ -7,6 +7,10 @@ closed-form expressions over the per-node capacities; a brute-force
 solver provides ground truth for tests, witness placements show the
 counts are attainable, and server/cluster helpers aggregate over
 components and machines.
+
+`import numacap` loads the topology, formula and capacity modules; the
+solver (numacap.oracle) and the witness rules (numacap.placement) load
+on first use of one of their names.
 """
 
 from .capacity import (
@@ -34,7 +38,6 @@ from .formulas import (
     closed_form_evaluator,
     normalize_capacities,
     partial_means,
-    place_vnuma,
     vmcap,
     vmcap_c4_k2,
     vmcap_cq3_c4,
@@ -47,19 +50,6 @@ from .formulas import (
     vmcap_l4_k2,
     vmcap_q33_c4,
     vmcap_q33_k2,
-)
-from .oracle import (
-    OracleSolution,
-    expand_to_simple_matching,
-    maximum_matching_size,
-    oracle_vmcap,
-)
-from .placement import (
-    Placement,
-    place_c4_vnuma,
-    place_k2,
-    place_kn_kk,
-    verify_placement,
 )
 from .topology import (
     C4,
@@ -85,6 +75,40 @@ from .topology import (
 )
 
 __version__ = "0.1.0"
+
+# Names of the solver and placement modules, loaded on first access (PEP
+# 562) so that a count imports neither; each is bound here once loaded.
+_LAZY = {
+    "oracle": "oracle",
+    "OracleSolution": "oracle",
+    "expand_to_simple_matching": "oracle",
+    "maximum_matching_size": "oracle",
+    "oracle_vmcap": "oracle",
+    "placement": "placement",
+    "Placement": "placement",
+    "place_c4_vnuma": "placement",
+    "place_k2": "placement",
+    "place_kn_kk": "placement",
+    "place_vnuma": "placement",
+    "verify_placement": "placement",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    loaded = import_module(f"{__name__}.{module}")
+    value = loaded if name == module else getattr(loaded, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "C4",

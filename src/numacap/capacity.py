@@ -11,7 +11,6 @@ so a node count is a whole-column pass, not a per-node call.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, repeat
 from operator import floordiv, is_, is_not, mul, not_
 from types import MappingProxyType
@@ -29,6 +28,13 @@ from .formulas import vmcap
 from .topology import TopologyId, as_topology_id, check_capacities
 
 
+@classmethod
+def _checked_make(cls, iterable):
+    """_make of a named tuple checked when built: _replace builds through
+    _make, so a replaced field is checked too."""
+    return cls(*iterable)
+
+
 def _is_int(value) -> bool:
     """True for an int or int subclass other than bool."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -39,8 +45,13 @@ def _check_id(value, path: str) -> None:
         raise SchemaError(path, f"expected a non-empty string, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Flavor:
+class _FlavorFields(NamedTuple):
+    id: str
+    vnuma: TopologyId
+    demand: Mapping[str, int]
+
+
+class Flavor(_FlavorFields):
     """A VM size: guest NUMA shape plus per-guest-node resource demand.
 
     The demand is kept as a read-only copy, so later changes to the
@@ -53,27 +64,27 @@ class Flavor:
       naming the resource.
     """
 
-    id: str
-    vnuma: TopologyId
-    demand: Mapping[str, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_id(self.id, "flavor.id")
-        object.__setattr__(self, "vnuma", as_topology_id(self.vnuma))
-        if not isinstance(self.demand, Mapping) or not self.demand:
+    def __new__(cls, id: str, vnuma: Union[TopologyId, str], demand: Mapping[str, int]):
+        _check_id(id, "flavor.id")
+        vnuma = as_topology_id(vnuma)
+        if not isinstance(demand, Mapping) or not demand:
             raise ResourceError(
-                f"flavor {self.id!r} demand must be a non-empty resource map,"
-                f" got {self.demand!r}"
+                f"flavor {id!r} demand must be a non-empty resource map,"
+                f" got {demand!r}"
             )
-        demand = dict(self.demand)
+        demand = dict(demand)
         for name, amount in demand.items():
             if not _is_int(amount) or amount < 1:
                 raise ResourceError(
-                    f"flavor {self.id!r} demand {name!r} must be a positive"
+                    f"flavor {id!r} demand {name!r} must be a positive"
                     f" integer, got {amount!r}",
                     resource=name,
                 )
-        object.__setattr__(self, "demand", MappingProxyType(demand))
+        return tuple.__new__(cls, (id, vnuma, MappingProxyType(demand)))
+
+    _make = _checked_make
 
     def __reduce__(self):
         # a read-only map does not pickle; rebuild from a plain copy
@@ -94,8 +105,13 @@ def _array(value, path: str) -> tuple:
     raise SchemaError(path, "expected an array")
 
 
-@dataclass(frozen=True)
-class ServerComponent:
+class _ComponentFields(NamedTuple):
+    topology: TopologyId
+    nodes: Optional[tuple[Mapping[str, int], ...]] = None
+    capacities: Optional[tuple[int, ...]] = None
+
+
+class ServerComponent(_ComponentFields):
     """One interconnect topology with either free resources or raw counts.
 
     Give `nodes` (per-node free resource maps, label order) to derive the
@@ -114,22 +130,21 @@ class ServerComponent:
     first; a rule changed here must be changed in its screen too.
     """
 
-    topology: TopologyId
-    nodes: Optional[tuple[Mapping[str, int], ...]] = None
-    capacities: Optional[tuple[int, ...]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "topology", as_topology_id(self.topology))
-        if (self.nodes is None) == (self.capacities is None):
+    def __new__(cls, topology: Union[TopologyId, str],
+                nodes: Optional[Iterable[Mapping[str, int]]] = None,
+                capacities: Optional[Iterable[int]] = None):
+        topology = as_topology_id(topology)
+        if (nodes is None) == (capacities is None):
             raise SchemaError(
                 "component", "give exactly one of nodes or capacities"
             )
-        count = self.topology.vertex_count
-        if self.nodes is None:
-            caps = _array(self.capacities, "component.capacities")
-            object.__setattr__(self, "capacities", check_capacities(caps, count))
-            return
-        nodes = _array(self.nodes, "component.nodes")
+        count = topology.vertex_count
+        if nodes is None:
+            caps = _array(capacities, "component.capacities")
+            return tuple.__new__(cls, (topology, None, check_capacities(caps, count)))
+        nodes = _array(nodes, "component.nodes")
         if len(nodes) != count:
             raise SchemaError(
                 "component.nodes",
@@ -152,7 +167,9 @@ class ServerComponent:
                         f" got {amount!r}",
                     )
             copies.append(MappingProxyType(free))
-        object.__setattr__(self, "nodes", tuple(copies))
+        return tuple.__new__(cls, (topology, tuple(copies), None))
+
+    _make = _checked_make
 
     def __reduce__(self):
         # read-only maps do not pickle; rebuild from plain copies
@@ -160,8 +177,12 @@ class ServerComponent:
         return type(self), (self.topology, nodes, self.capacities)
 
 
-@dataclass(frozen=True)
-class ServerState:
+class _ServerFields(NamedTuple):
+    id: str
+    components: tuple[ServerComponent, ...] = ()
+
+
+class ServerState(_ServerFields):
     """A server: its id and its components.
 
     Rejected when built, with a SchemaError: an id that is not a
@@ -169,16 +190,18 @@ class ServerState:
     "server.components".
     """
 
-    id: str
-    components: tuple[ServerComponent, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_id(self.id, "server.id")
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
+    def __new__(cls, id: str, components: Iterable[ServerComponent] = ()):
+        _check_id(id, "server.id")
+        components = tuple(components)
+        if not components:
             raise SchemaError(
-                "server.components", f"server {self.id!r} needs >= 1 component"
+                "server.components", f"server {id!r} needs >= 1 component"
             )
+        return tuple.__new__(cls, (id, components))
+
+    _make = _checked_make
 
 
 class ClusterState(NamedTuple):
@@ -509,8 +532,7 @@ def server_capacity(server: ServerState, flavor: Flavor) -> int:
     )
 
 
-@dataclass(frozen=True)
-class ServerCapacity:
+class ServerCapacity(NamedTuple):
     """One row of a cluster report; exactly one of count/error is set."""
 
     server_id: str

@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import random
 import sys
 from contextlib import contextmanager
 from itertools import chain, product
@@ -46,10 +45,7 @@ from typing import Optional, Sequence
 
 from .capacity import ClusterState, Flavor, cluster_capacity, flavors_from_document
 from .errors import NumacapError, PlacementError, ScaleLimitError, SchemaError
-from .formulas import (FULL_RANGE, INSTANCES, closed_form_evaluator, lp_pairs,
-                       place_vnuma, vmcap)
-from .oracle import MAX_ORACLE_VERTICES, floor_lp, refuse_host
-from .placement import verify_placement
+from .formulas import FULL_RANGE, INSTANCES, closed_form_evaluator, lp_pairs, vmcap
 from .topology import (MAX_CAPACITY, TopologyId, canonical_id, expand_topology,
                        parse_topology)
 
@@ -69,6 +65,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(path, f"cannot read file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(path, f"not UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"invalid JSON: {exc}")
 
@@ -123,6 +121,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_place(args) -> int:
+    from .placement import place_vnuma
+
     caps = _parse_caps(args.caps)
     placement = place_vnuma(args.topology, args.vnuma, caps)
     print(json.dumps({"count": placement.count, "runs": placement.runs}))
@@ -184,6 +184,8 @@ def _pairs(args) -> list:
             "--topology" if args.topology is None else "--vnuma",
             "give --topology and --vnuma together, or neither",
         )
+    from .oracle import MAX_ORACLE_VERTICES, refuse_host
+
     tid, gid = parse_topology(args.topology), canonical_id(args.vnuma)
     if tid.vertex_count > MAX_ORACLE_VERTICES:
         # the prover refuses the host whatever the vectors hold, so this
@@ -209,6 +211,8 @@ def _sweep(n: int, max_cap: Optional[int], samples: Optional[int], seed: int):
     if samples is not None:
         if samples < 1:
             raise SchemaError("--samples", "must be >= 1")
+        import random
+
         cap = max_cap if max_cap is not None else 20
         rng = random.Random(seed)
         bits = cap.bit_length() if cap == MAX_CAPACITY else 0
@@ -250,6 +254,9 @@ def _check(tid: TopologyId, gid: TopologyId, sweeps: list) -> dict:
     on each vector, its closed form and the size of the witness `place`
     prints are compared with floor(LP), which the proof made its count,
     and the witness must pass verify_placement."""
+    from .oracle import floor_lp
+    from .placement import place_vnuma, verify_placement
+
     fn = closed_form_evaluator(tid, gid)
     host, guest = expand_topology(tid), expand_topology(gid)
     lp = floor_lp(host, guest)

@@ -2,15 +2,19 @@
 
 Each evaluator answers, in constant time, how many guest shapes of one
 kind fit a host topology given per-node counts b (canonical label order).
-PAIRS registers each formula with the sweep that checks it, and its
-witness, against the pair's floor(LP), which `numacap verify` proves is
-the count (numacap.rounding).  _resolve binds every pair once
-to a count and a witness: its registry entry's, or the solver's when it
-has none.  The solver's count is floor(LP) alone, with a witness peeled
-from it, on every pair but the LP_GAPS graphs, which the search counts.
-vmcap() and place_vnuma() validate b and call that binding, and
-closed_form_evaluator() returns the count behind the same check; a
-bound count does not check b again.
+PAIRS registers each formula with the sweep that checks it, and the
+order of its witness, against the pair's floor(LP), which `numacap
+verify` proves is the count (numacap.rounding).  _resolve binds every
+pair once to a count: its registry entry's, or the solver's when it has
+none.  The solver's count is floor(LP) alone on every pair but the
+LP_GAPS graphs, which the search counts.  vmcap() validates b and calls
+that binding, and closed_form_evaluator() returns the count behind the
+same check; a bound count does not check b again.  The placement module
+binds each pair's witness from the same registry and count.
+
+Nothing here imports the solver or the placement module: bind_solver
+imports the solver when it binds the first pair that needs it, so a
+closed-form count loads neither.
 """
 
 from __future__ import annotations
@@ -19,25 +23,20 @@ from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DimensionError, TopologyError
-from .oracle import MAX_ORACLE_VERTICES, floor_lp, pair_solver, refuse_host
-from .placement import Placement, greedy, peel, wrap
 from .topology import (
     C4,
     CQ3,
     K2,
     MAX_CAPACITY,
-    MAX_ENUMERATION_VERTICES,
     Q33,
     Graph,
     TopologyId,
     as_topology_id,
     canonical_id,
     check_capacities,
-    enumerate_embeddings,
     every_id,
     expand_topology,
     km_n,
-    refuse_enumeration,
     star,
 )
 
@@ -172,7 +171,7 @@ def vmcap_l4_k2(b: Sequence[int]) -> int:
     evens in order 2, 4, 6, 8: a convex bipartite graph.  There Glover's
     rule is optimal: take the evens in order, each serving first the odd
     neighbour whose window ends first.  LADDER_ORDER is that rule as one
-    fixed order of edges, which greedy fills for the witness.
+    fixed order of edges, which placement.greedy fills for the witness.
     """
     try:
         b1, b2, b3, b4, b5, b6, b7, b8 = b
@@ -230,14 +229,16 @@ def vmcap_cq3_k2(b: Sequence[int]) -> int:
     return best
 
 
-def _cq3_k2_layout(b: Sequence[int], want: int) -> Placement:
-    """The cq3/k2 witness of `want` pairs, split as vmcap_cq3_k2 counts.
+def _cq3_k2_split(b: Sequence[int], want: int) -> tuple:
+    """The cq3/k2 witness of `want` pairs, split as vmcap_cq3_k2 counts:
+    (caps, want, runs) for its greedy pass over LADDER_ORDER.
 
     Its clamped offset delta goes over the crossing edge (1, 7) when
-    positive, or -delta over (2, 8) when negative, and the ladder's
-    LADDER_ORDER places the other want - |delta| pairs on the residual,
-    an l4 instance.  Of 3,000 random fixed orders of cq3's edges tried
-    without the offset, the best missed the count on 132 of 300 vectors.
+    positive, or -delta over (2, 8) when negative, in `runs`, and the
+    ladder's order places the other want - |delta| pairs on the
+    residual `caps`, an l4 instance.  Of 3,000 random fixed orders of
+    cq3's edges tried without the offset, the best missed the count on
+    132 of 300 vectors.
     The offset repeats the formula's lines, which criterion 8 times,
     rather than have the formula call out for it.
     """
@@ -251,11 +252,11 @@ def _cq3_k2_layout(b: Sequence[int], want: int) -> Placement:
         delta = -lo
     if delta > 0:
         rest = (b1 - delta, b2, b3, b4, b5, b6, b7 - delta, b8)
-        return greedy(LADDER_ORDER, rest, want - delta, (((1, 7), delta),))
+        return rest, want - delta, (((1, 7), delta),)
     if delta < 0:
         rest = (b1, b2 + delta, b3, b4, b5, b6, b7, b8 + delta)
-        return greedy(LADDER_ORDER, rest, want + delta, (((2, 8), -delta),))
-    return greedy(LADDER_ORDER, b, want)
+        return rest, want + delta, (((2, 8), -delta),)
+    return b, want, ()
 
 
 def vmcap_cq3_c4(b: Sequence[int]) -> int:
@@ -391,21 +392,22 @@ def partial_means(values: Sequence[int], k: int) -> list[Fraction]:
 
 
 class Pair(NamedTuple):
-    """One closed form: its count, its witness's layout and the sweeps
-    that check both.
+    """One closed form: its count, how its witness is laid out and the
+    sweeps that check both.
 
     count(*args, b) reads b in the host's labels; args is
     params(host, guest) for an entry that covers a host family, and
     empty otherwise.  count reads a vector its caller has checked, a
     tuple from vmcap or the evaluator, and does not check it again.
-    Each entry has sides or a layout.  sides(*args) are the
+    Each entry has sides or an order.  sides(*args) are the
     (labels, lanes) of a pair whose count is the least, over those
     sides, of the lanes-clique count on the side's labels; its witness
-    is placement.wrap(sides, count(b), b).  layout(b, count(b)) is the
-    witness of a fixed-shape pair: a placement.greedy pass over an order
-    of its embeddings on which first-come is optimal, after cq3/k2's
-    crossing offset.  instances are the
-    (host, guest, sweep) that `numacap verify` runs when no pair is
+    is placement.wrap(sides, count(b), b).  order is a fixed-shape
+    pair's embeddings in an order on which first-come is optimal; its
+    witness is placement.greedy(order, b, count(b)), or, with a split,
+    placement.greedy(order, *split(b, count(b))), split giving the
+    (caps, want, runs) left after cq3/k2's crossing offset.  instances
+    are the (host, guest, sweep) that `numacap verify` runs when no pair is
     named, each then over FULL_RANGE too; sweep (max_cap, samples) draws
     `samples` random vectors from [0..max_cap]^n, or takes all of them
     when samples is None.
@@ -415,7 +417,8 @@ class Pair(NamedTuple):
     instances: tuple[tuple[str, str, tuple[int, Optional[int]]], ...]
     params: Optional[Callable[[TopologyId, TopologyId], tuple]] = None
     sides: Optional[Callable[..., tuple]] = None
-    layout: Optional[Callable[[Sequence[int], int], Placement]] = None
+    order: Optional[tuple[tuple[int, ...], ...]] = None
+    split: Optional[Callable[[Sequence[int], int], tuple]] = None
 
 
 # the verify sweeps, (max_cap, samples) as Pair reads them
@@ -454,13 +457,13 @@ PAIRS: dict[tuple[str, Optional[TopologyId]], Pair] = {
     ("c4", K2): Pair(vmcap_c4_k2, (("c4", "k2", ALL_TO_5),),
                      sides=lambda: (((1, 3), 1), ((2, 4), 1))),
     ("l4", K2): Pair(vmcap_l4_k2, (("l4", "k2", RANDOM_TO_20),),
-                     layout=partial(greedy, LADDER_ORDER)),
+                     order=LADDER_ORDER),
     ("cq3", K2): Pair(vmcap_cq3_k2, (("cq3", "k2", RANDOM_TO_20),),
-                      layout=_cq3_k2_layout),
+                      order=LADDER_ORDER, split=_cq3_k2_split),
     ("q33", K2): Pair(vmcap_q33_k2, (("q33", "k2", RANDOM_TO_20),),
                       sides=lambda: ((ODD, 1), (EVEN, 1))),
     ("cq3", C4): Pair(vmcap_cq3_c4, (("cq3", "c4", RANDOM_TO_20),),
-                      layout=partial(greedy, CQ3_C4_ORDER)),
+                      order=CQ3_C4_ORDER),
     ("q33", C4): Pair(vmcap_q33_c4, (("q33", "c4", RANDOM_TO_20),),
                       sides=lambda: ((ODD, 2), (EVEN, 2))),
     ("km_n", K2): Pair(
@@ -514,80 +517,58 @@ INSTANCES = tuple(
 )
 
 
+def entry_args(pair: Pair, pid: TopologyId, gid: TopologyId) -> tuple:
+    """The args a registry entry's count and sides take for host pid and
+    guest gid."""
+    return () if pair.params is None else pair.params(pid, gid)
+
+
 def _bind(pair: Pair, pid: TopologyId, gid: TopologyId):
-    count = pair.count
-    args = () if pair.params is None else pair.params(pid, gid)
-    if args:
-        count = partial(count, *args)
-    if pair.sides is not None:
-        sides = pair.sides(*args)
-
-        def witness(b):
-            return wrap(sides, count(b), b)
-    else:
-        layout = pair.layout
-
-        def witness(b):
-            return layout(b, count(b))
-    return count, witness, "closed-form"
+    """A registry entry's count for host pid and guest gid, args bound."""
+    args = entry_args(pair, pid, gid)
+    return partial(pair.count, *args) if args else pair.count
 
 
-def bind_solver(pid: TopologyId, gid: TopologyId):
-    """The exhaustive solver's (count, witness, "oracle") for a pair.
+def searched(pid: TopologyId, gid: TopologyId) -> bool:
+    """Whether the search counts the solver pair pid/gid: its graphs are
+    in LP_GAPS, where floor(LP) is not the count."""
+    return (canonical_id(pid), canonical_id(gid)) in LP_GAPS
 
-    Unless the pair's graphs are in LP_GAPS, the count is oracle.floor_lp's
-    field minimum on the host's own labels, looked up on the first call,
-    after b passed its checks, and kept, with no sum limit.  The proof
-    makes it exact at every vector, so the witness is peeled from it over
-    the pair's embeddings, looked up on the first witness call and kept,
-    and no solve is built.  A gap pair calls its one oracle.pair_solver
-    solve, looked up with its graphs and embeddings on the first call and
-    kept: the count is its count, and the witness its multiplicities as
-    runs.  A host past the solver's node limit is refused with no graph
-    built.
+
+def bind_solver(pid: TopologyId, gid: TopologyId) -> Callable[[Sequence[int]], int]:
+    """The exhaustive solver's count for a pair; imports the solver.
+
+    Unless the pair is searched, the count is oracle.floor_lp's field
+    minimum on the host's own labels, looked up on the first call, after
+    b passed its checks, and kept, with no sum limit; the proof makes it
+    exact at every vector, and no solve is built.  A searched pair calls
+    its one oracle.pair_solver solve, looked up with its graphs on the
+    first call and kept.  A host past the solver's node limit is refused
+    with no graph built.
     """
-    if pid.vertex_count > MAX_ORACLE_VERTICES:
-        # refused with no graph built; the witness enumerates, then solves
-        if pid.vertex_count > MAX_ENUMERATION_VERTICES:
-            return refuse_host, partial(refuse_enumeration, pid.vertex_count), "oracle"
-        return refuse_host, refuse_host, "oracle"
-    if (canonical_id(pid), canonical_id(gid)) not in LP_GAPS:
-        lp = embeddings = None
+    from . import oracle
+
+    if pid.vertex_count > oracle.MAX_ORACLE_VERTICES:
+        return oracle.refuse_host
+    if not searched(pid, gid):
+        lp = None
 
         def lp_count(b):
             nonlocal lp
             if lp is None:
-                lp = floor_lp(expand_topology(pid), expand_topology(gid))
+                lp = oracle.floor_lp(expand_topology(pid), expand_topology(gid))
             return lp(b)
 
-        def peeled(b):
-            nonlocal embeddings
-            if embeddings is None:
-                embeddings = enumerate_embeddings(
-                    expand_topology(pid), expand_topology(gid)
-                )
-            return peel(lp_count, embeddings, b)
-
-        return lp_count, peeled, "oracle"
-    solve = embeddings = None
-
-    def build():
-        nonlocal solve, embeddings
-        host, guest = expand_topology(pid), expand_topology(gid)
-        solve = pair_solver(host, guest)
-        embeddings = enumerate_embeddings(host, guest)
+        return lp_count
+    solve = None
 
     def count(b):
+        nonlocal solve
         if solve is None:
-            build()
+            solve = oracle.pair_solver(expand_topology(pid), expand_topology(gid))
         return solve(b)[0]
 
-    def witness(b):
-        if solve is None:
-            build()
-        return Placement.from_runs((embeddings[i], t) for i, t in solve(b)[1])
-
-    return count, witness, "oracle"
+    return count
 
 
 def _checked(count: Callable[[Sequence[int]], int], n: int):
@@ -614,6 +595,8 @@ def lp_pairs() -> list[tuple[TopologyId, TopologyId]]:
     the pairs whose floor(LP) count a no-pair `numacap verify` proves.
     A graph pair is here when any spelling reaches the solver, as
     k4_4/c4 does where q33/c4 has a formula."""
+    from .oracle import MAX_ORACLE_VERTICES
+
     ids = every_id(MAX_ORACLE_VERTICES)
     pairs = {(canonical_id(host), canonical_id(guest))
              for host in ids for guest in ids
@@ -623,23 +606,20 @@ def lp_pairs() -> list[tuple[TopologyId, TopologyId]]:
 
 @lru_cache(maxsize=1024)
 def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
-    """(host vertex count, count, witness, via, evaluator): the pair's binding.
+    """(host vertex count, count, via, evaluator): the pair's binding.
 
     Memoised, so each pair is parsed and bound once; an invalid id
     raises, and a raising call is never cached.  The guest id is
     canonicalised (topology.canonical_id); the host keeps its own id,
     whose labels index the vector.  A single-node guest raises.  A
-    registry entry (_entry) binds its closed form and witness, laid out
-    by wrap-around from its sides or by its greedy layout, any other
-    pair the exhaustive solver (bind_solver), whose count is floor(LP)
-    off LP_GAPS, with a witness peeled from that count.
-    count and witness read a checked vector; evaluator is a closed
-    form's count behind check_capacities, and None for the solver.
+    registry entry (_entry) binds its closed form, any other pair the
+    exhaustive solver (bind_solver), whose count is floor(LP) off
+    LP_GAPS.  count reads a checked vector; evaluator is a closed form's
+    count behind check_capacities, and None for the solver.
     No binding expands a graph here.  A solver binding looks up its
-    graphs, and its solve or embeddings, on its first call, after the
-    caller has checked b, and keeps them, and refuses a host past its
-    node limit with ScaleLimitError, building no graph for it.  A
-    closed pair's witness builds no graph at all.
+    graphs, and its solve, on its first call, after the caller has
+    checked b, and keeps them, and refuses a host past its node limit
+    with ScaleLimitError, building no graph for it.
     """
     pid = as_topology_id(pnuma)
     n = pid.vertex_count
@@ -651,9 +631,9 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
         )
     pair = _entry(pid, guest)
     if pair is None:
-        return (n, *bind_solver(pid, guest), None)
-    count, witness, via = _bind(pair, pid, guest)
-    return n, count, witness, via, _checked(count, n)
+        return n, bind_solver(pid, guest), "oracle", None
+    count = _bind(pair, pid, guest)
+    return n, count, "closed-form", _checked(count, n)
 
 
 def _resolved(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
@@ -676,7 +656,7 @@ def closed_form_evaluator(
     min(b), and a guest larger than its host has 0; a single-node guest
     raises.
     """
-    return _resolved(pnuma, vnuma)[4]
+    return _resolved(pnuma, vnuma)[3]
 
 
 def vmcap(
@@ -695,24 +675,7 @@ def vmcap(
     """
     # _resolved, inlined on the hot path
     try:
-        n, count, _, via, _ = _resolve(pnuma, vnuma)
+        n, count, via, _ = _resolve(pnuma, vnuma)
     except TypeError:
-        n, count, _, via, _ = _resolve.__wrapped__(pnuma, vnuma)
+        n, count, via, _ = _resolve.__wrapped__(pnuma, vnuma)
     return _new_tuple(VmcapResult, (count(check_capacities(capacities, n)), via))
-
-
-def place_vnuma(
-    pnuma: Union[TopologyId, str],
-    vnuma: Union[TopologyId, str],
-    capacities: Sequence[int],
-) -> Placement:
-    """A placement of vmcap(pnuma, vnuma, capacities).count guests.
-
-    A closed pair takes its registry witness: a complete or complete
-    bipartite host's laid out by wrap-around on a host of any size, and
-    l4/k2's, cq3/k2's and cq3/c4's by one greedy pass.  A solver pair
-    takes one peeled from floor(LP) at any magnitude, and an LP_GAPS
-    pair the search's, which raises ScaleLimitError where vmcap does.
-    """
-    n, _, witness, _, _ = _resolved(pnuma, vnuma)
-    return witness(check_capacities(capacities, n))

@@ -44,11 +44,10 @@ independent check of the search.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from .errors import ScaleLimitError
 from .topology import MAX_CAPACITY, Graph, check_capacities, enumerate_embeddings
@@ -58,8 +57,7 @@ MAX_ORACLE_TOTAL_CAPACITY = 200
 MAX_EXPANSION_COPIES = 12
 
 
-@dataclass(frozen=True)
-class OracleSolution:
+class OracleSolution(NamedTuple):
     """Optimal count plus one witness assignment.
 
     multiplicities holds (embedding_index, times_used) pairs, indices into
@@ -93,8 +91,7 @@ def oracle_vmcap(
     return OracleSolution(*pair_solver(host, guest)(caps))
 
 
-@dataclass(frozen=True)
-class _PairStatics:
+class _PairStatics(NamedTuple):
     """Capacity-independent search structures for one (host, guest) pair."""
 
     verts: tuple[tuple[int, ...], ...]  # 0-based copies of embeddings

@@ -13,23 +13,33 @@ first-come is optimal (the ladder's and crossed cube's pairs and the
 crossed cube's 4-cycles), and `peel` reads an optimum off any exact
 count over the pair's embeddings, which only the solver's floor(LP)
 pairs need.  The pair registry in the formulas module names each closed
-pair's sides or greedy layout; place_k2 and place_c4_vnuma ask that
-registry, through place_vnuma, for the witness of a k2 or c4 guest on a
-named host.
+pair's sides or greedy order, and place_vnuma binds each pair's witness
+once, from that registry and the pair's bound count; place_k2 and
+place_c4_vnuma ask it for the witness of a k2 or c4 guest on a named
+host.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import repeat
 from typing import Callable, Iterable, Sequence, Union
 
+from . import formulas
 from .errors import PlacementError, ScaleLimitError
 from .topology import (
+    MAX_ENUMERATION_VERTICES,
     Graph,
     TopologyId,
+    _frozen_del,
+    _frozen_set,
+    _set,
+    as_topology_id,
+    canonical_id,
     check_capacities,
     enumerate_embeddings,
+    expand_topology,
+    refuse_enumeration,
 )
 
 # the most groups `matches` and `as_lists` expand one placement to
@@ -54,7 +64,6 @@ def _fold(runs: Iterable[tuple[Sequence[int], int]]) -> tuple[Run, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, init=False)
 class Placement:
     """An ordered multiset of node groups, held as runs of equal groups.
 
@@ -62,13 +71,31 @@ class Placement:
     neighbouring runs of one group, so the same sequence of groups gives
     equal placements, and equal hashes, whichever constructor built it.
     Placement(groups) takes one group per placed guest and folds them;
-    Placement.from_runs takes (group, copies) pairs.
+    Placement.from_runs takes (group, copies) pairs.  Immutable, and not
+    a sequence: its size is `count`, not a len() of its runs.
     """
 
-    runs: tuple[Run, ...]
+    __slots__ = ("runs",)
 
     def __init__(self, groups: Iterable[Sequence[int]]):
-        object.__setattr__(self, "runs", _fold((group, 1) for group in groups))
+        _set(self, "runs", _fold((group, 1) for group in groups))
+
+    __setattr__ = _frozen_set
+    __delattr__ = _frozen_del
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.runs == other.runs
+
+    def __hash__(self) -> int:
+        return hash((self.runs,))
+
+    def __repr__(self) -> str:
+        return f"Placement(runs={self.runs!r})"
+
+    def __reduce__(self):
+        return type(self).from_runs, (self.runs,)
 
     @classmethod
     def from_runs(cls, runs: Iterable[tuple[Sequence[int], int]]) -> Placement:
@@ -79,7 +106,7 @@ class Placement:
         """A placement of runs already folded, as the witness rules emit
         them: tuple groups, positive int copies, neighbours distinct."""
         placement = cls.__new__(cls)
-        object.__setattr__(placement, "runs", runs)
+        _set(placement, "runs", runs)
         return placement
 
     @property
@@ -318,16 +345,115 @@ def place_kn_kk(n: int, k: int, b: Sequence[int]) -> Placement:
     return wrap(((range(1, n + 1), k),), formulas.vmcap_kn_kk_rec(n, k, caps), caps)
 
 
+def _solver_witness(pid: TopologyId, gid: TopologyId, count):
+    """The witness of a pair the solver counts with `count`.
+
+    Off LP_GAPS the count is floor(LP), exact at every vector, so the
+    witness is peeled from it over the pair's embeddings, looked up on
+    the first call and kept.  A searched pair reads its one
+    oracle.pair_solver solve, looked up with its embeddings on the first
+    call and kept: the multiplicities as runs.  A host past the solver's
+    node limit is refused with no graph built, past the enumeration
+    limit as the enumeration refuses it.
+    """
+    from . import oracle
+
+    n = pid.vertex_count
+    if n > oracle.MAX_ORACLE_VERTICES:
+        if n > MAX_ENUMERATION_VERTICES:
+            return partial(refuse_enumeration, n)
+        return oracle.refuse_host
+    embeddings = None
+    if not formulas.searched(pid, gid):
+
+        def peeled(b):
+            nonlocal embeddings
+            if embeddings is None:
+                embeddings = enumerate_embeddings(
+                    expand_topology(pid), expand_topology(gid)
+                )
+            return peel(count, embeddings, b)
+
+        return peeled
+    solve = None
+
+    def solved(b):
+        nonlocal solve, embeddings
+        if solve is None:
+            host, guest = expand_topology(pid), expand_topology(gid)
+            solve = oracle.pair_solver(host, guest)
+            embeddings = enumerate_embeddings(host, guest)
+        return Placement.from_runs((embeddings[i], t) for i, t in solve(b)[1])
+
+    return solved
+
+
+@lru_cache(maxsize=1024)
+def _bind(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
+    """(host vertex count, witness): the pair's witness of its bound count.
+
+    Memoised as formulas._resolve is, on whose binding it builds: a
+    registry pair lays its count out by wrap-around from its sides or by
+    greedy over its order, building no graph; any other pair takes the
+    solver's witness (_solver_witness).  The witness reads a checked
+    vector.
+    """
+    n, count, _, _ = formulas._resolved(pnuma, vnuma)
+    pid = as_topology_id(pnuma)
+    gid = canonical_id(as_topology_id(vnuma))
+    pair = formulas._entry(pid, gid)
+    if pair is None:
+        return n, _solver_witness(pid, gid, count)
+    if pair.sides is not None:
+        sides = pair.sides(*formulas.entry_args(pair, pid, gid))
+
+        def witness(b):
+            return wrap(sides, count(b), b)
+    elif pair.split is None:
+        order = pair.order
+
+        def witness(b):
+            return greedy(order, b, count(b))
+    else:
+        order, split = pair.order, pair.split
+
+        def witness(b):
+            return greedy(order, *split(b, count(b)))
+    return n, witness
+
+
+def place_vnuma(
+    pnuma: Union[TopologyId, str],
+    vnuma: Union[TopologyId, str],
+    capacities: Sequence[int],
+) -> Placement:
+    """A placement of vmcap(pnuma, vnuma, capacities).count guests.
+
+    A closed pair takes its registry witness: a complete or complete
+    bipartite host's laid out by wrap-around on a host of any size, and
+    l4/k2's, cq3/k2's and cq3/c4's by one greedy pass.  A solver pair
+    takes one peeled from floor(LP) at any magnitude, and an LP_GAPS
+    pair the search's, which raises ScaleLimitError where vmcap does.
+    """
+    try:
+        n, witness = _bind(pnuma, vnuma)
+    except TypeError:
+        # an unhashable id cannot be a cache key; binding it uncached
+        # raises the TopologyError that names it
+        n, witness = _bind.__wrapped__(pnuma, vnuma)
+    return witness(check_capacities(capacities, n))
+
+
 def place_k2(topology: Union[TopologyId, str], b: Sequence[int]) -> Placement:
     """Pair placement achieving the pair-capacity formula for the host."""
-    return formulas.place_vnuma(topology, "k2", b)
+    return place_vnuma(topology, "k2", b)
 
 
 def place_c4_vnuma(
     topology: Union[TopologyId, str], b: Sequence[int]
 ) -> Placement:
     """4-cycle guest placement on any host, as place_vnuma gives it."""
-    return formulas.place_vnuma(topology, "c4", b)
+    return place_vnuma(topology, "c4", b)
 
 
 def verify_placement(
@@ -354,8 +480,3 @@ def verify_placement(
             raise PlacementError(
                 f"node {v} used {used[v - 1]} times > capacity {caps[v - 1]}"
             )
-
-
-# bound last: the formulas module imports this one, and calls above look
-# formulas up when they run
-from . import formulas  # noqa: E402

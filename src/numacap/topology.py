@@ -16,8 +16,7 @@ that label order:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, NoReturn, Optional, Sequence, Union
 
@@ -34,6 +33,19 @@ MAX_CAPACITY = 2**32 - 1
 
 # Embedding enumeration is a brute-force subset scan; keep it honest.
 MAX_ENUMERATION_VERTICES = 12
+
+# the slotted classes set their own fields past their refusing __setattr__
+_set = object.__setattr__
+
+
+def _frozen_set(self, name: str, value) -> NoReturn:
+    """__setattr__ of the package's immutable slotted classes."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_del(self, name: str) -> NoReturn:
+    """__delattr__ of the package's immutable slotted classes."""
+    raise AttributeError(f"cannot delete field {name!r}")
 
 
 def check_capacities(values: Sequence[int], expected_len: int) -> tuple[int, ...]:
@@ -62,40 +74,65 @@ def check_capacities(values: Sequence[int], expected_len: int) -> tuple[int, ...
     return vals
 
 
-@dataclass(frozen=True)
 class Graph:
     """Immutable undirected simple graph on vertices 1..vertex_count.
 
     Edges are stored as (u, v) pairs with u < v; any iterable of pairs is
     accepted and normalized.  The name is informational and ignored by
-    equality.
+    equality and hash.
     """
 
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]
-    name: str = field(default="", compare=False)
+    __slots__ = ("vertex_count", "edges", "name", "_adjacency")
 
-    def __post_init__(self):
-        if self.vertex_count < 1:
+    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]],
+                 name: str = ""):
+        if vertex_count < 1:
             raise TopologyError("graph needs at least one vertex")
         norm = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise TopologyError(f"self-loop at vertex {u}")
-            if not (1 <= u <= self.vertex_count and 1 <= v <= self.vertex_count):
+            if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
                 raise TopologyError(
-                    f"edge ({u},{v}) outside vertex range 1..{self.vertex_count}"
+                    f"edge ({u},{v}) outside vertex range 1..{vertex_count}"
                 )
             norm.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "edges", frozenset(norm))
+        _set(self, "vertex_count", vertex_count)
+        _set(self, "edges", frozenset(norm))
+        _set(self, "name", name)
 
-    @cached_property
+    __setattr__ = _frozen_set
+    __delattr__ = _frozen_del
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.edges))
+
+    def __repr__(self) -> str:
+        return (f"Graph(vertex_count={self.vertex_count!r}, edges={self.edges!r},"
+                f" name={self.name!r})")
+
+    def __reduce__(self):
+        return Graph, (self.vertex_count, self.edges, self.name)
+
+    @property
     def adjacency(self) -> dict[int, frozenset[int]]:
+        """Each vertex's neighbours, built on first use and kept."""
+        try:
+            return self._adjacency
+        except AttributeError:
+            pass
         nbrs: dict[int, set[int]] = {v: set() for v in self.vertices()}
         for u, v in self.edges:
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return {v: frozenset(s) for v, s in nbrs.items()}
+        adjacency = {v: frozenset(s) for v, s in nbrs.items()}
+        _set(self, "_adjacency", adjacency)
+        return adjacency
 
     def vertices(self) -> range:
         return range(1, self.vertex_count + 1)
@@ -143,33 +180,52 @@ class Graph:
 _FIXED_KINDS = {"c4": 4, "l4": 8, "cq3": 8, "q33": 8}
 
 
-@dataclass(frozen=True)
 class TopologyId:
     """Parsed topology identifier.
 
     kind is one of "kn", "km_n", "star", "c4", "l4", "cq3", "q33"; m/n hold
     the numeric parameters where the kind has any (kn and star use n only).
+    Not a tuple: an id equals only another id, so a plain tuple never
+    passes for one, in a memo or elsewhere.
     """
 
-    kind: str
-    m: int = 0
-    n: int = 0
+    __slots__ = ("kind", "m", "n")
 
-    def __post_init__(self):
-        if self.kind in _FIXED_KINDS:
-            if self.m or self.n:
-                raise TopologyError(f"{self.kind} takes no parameters")
-        elif self.kind == "kn":
-            if self.m or self.n < 1:
+    def __init__(self, kind: str, m: int = 0, n: int = 0):
+        if kind in _FIXED_KINDS:
+            if m or n:
+                raise TopologyError(f"{kind} takes no parameters")
+        elif kind == "kn":
+            if m or n < 1:
                 raise TopologyError("complete graph order must be >= 1")
-        elif self.kind == "km_n":
-            if self.m < 1 or self.n < 1:
+        elif kind == "km_n":
+            if m < 1 or n < 1:
                 raise TopologyError("bipartite part sizes must be >= 1")
-        elif self.kind == "star":
-            if self.m or self.n < 1:
+        elif kind == "star":
+            if m or n < 1:
                 raise TopologyError("star needs at least one leaf")
         else:
-            raise TopologyError(f"unknown topology kind {self.kind!r}")
+            raise TopologyError(f"unknown topology kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "m", m)
+        _set(self, "n", n)
+
+    __setattr__ = _frozen_set
+    __delattr__ = _frozen_del
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.m == other.m and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.m, self.n))
+
+    def __repr__(self) -> str:
+        return f"TopologyId(kind={self.kind!r}, m={self.m!r}, n={self.n!r})"
+
+    def __reduce__(self):
+        return TopologyId, (self.kind, self.m, self.n)
 
     @property
     def vertex_count(self) -> int:

@@ -8,7 +8,7 @@ from functools import lru_cache
 import pytest
 
 import numacap as nc
-from numacap import formulas, rounding
+from numacap import formulas, placement, rounding
 
 # closed-form pairs grouped by host size; used by sweep-style tests
 SMALL_PAIRS = [("c4", "k2"), ("k4", "k2"), ("k4", "k3")]
@@ -77,14 +77,21 @@ def full_range_vectors(seed, n, count=60):
 def count_graphs(monkeypatch):
     """A one-item list that counts every Graph built from now on."""
     built = [0]
-    real = nc.Graph.__post_init__
+    real = nc.Graph.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         built[0] += 1
-        real(self)
+        real(self, *args, **kwargs)
 
-    monkeypatch.setattr(nc.Graph, "__post_init__", counted)
+    monkeypatch.setattr(nc.Graph, "__init__", counted)
     return built
+
+
+def clear_bindings():
+    """Forget every pair's bound count and witness, so that the next call
+    binds them again."""
+    formulas._resolve.cache_clear()
+    placement._bind.cache_clear()
 
 
 def check_pair_witness(placement, m, caps):
@@ -120,7 +127,7 @@ def patch_formula(monkeypatch):
 
     patch(host key, guest id, fn, field) replaces that field of
     PAIRS[host key, guest], where guest None names a family entry; the
-    resolver cache is cleared after the swap and again once the entry is
+    bindings are cleared after the swap and again once the entry is
     restored, so no other test sees a pair bound to the substitute.
     """
 
@@ -129,8 +136,8 @@ def patch_formula(monkeypatch):
         monkeypatch.setitem(
             formulas.PAIRS, key, formulas.PAIRS[key]._replace(**{field: fn})
         )
-        formulas._resolve.cache_clear()
+        clear_bindings()
 
     yield patch
     monkeypatch.undo()
-    formulas._resolve.cache_clear()
+    clear_bindings()

@@ -10,6 +10,7 @@ import pytest
 import numacap as nc
 from numacap import cli
 from numacap.capacity import ClusterState, ServerCapacity, component_capacity_vector
+from numacap.oracle import _PairStatics
 
 RING_NODES = ({"cpu": 3}, {"cpu": 7}, {"cpu": 10}, {"cpu": 6})
 
@@ -107,9 +108,70 @@ class TestCheckedOnce:
             nc.ServerComponent(topology="c4", nodes=RING_NODES),
             nc.ServerComponent(topology="c4", capacities=(1, 2, 3, 4)),
         )
-        for obj in (fl,) + comps:
-            assert pickle.loads(pickle.dumps(obj)) == obj
-            assert copy.deepcopy(obj) == obj
+        ring = nc.Graph(4, [(2, 1), (2, 3), (3, 4), (4, 1)], name="ring")
+        # each immutable class: an instance, its repr, and the fields its
+        # equality and hash read, None where a read-only map leaves it
+        # unhashable
+        cases = [
+            (ring, "Graph(vertex_count=4, edges=frozenset({(2, 3), (1, 2), (3, 4),"
+                   " (1, 4)}), name='ring')", (4, ring.edges)),
+            (nc.km_n(2, 3), "TopologyId(kind='km_n', m=2, n=3)", ("km_n", 2, 3)),
+            (fl, "Flavor(id='pair', vnuma=TopologyId(kind='kn', m=0, n=2),"
+                 " demand=mappingproxy({'cpu': 2}))", None),
+            (comps[0], "ServerComponent(topology=TopologyId(kind='c4', m=0, n=0),"
+                       " nodes=(mappingproxy({'cpu': 3}), mappingproxy({'cpu': 7}),"
+                       " mappingproxy({'cpu': 10}), mappingproxy({'cpu': 6})),"
+                       " capacities=None)", None),
+            (comps[1], "ServerComponent(topology=TopologyId(kind='c4', m=0, n=0),"
+                       " nodes=None, capacities=(1, 2, 3, 4))",
+             (nc.C4, None, (1, 2, 3, 4))),
+            (nc.ServerState("s1", [comps[1]]),
+             "ServerState(id='s1', components=(" + repr(comps[1]) + ",))",
+             ("s1", (comps[1],))),
+            (ServerCapacity("s2", error="boom"),
+             "ServerCapacity(server_id='s2', count=None, error='boom')",
+             ("s2", None, "boom")),
+            (nc.OracleSolution(3, ((0, 2), (4, 1))),
+             "OracleSolution(count=3, multiplicities=((0, 2), (4, 1)))",
+             (3, ((0, 2), (4, 1)))),
+            (_PairStatics(((0, 1),), ((0, 1),), ((),), ((),), 2),
+             "_PairStatics(verts=((0, 1),), alive=((0, 1),), bound_terms=((),),"
+             " cuts=((),), k=2)", (((0, 1),), ((0, 1),), ((),), ((),), 2)),
+            (nc.Placement.from_runs([((1, 2), 3), ((3, 4), 1)]),
+             "Placement(runs=(((1, 2), 3), ((3, 4), 1)))",
+             ((((1, 2), 3), ((3, 4), 1)),)),
+        ]
+        for obj, text, fields in cases:
+            for again in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+                assert type(again) is type(obj)
+                assert again == obj and repr(again) == repr(obj) == text
+                if fields is not None:
+                    assert hash(again) == hash(obj) == hash(fields), text
+            if fields is None:
+                with pytest.raises(TypeError):
+                    hash(obj)
+            name = type(obj)._fields[0] if hasattr(type(obj), "_fields") else (
+                type(obj).__slots__[0])
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, name))
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+            assert repr(obj) == text
+        # a graph's name is a label: equality and hash ignore it
+        renamed = nc.Graph(4, ring.edges, name="c4")
+        assert renamed == ring and hash(renamed) == hash(ring)
+        assert nc.Graph(4, ring.edges) != nc.Graph(5, ring.edges)
+        assert pickle.loads(pickle.dumps(ring)).name == "ring"
+        assert ring.neighbors(1) == frozenset({2, 4})
+        # an id is not a tuple
+        assert nc.km_n(2, 3) != ("km_n", 2, 3)
+        # a placement is not a sequence: its size is its count
+        placement = cases[-1][0]
+        assert placement.count == 4
+        with pytest.raises(TypeError):
+            len(placement)
+        with pytest.raises(TypeError):
+            iter(placement)
         again = pickle.loads(pickle.dumps(comps[0]))
         assert component_capacity_vector(again, fl) == (1, 3, 5, 3)
 

@@ -7,15 +7,13 @@ import resource
 import shutil
 import subprocess
 import sys
-from functools import partial
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
 
 import numacap
-from numacap import capacity, cli, formulas, rounding
-from numacap.placement import greedy
+from numacap import capacity, cli, formulas, placement, rounding
 from conftest import proved
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -379,6 +377,29 @@ class TestCluster:
                            "--flavors", flavors, "--flavor", "m2")
         assert code == 2
         assert "invalid JSON" in err
+
+    @pytest.mark.parametrize("flag", ["--state", "--flavors"])
+    def test_a_file_that_is_not_utf8_is_an_input_error(self, capsys, tmp_path, flag):
+        paths = {"--state": write_json(tmp_path, "state.json", STATE_DOC),
+                 "--flavors": write_json(tmp_path, "flavors.json", FLAVOR_DOC)}
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"servers": [\xff]}')
+        paths[flag] = str(bad)
+        code, out, err = run(capsys, "cluster", "--state", paths["--state"],
+                             "--flavors", paths["--flavors"], "--flavor", "m2")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {bad}: not UTF-8: 'utf-8' codec can't decode byte"
+                       " 0xff in position 13: invalid start byte\n")
+
+    def test_a_byte_order_mark_keeps_its_message(self, capsys, tmp_path):
+        flavors = write_json(tmp_path, "flavors.json", FLAVOR_DOC)
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + json.dumps(STATE_DOC).encode())
+        code, _, err = run(capsys, "cluster", "--state", str(marked),
+                           "--flavors", flavors, "--flavor", "m2")
+        assert code == 2
+        assert err == (f"error: {marked}: invalid JSON: Unexpected UTF-8 BOM (decode"
+                       " using utf-8-sig): line 1 column 1 (char 0)\n")
 
     def test_duplicate_server_id(self, capsys, tmp_path):
         doc = {"servers": [STATE_DOC["servers"][0], STATE_DOC["servers"][0]]}
@@ -841,8 +862,8 @@ class TestVerify:
     def test_wrong_witness_is_caught(self, capsys, monkeypatch):
         # the count is right; the layout the binding calls drops its
         # first group
-        wrap = formulas.wrap
-        monkeypatch.setattr(formulas, "wrap", lambda *args: numacap.Placement(
+        wrap = placement.wrap
+        monkeypatch.setattr(placement, "wrap", lambda *args: numacap.Placement(
             wrap(*args).matches[1:]))
         code, out, _ = run(capsys, "verify", "--topology", "k4", "--vnuma", "k2",
                            "--max-cap", "1", "--json")
@@ -858,8 +879,7 @@ class TestVerify:
         # the count is right; cq3/k2's greedy layout skips the crossing
         # step, so the ladder's order alone falls short wherever the
         # formula's offset is not 0
-        patch_formula("cq3", "k2", partial(greedy, formulas.LADDER_ORDER),
-                      field="layout")
+        patch_formula("cq3", "k2", None, field="split")
         code, out, _ = run(capsys, "verify", "--topology", "cq3", "--vnuma", "k2",
                            "--samples", "80", "--seed", "1", "--json")
         assert code == 1
@@ -876,8 +896,8 @@ class TestVerify:
         assert "witness: count overclaims" in out
 
     def test_witness_past_its_count_is_caught(self, capsys, monkeypatch):
-        wrap = formulas.wrap
-        monkeypatch.setattr(formulas, "wrap", lambda *args: numacap.Placement(
+        wrap = placement.wrap
+        monkeypatch.setattr(placement, "wrap", lambda *args: numacap.Placement(
             wrap(*args).matches * 2))
         code, out, _ = run(capsys, "verify", "--topology", "k4", "--vnuma", "k2",
                            "--max-cap", "1")

@@ -14,6 +14,7 @@ import numacap as nc
 from numacap import formulas
 from numacap.oracle import _pair_statics, pair_solver
 from conftest import (
+    clear_bindings,
     CQ3_SWAP,
     LARGE_PAIRS,
     SMALL_PAIRS,
@@ -306,7 +307,7 @@ class TestDispatch:
     def test_binding_a_solver_pair_builds_no_graph(self, monkeypatch):
         # resolving, or rejecting b, must not build a host graph whose
         # size the id alone sets (k300_300 has 90,000 edges)
-        formulas._resolve.cache_clear()
+        clear_bindings()
         nc.topology._expand.cache_clear()
         built = count_graphs(monkeypatch)
         assert nc.closed_form_evaluator("k300_300", "c4") is None
@@ -328,7 +329,7 @@ class TestDispatch:
     def test_a_host_past_a_node_limit_builds_no_graph(
         self, monkeypatch, front_end, pnuma, vnuma, message
     ):
-        formulas._resolve.cache_clear()
+        clear_bindings()
         nc.topology._expand.cache_clear()
         built = count_graphs(monkeypatch)
         n = nc.parse_topology(pnuma).vertex_count
@@ -345,7 +346,7 @@ class TestDispatch:
         assert nc.topology._expand.cache_info().currsize == 0
 
     def test_a_guest_larger_than_its_host_places_nothing_unbuilt(self, monkeypatch):
-        formulas._resolve.cache_clear()
+        clear_bindings()
         built = count_graphs(monkeypatch)
         assert nc.place_vnuma("k13", "k14", (1,) * 13) == nc.Placement(())
         assert nc.place_vnuma("c4", "k5", (1,) * 4) == nc.Placement(())
@@ -361,7 +362,7 @@ class TestDispatch:
         # a solver pair is counted by floor(LP), with no sum limit, so
         # the count's case is a pair in LP_GAPS
         assert (nc.CQ3, nc.star(3)) in formulas.LP_GAPS
-        count = formulas.bind_solver(nc.CQ3, nc.star(3))[0]
+        count = formulas.bind_solver(nc.CQ3, nc.star(3))
         assert count((25,) * 8) == nc.oracle_vmcap(
             nc.expand_topology("cq3"), nc.expand_topology("k1_3"), (25,) * 8
         ).count
@@ -380,14 +381,14 @@ class TestDispatch:
         assert str(info.value) == "oracle supports total capacity up to 200, got 208"
         # l4/c4 is in the table: its count passes the limit, and so does
         # its witness, peeled from that count
-        assert formulas.bind_solver(nc.L4, nc.C4)[0]((26,) * 8) == 52
+        assert formulas.bind_solver(nc.L4, nc.C4)((26,) * 8) == 52
         assert nc.vmcap("l4", "c4", (26,) * 8) == (52, "oracle")
         placement = nc.place_vnuma("l4", "c4", (26,) * 8)
         assert placement.count == 52
         nc.verify_placement(
             nc.expand_topology("l4"), nc.expand_topology("c4"), (26,) * 8, placement
         )
-        nine = formulas.bind_solver(nc.km_n(4, 5), nc.C4)[0]
+        nine = formulas.bind_solver(nc.km_n(4, 5), nc.C4)
         k4_5_c4 = partial(
             nc.oracle_vmcap, nc.expand_topology("k4_5"), nc.expand_topology("c4")
         )
@@ -478,6 +479,14 @@ class TestCompiledDispatch:
             nc.place_vnuma(pnuma, vnuma, (1, 1, 1, 1))
         with pytest.raises(nc.TopologyError):
             nc.closed_form_evaluator(pnuma, vnuma)
+
+    def test_a_tuple_of_an_ids_fields_is_refused_once_the_id_is_bound(self):
+        # the memo must not match a plain tuple to an id it holds
+        for front_end in (nc.vmcap, nc.place_vnuma):
+            front_end(nc.C4, nc.K2, (1, 1, 1, 1))
+            for pnuma, vnuma in ((("c4", 0, 0), nc.K2), (nc.C4, ("kn", 0, 2))):
+                with pytest.raises(nc.TopologyError, match="expected topology id"):
+                    front_end(pnuma, vnuma, (1, 1, 1, 1))
 
     def test_vmcap_sees_a_patched_formula(self, patch_formula):
         assert nc.vmcap("c4", "k2", (2, 5, 3, 1)).count == 5
@@ -667,7 +676,7 @@ class TestBoundBodies:
     def test_full_range_against_a_reference(self, pname, gname):
         n = nc.parse_topology(pname).vertex_count
         want = reference_count(pname, gname)
-        _, body, _, via, _ = formulas._resolve(pname, gname)
+        _, body, via, _ = formulas._resolve(pname, gname)
         assert via == "closed-form"
         for b in full_range_vectors(f"{pname}/{gname} full range", n):
             expected = want(b)

@@ -1,6 +1,5 @@
 """Exhaustive-search reference oracle and its cross-checks."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -687,8 +686,8 @@ class TestDive:
         width = exact.cuts[0][6]  # _pack's field width
         root = oracle.floor_lp(host, guest)
         cover = ((tuple((v, 1) for v in range(n)), k),)
-        loose = dataclasses.replace(
-            exact, cuts=tuple(_pack(cover, [0], width, n) for _ in exact.cuts)
+        loose = exact._replace(
+            cuts=tuple(_pack(cover, [0], width, n) for _ in exact.cuts)
         )
         refused = 0
         for caps in random_vectors("cq3/k1_2 loose cuts", 300, n, 4):

@@ -13,6 +13,7 @@ import numacap as nc
 from numacap import cli, formulas
 from numacap.placement import MAX_EXPANDED_GROUPS, greedy, peel, wrap
 from conftest import (
+    clear_bindings,
     all_vectors,
     check_pair_witness,
     count_graphs,
@@ -306,7 +307,7 @@ class TestPeel:
         # greedy, so peel takes the bound count directly, and cq3's 12
         # edges and q33/c4's 36 embeddings still hold it to its bound
         entry = formulas.PAIRS[key, nc.parse_topology(gname)]
-        assert (entry.sides is None) != (entry.layout is None)
+        assert (entry.sides is None) != (entry.order is None)
         embeddings = nc.enumerate_embeddings(expanded(pname), expanded(gname))
         real = formulas._resolve(pname, gname)[1]
         calls = 0
@@ -328,7 +329,7 @@ class TestPeel:
 
     def test_host_past_the_enumeration_limit(self, monkeypatch):
         # laid out by wrap-around, with no graph built
-        formulas._resolve.cache_clear()
+        clear_bindings()
         built = count_graphs(monkeypatch)
         for caps in ((1,) * 14, (5, 0, 3, 2, 7, 1, 4) + (9, 2, 0, 6, 1, 3, 8)):
             pl = nc.place_vnuma("k7_7", "k2", caps)
@@ -375,7 +376,13 @@ class TestGreedy:
 
     @pytest.mark.parametrize("pname,gname", GREEDY_PAIRS)
     def test_one_copy_past_the_count_is_refused(self, pname, gname):
-        layout = formulas.PAIRS[pname, nc.parse_topology(gname)].layout
+        entry = formulas.PAIRS[pname, nc.parse_topology(gname)]
+
+        def layout(caps, want):
+            if entry.split is None:
+                return greedy(entry.order, caps, want)
+            return greedy(entry.order, *entry.split(caps, want))
+
         for caps in full_range_vectors(f"{pname}/{gname} past", 8, 20):
             want = nc.vmcap(pname, gname, caps).count
             assert layout(caps, want).count == want

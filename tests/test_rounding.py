@@ -12,7 +12,7 @@ import pytest
 import numacap as nc
 from numacap import formulas, oracle, rounding
 from numacap.oracle import _pair_statics
-from conftest import proved
+from conftest import clear_bindings, proved
 
 # solver pairs counted by floor(LP), bipartite hosts with either side
 # first, and star4 also spelled k1_4 and k4_1
@@ -250,8 +250,8 @@ def test_a_proved_pair_peels_its_witness_at_any_magnitude(monkeypatch):
     def refuse(*args):
         raise AssertionError("a pair_solver was built")
 
-    monkeypatch.setattr(formulas, "pair_solver", refuse)
-    formulas._resolve.cache_clear()
+    monkeypatch.setattr(oracle, "pair_solver", refuse)
+    clear_bindings()
     try:
         for host, guest in LISTED:
             h, g = graphs(host, guest)
@@ -262,7 +262,7 @@ def test_a_proved_pair_peels_its_witness_at_any_magnitude(monkeypatch):
                 assert placement.count == nc.vmcap(host, guest, b).count, b
                 nc.verify_placement(h, g, b, placement)
     finally:
-        formulas._resolve.cache_clear()
+        clear_bindings()
 
 
 def test_the_proof_stays_off_the_hot_path(monkeypatch):
@@ -270,7 +270,7 @@ def test_the_proof_stays_off_the_hot_path(monkeypatch):
         raise AssertionError("the prover ran")
 
     monkeypatch.setattr(rounding, "prove", refuse)
-    formulas._resolve.cache_clear()
+    clear_bindings()
     try:
         for host, guest in LISTED:
             h, g = graphs(host, guest)
@@ -278,7 +278,7 @@ def test_the_proof_stays_off_the_hot_path(monkeypatch):
             assert nc.vmcap(host, guest, b).count == oracle.oracle_vmcap(h, g, b).count
             nc.verify_placement(h, g, b, nc.place_vnuma(host, guest, b))
     finally:
-        formulas._resolve.cache_clear()
+        clear_bindings()
 
 
 def test_the_package_does_not_import_the_prover():
