@@ -196,8 +196,8 @@ def _pairs(args) -> list:
     for flag, value in (("--max-cap", args.max_cap),
                         ("--samples", args.samples), ("--seed", args.seed)):
         if value is not None:
-            raise SchemaError(flag, f"{tid}/{gid} has no closed form; it is"
-                                    " proved, not swept")
+            raise SchemaError(flag, f"{tid}/{gid} has no closed form to sweep;"
+                                    " verify runs its floor(LP) proof")
     return [(tid, gid, ())]
 
 

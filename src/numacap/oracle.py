@@ -23,7 +23,9 @@ fields (_field_min); it is also the count of every pair of at most
 MAX_ORACLE_VERTICES nodes but the 7 graph pairs, 34 id spellings, where
 numacap.rounding refuses it (formulas.LP_GAPS).  So the search, and its
 limit of MAX_ORACLE_TOTAL_CAPACITY on sum(b), serve only those pairs and
-oracle_vmcap.
+oracle_vmcap.  The other pairs' witnesses take the cuts on the root
+terms alone, at any magnitude: one pass over the embeddings, each capped
+by them, lays out floor(LP) (floor_lp_layout).
 
 Each pair's solve is built once (pair_solver).  It runs the descending
 target search: find(idx, residual, need) asks whether the embeddings
@@ -49,7 +51,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Callable, NamedTuple, NoReturn, Sequence
 
-from .errors import ScaleLimitError
+from .errors import PlacementError, ScaleLimitError
 from .topology import MAX_CAPACITY, Graph, check_capacities, enumerate_embeddings
 
 MAX_ORACLE_VERTICES = 8
@@ -192,25 +194,29 @@ def _pair_statics(host: Graph, guest: Graph) -> _PairStatics:
         rays = _cut(rays, row, 1 << (dim + i), dim, _term)
         alive[i] = tuple(v for v in range(n) if alive_mask >> v & 1)
         bound_terms[i] = tuple([term for _, _, term in rays if term])
-    # The field width _pack needs for these terms (W, D) on residuals that
-    # sum to at most MAX_ORACLE_TOTAL_CAPACITY (the limit the memo key's
-    # 8-bit fields rest on too).  A field holds W.r - D.need - hi.slope;
-    # with sum(r), need and hi at most that total it is within total
-    # times max(sum W, D) of 0, and one more bit holds the sign.
-    biggest = max(max(sum(w for _, w in ws), div)
-                  for ws, div in set().union(*bound_terms))
-    width = (MAX_ORACLE_TOTAL_CAPACITY * biggest).bit_length() + 1
-    cuts = tuple(
-        _pack(terms, [sum(w for v, w in ws if v in vs) - div for ws, div in terms],
-              width, n)
-        for terms, vs in zip(bound_terms[1:], map(set, verts))
-    )
     return _PairStatics(
         verts=verts,
         alive=tuple(alive),
         bound_terms=tuple(bound_terms),
-        cuts=cuts,
+        # sum(r), need and hi <= MAX_ORACLE_TOTAL_CAPACITY, as the memo key assumes
+        cuts=_cuts(bound_terms[1:], verts, MAX_ORACLE_TOTAL_CAPACITY, n),
         k=k,
+    )
+
+
+def _cuts(term_lists: list, verts, total: int, n: int) -> tuple:
+    """Per embedding i, the terms term_lists[i] packed by _pack, each
+    with its slope W(verts[i]) - D, the factor of t in the cut on i.  A
+    field holds W.r - D.need - hi.slope; with sum(r), need and hi at most
+    total it is within total times max(sum W, D) of 0, and one more bit
+    holds the sign."""
+    biggest = max([max(sum(w for _, w in ws), div)
+                   for ws, div in set().union(*term_lists)], default=0)
+    width = (total * biggest).bit_length() + 1
+    return tuple(
+        _pack(terms, [sum(w for v, w in ws if v in vs) - div for ws, div in terms],
+              width, n)
+        for terms, vs in zip(term_lists, map(set, verts))
     )
 
 
@@ -266,6 +272,57 @@ def _field_min(terms: tuple, n: int) -> Callable[[Sequence[int]], int]:
         return min(memoryview(x).cast(c64)) // scale
 
     return count
+
+
+@lru_cache(maxsize=256)
+def floor_lp_layout(host: Graph, guest: Graph) -> Callable[[Sequence[int]], tuple]:
+    """The pair's layout(b) -> (count, multiplicities) of floor(LP) on
+    any checked vector, shaped as pair_solver's solve.
+
+    Each embedding e in turn takes the most copies t that leave floor(LP)
+    at count(r) - t, r the residual and `left` the copies still to place:
+    t <= min(left, r on e) and, for every root term (W, D), the search's
+    own cut W.r - D * left >= t * (W(e) - D).  Where floor(LP) is exact,
+    those t are the copies of e some optimum of r holds, and after the
+    most of them no optimum of what is left holds e, so one pass places
+    every copy; copies left over mean floor(LP) overclaims, as on an
+    LP_GAPS pair, and raise PlacementError.  A pair with no embedding
+    answers (0, ()).
+    """
+    statics = _pair_statics(host, guest)
+    verts = statics.verts
+    if not verts:
+        return lambda b: (0, ())
+    n = host.vertex_count
+    # need and hi are at most left <= sum(r) // k, so n * MAX_CAPACITY bounds them
+    packs = _cuts([statics.bound_terms[0]] * len(verts), verts, n * MAX_CAPACITY, n)
+    count = floor_lp(host, guest)
+
+    def layout(b: Sequence[int]):
+        residual = list(b)
+        want = left = count(b)
+        path = []
+        for i, vs in enumerate(verts):
+            if not left:
+                break
+            hi = left
+            for v in vs:
+                if residual[v] < hi:
+                    hi = residual[v]
+            if hi:
+                t = _cut_range(packs[i], residual, left, hi)[1]
+                if t > 0:
+                    for v in vs:
+                        residual[v] -= t
+                    path.append((i, t))
+                    left -= t
+        if left:
+            raise PlacementError(
+                f"count overclaims: {left} of {want} copies have no embedding left"
+            )
+        return want, tuple(path)
+
+    return layout
 
 
 def _pack(terms: tuple, slopes: list, width: int, n: int) -> tuple:

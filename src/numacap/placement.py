@@ -5,25 +5,24 @@ that carries the guest, and how many guests it carries; a node is used
 at most b_i times over all runs.  The witness rules emit one run per
 distinct group, so a witness's size does not grow with the entries of b.
 Expanding it to one group per guest (`matches`, `as_lists`) is an
-explicit step, bounded by MAX_EXPANDED_GROUPS.  Three rules build every
-witness from a count: `wrap` lays out the count of a pair whose count is
-a minimum over sides of clique counts (complete and complete bipartite
-hosts) by wrap-around, `greedy` fills a fixed order of groups on which
-first-come is optimal (the ladder's and crossed cube's pairs and the
-crossed cube's 4-cycles), and `peel` reads an optimum off any exact
-count over the pair's embeddings, which only the solver's floor(LP)
-pairs need.  The pair registry in the formulas module names each closed
-pair's sides or greedy order, and place_vnuma binds each pair's witness
-once, from that registry and the pair's bound count; place_k2 and
-place_c4_vnuma ask it for the witness of a k2 or c4 guest on a named
-host.
+explicit step, bounded by MAX_EXPANDED_GROUPS.  `wrap` lays out the
+count of a pair whose count is a minimum over sides of clique counts
+(complete and complete bipartite hosts) by wrap-around, and `greedy`
+fills a fixed order of groups on which first-come is optimal (the
+ladder's and crossed cube's pairs and the crossed cube's 4-cycles).  A
+solver pair's witness is the runs of oracle.floor_lp_layout's one pass
+or, on an LP_GAPS pair, of the search.  The pair registry in the
+formulas module names each closed pair's sides or greedy order, and
+place_vnuma binds each pair's witness once, from that registry and the
+pair's bound count; place_k2 and place_c4_vnuma ask it for the witness
+of a k2 or c4 guest on a named host.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
 from itertools import repeat
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from . import formulas
 from .errors import PlacementError, ScaleLimitError
@@ -135,104 +134,6 @@ class Placement:
         return [list(m) for m in self.matches]
 
 
-def peel(
-    count: Callable[[Sequence[int]], int],
-    embeddings: Sequence[tuple[int, ...]],
-    b: Sequence[int],
-) -> Placement:
-    """count(b) guests, peeled embedding by embedding from the count itself.
-
-    For each embedding e in turn, takes the largest t with
-    count(r - t·e) == count(r) - t, r the residual so far, then subtracts
-    t·e from r.  Two facts make one pass enough:
-
-    - Adding t copies of e to a packing of r - t·e packs r, so
-      count(r - t·e) <= count(r) - t always, with equality exactly when
-      some optimum of r holds t copies of e.  That optimum holds every
-      smaller number of copies too, so the t that work form a prefix
-      0..T.
-    - After T is taken, no optimum of r - T·e holds e, or T + 1 would
-      work.  Each later step takes copies some optimum holds, so an
-      optimum of a later residual plus those copies is an optimum of
-      r - T·e, and e is never needed again.  When the pass ends with
-      copies left, no embedding belongs to an optimum of a residual
-      whose count is positive: the count overclaims.
-
-    T is found by probing t at top = min(residual on e, copies left)
-    first and bisecting below it.  A failed probe's shortfall d =
-    count(r) - t - count(r - t·e) bounds T too: one more copy of e takes
-    a unit from each of its k nodes, which loses at most k copies, so d
-    grows by at most k - 1 per copy and T <= t - ceil(d / (k - 1)).  The
-    bisection skips every probe above that bound, and moves into
-    [largest t that fit, bound] when bisecting that range takes fewer
-    probes at worst than the bisection under way takes at best, so it
-    finds the same T as a plain bisection of 0..top - 1 and never probes
-    more often.  A negative shortfall, which only an inexact count
-    gives, fails the probe alone.
-
-    embeddings are distinct tuples, as enumerate_embeddings lists them.
-    count must be exact on every residual; an overclaim raises
-    PlacementError, and each returned group is an embedding within the
-    residual, so a returned placement is valid and places count(b)
-    copies, in one run per embedding used.  The probes move the one
-    residual list to r - t·e in place, and count reads it there, so
-    count must not keep a reference to its argument.
-    At most 1 + len(embeddings) * (1 + (c - 1).bit_length()) count calls,
-    c = min(count(b), max(b)).
-    """
-    residual = list(b)
-    want = left = count(residual)
-    runs: list[Run] = []
-    for e in embeddings:
-        if not left:
-            break
-        top = left
-        for v in e:
-            if residual[v - 1] < top:
-                top = residual[v - 1]
-        if not top:
-            continue
-        slack = len(e) - 1
-        # T is in fit..cap; the probes bisect (fit, bad), t the next one;
-        # residual holds r - held·e
-        fit, bad, cap, t, held = 0, top + 1, top, top, 0
-        while True:
-            if t <= cap:
-                step = t - held
-                for v in e:
-                    residual[v - 1] -= step
-                held = t
-                short = left - t - count(residual)
-                if not short:
-                    fit = t
-                else:
-                    bad = t
-                    cap = t + -short // slack if short > 0 else t - 1
-                    # at worst (cap - fit).bit_length() probes bisect
-                    # fit..cap; at best the bisection of (fit, bad) takes
-                    # one less than (bad - fit).bit_length()
-                    if (cap - fit).bit_length() < (bad - fit).bit_length():
-                        bad = cap + 1
-            else:
-                bad = t
-            if bad - fit < 2:
-                break
-            t = (fit + bad) // 2
-        if held != fit:
-            step = held - fit
-            for v in e:
-                residual[v - 1] += step
-        if fit:
-            runs.append((e, fit))
-            left -= fit
-    if left:
-        raise PlacementError(
-            f"count overclaims: {left} of {want} copies have no embedding left"
-        )
-    # each embedding is a tuple and is used once
-    return Placement._canonical(tuple(runs))
-
-
 def greedy(
     groups: Sequence[tuple[int, ...]],
     caps: Sequence[int],
@@ -244,8 +145,8 @@ def greedy(
     Each group in turn takes min(copies left, residual on its nodes),
     caps being the residual the runs leave.  The pass reaches every
     count only on an order where first-come is optimal, as the
-    registry's are; a want it cannot reach raises PlacementError, as
-    peel does when a count overclaims.
+    registry's are; a want it cannot reach raises PlacementError: the
+    count overclaims.
     groups are distinct tuples, none the group of runs' last run, so the
     result is canonical: one run per group that takes a copy.
     """
@@ -287,7 +188,7 @@ def wrap(
     at most its clique count, _cliques over its labels with k = lanes,
     so slots = the least of those counts lays out an optimum; a side
     that cannot fill its lanes, or slots on no sides at all, raises
-    PlacementError, as peel does when a count overclaims.
+    PlacementError: the count overclaims.
     A lane changes node only at the offset where a node starts or wraps
     into it, so the layout emits one run per distinct such offset: at
     most one per node, whatever the entries of caps.
@@ -345,14 +246,14 @@ def place_kn_kk(n: int, k: int, b: Sequence[int]) -> Placement:
     return wrap(((range(1, n + 1), k),), formulas.vmcap_kn_kk_rec(n, k, caps), caps)
 
 
-def _solver_witness(pid: TopologyId, gid: TopologyId, count):
-    """The witness of a pair the solver counts with `count`.
+def _solver_witness(pid: TopologyId, gid: TopologyId):
+    """The witness of a pair the solver counts: its rule's multiplicities
+    as runs over the pair's embeddings.
 
-    Off LP_GAPS the count is floor(LP), exact at every vector, so the
-    witness is peeled from it over the pair's embeddings, looked up on
-    the first call and kept.  A searched pair reads its one
-    oracle.pair_solver solve, looked up with its embeddings on the first
-    call and kept: the multiplicities as runs.  A host past the solver's
+    Off LP_GAPS floor(LP) is the count at every vector, and its one-pass
+    layout (oracle.floor_lp_layout) places it; an LP_GAPS pair reads its
+    one oracle.pair_solver solve.  The rule is looked up with the
+    embeddings on the first call and kept.  A host past the solver's
     node limit is refused with no graph built, past the enumeration
     limit as the enumeration refuses it.
     """
@@ -363,29 +264,20 @@ def _solver_witness(pid: TopologyId, gid: TopologyId, count):
         if n > MAX_ENUMERATION_VERTICES:
             return partial(refuse_enumeration, n)
         return oracle.refuse_host
-    embeddings = None
-    if not formulas.searched(pid, gid):
+    rule = oracle.pair_solver if formulas.searched(pid, gid) else oracle.floor_lp_layout
+    solve = embeddings = None
 
-        def peeled(b):
-            nonlocal embeddings
-            if embeddings is None:
-                embeddings = enumerate_embeddings(
-                    expand_topology(pid), expand_topology(gid)
-                )
-            return peel(count, embeddings, b)
-
-        return peeled
-    solve = None
-
-    def solved(b):
+    def witness(b):
         nonlocal solve, embeddings
         if solve is None:
             host, guest = expand_topology(pid), expand_topology(gid)
-            solve = oracle.pair_solver(host, guest)
+            solve = rule(host, guest)
             embeddings = enumerate_embeddings(host, guest)
-        return Placement.from_runs((embeddings[i], t) for i, t in solve(b)[1])
+        # each embedding is a tuple, used once with copies >= 1
+        return Placement._canonical(
+            tuple([(embeddings[i], t) for i, t in solve(b)[1]]))
 
-    return solved
+    return witness
 
 
 @lru_cache(maxsize=1024)
@@ -403,7 +295,7 @@ def _bind(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     gid = canonical_id(as_topology_id(vnuma))
     pair = formulas._entry(pid, gid)
     if pair is None:
-        return n, _solver_witness(pid, gid, count)
+        return n, _solver_witness(pid, gid)
     if pair.sides is not None:
         sides = pair.sides(*formulas.entry_args(pair, pid, gid))
 
@@ -432,7 +324,7 @@ def place_vnuma(
     A closed pair takes its registry witness: a complete or complete
     bipartite host's laid out by wrap-around on a host of any size, and
     l4/k2's, cq3/k2's and cq3/c4's by one greedy pass.  A solver pair
-    takes one peeled from floor(LP) at any magnitude, and an LP_GAPS
+    takes floor(LP)'s one-pass layout at any magnitude, and an LP_GAPS
     pair the search's, which raises ScaleLimitError where vmcap does.
     """
     try:

@@ -135,7 +135,7 @@ class TestPlace:
         assert json.loads(out)["count"] == 8
 
     def test_pair_without_routine(self, capsys):
-        # l4/c4 has no closed form but is proved: its witness is peeled
+        # l4/c4 has no closed form but is proved: its witness is laid out
         # from floor(LP), below the solver's sum limit and past it
         for caps, count in (((1,) * 8, 2), ((26,) * 8, 52)):
             code, out, _ = run(capsys, "place", "--topology", "l4", "--vnuma", "c4",
@@ -951,11 +951,13 @@ class TestVerify:
 
     @pytest.mark.parametrize("flag", ["--max-cap", "--samples", "--seed"])
     def test_proved_pair_takes_no_sweep_flag(self, capsys, flag):
-        code, out, err = run(capsys, "verify", "--topology", "l4", "--vnuma", "c4",
-                             flag, "1")
-        assert code == 2 and out == ""
-        assert err == (f"error: {flag}: l4/c4 has no closed form; it is proved,"
-                       " not swept\n")
+        # a gap pair too, whose floor(LP) proof verify refuses
+        for host, guest in (("l4", "c4"), ("cq3", "star3")):
+            code, out, err = run(capsys, "verify", "--topology", host, "--vnuma",
+                                 guest, flag, "1")
+            assert code == 2 and out == ""
+            assert err == (f"error: {flag}: {host}/{guest} has no closed form to"
+                           " sweep; verify runs its floor(LP) proof\n")
 
     def test_bad_id_in_a_pair(self, capsys):
         code, out, err = run(capsys, "verify", "--topology", "l4", "--vnuma", "x")

@@ -287,11 +287,13 @@ class TestDispatch:
         assert messages[0] == messages[1]
 
     def test_solver_pairs_are_bound_once(self, monkeypatch):
-        # after a warm-up call the solver binding reuses its graphs and its
-        # pair's solver, and looks up neither that nor the solver's table
+        # after a warm-up call the count and witness bindings reuse their
+        # graphs and their pair's solver or layout, and look up neither
+        # that nor the solver's table
         pairs = [("cq3", "k1_2"), ("l4", "c4")]
         for pname, gname in pairs:
             nc.vmcap(pname, gname, (1,) * 8)
+            nc.place_vnuma(pname, gname, (1,) * 8)
         built = count_graphs(monkeypatch)
         statics = _pair_statics.cache_info()
         solvers = pair_solver.cache_info()
@@ -380,7 +382,7 @@ class TestDispatch:
             nc.place_vnuma("cq3", "k1_3", (26,) * 8)
         assert str(info.value) == "oracle supports total capacity up to 200, got 208"
         # l4/c4 is in the table: its count passes the limit, and so does
-        # its witness, peeled from that count
+        # its witness, laid out from that count
         assert formulas.bind_solver(nc.L4, nc.C4)((26,) * 8) == 52
         assert nc.vmcap("l4", "c4", (26,) * 8) == (52, "oracle")
         placement = nc.place_vnuma("l4", "c4", (26,) * 8)
@@ -682,7 +684,7 @@ class TestBoundBodies:
             expected = want(b)
             assert nc.vmcap(pname, gname, b).count == expected, b
             assert nc.vmcap(pname, gname, list(b)).count == expected, b
-            # peel hands the bound count lists of its residuals
+            # the bound count reads a list as it reads a tuple
             assert body(list(b)) == expected, b
 
     @pytest.mark.parametrize("fn,n", [

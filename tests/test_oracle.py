@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import numacap as nc
 from numacap.formulas import vmcap_kn_kk_rec
 from numacap import oracle
-from numacap.oracle import _cut_range, _pack, _pair_statics
+from numacap.oracle import _cut_range, _cuts, _pack, _pair_statics
 from conftest import (
     CQ3_SWAP,
     LARGE_PAIRS,
@@ -392,13 +392,13 @@ def compositions(seed: str, count: int, total: int, parts: int):
     return out
 
 
-def cut_by_terms(statics, idx, residual, need):
+def cut_by_terms(statics, idx, residual, need, terms=None):
     """find's (lo, hi) at idx, one dual-vertex term of bound_terms[idx + 1]
-    at a time: each term (W, D) with slope s = W(verts[idx]) - D allows
-    the t with W.residual - D * need >= t * s."""
+    (or of `terms`) at a time: each term (W, D) with slope
+    s = W(verts[idx]) - D allows the t with W.residual - D * need >= t * s."""
     vs = statics.verts[idx]
     lo, hi = 0, min(need, *(residual[v] for v in vs))
-    for weights, div in statics.bound_terms[idx + 1]:
+    for weights, div in statics.bound_terms[idx + 1] if terms is None else terms:
         slope = sum(w for v, w in weights if v in vs) - div
         d = sum(w * residual[v] for v, w in weights) - div * need
         if slope > 0:
@@ -448,6 +448,42 @@ class TestPackedCuts:
         root = oracle.floor_lp(host, guest)
         for caps in drawn:
             assert root(caps) == min(root_terms(host, guest, caps)), caps
+
+    # q33/k2_3, and q33/k3_4, the lp_pairs() pair with the most root terms
+    @pytest.mark.parametrize("pname,gname,terms", [
+        ("q33", "k2_3", 131), ("q33", "k3_4", 247),
+    ])
+    def test_root_cut_is_the_per_term_cut_at_any_magnitude(self, pname, gname, terms):
+        # the floor(LP) layout's packs: the root terms at every embedding,
+        # in fields that hold any need up to sum(residual), which bounds
+        # the layout's copies left; on q33/k3_4 a field one bit narrower
+        # overflows at the all-MAX_CAPACITY vector
+        host, guest = expanded(pname), expanded(gname)
+        statics = _pair_statics(host, guest)
+        n = host.vertex_count
+        root = statics.bound_terms[0]
+        assert len(root) == terms
+        packs = _cuts([root] * len(statics.verts), statics.verts,
+                      n * nc.MAX_CAPACITY, n)
+        count = oracle.floor_lp(host, guest)
+        rng = random.Random(f"{pname}/{gname} root cuts")
+        top = nc.MAX_CAPACITY
+        vectors = [(top,) * n] + [
+            tuple(top if v == full else 0 for v in range(n)) for full in range(n)
+        ] + [
+            tuple(rng.randint(0, (1 << rng.randint(0, 32)) - 1) for _ in range(n))
+            for _ in range(6)
+        ]
+        for b in vectors:
+            total = sum(b)
+            for need in {1, count(b), total // statics.k, total} - {0}:
+                for idx, vs in enumerate(statics.verts):
+                    hi = min(need, *(b[v] for v in vs))
+                    lo, hi = _cut_range(packs[idx], b, need, hi)
+                    want_lo, want_hi = cut_by_terms(statics, idx, b, need, root)
+                    assert (lo, hi) == (want_lo, want_hi) or (
+                        hi < lo and want_hi < want_lo and hi == want_hi
+                    ), (idx, b, need)
 
 
 FULL_RANGE_SUMS = (40, 80, 120, 160, 200)

@@ -10,8 +10,9 @@ from functools import partial
 import pytest
 
 import numacap as nc
-from numacap import cli, formulas
-from numacap.placement import MAX_EXPANDED_GROUPS, greedy, peel, wrap
+from numacap import cli, formulas, oracle
+from numacap.placement import MAX_EXPANDED_GROUPS, greedy, wrap
+from numacap.topology import every_id
 from conftest import (
     clear_bindings,
     all_vectors,
@@ -283,7 +284,8 @@ class TestFrontEndsAgree:
 
 
 class TestPeel:
-    """Witnesses read off the count over the pair's embeddings."""
+    """Witnesses bound to the pair's count: one past it is refused, and a
+    host past the enumeration limit builds no graph."""
 
     def test_overclaiming_count_is_caught(self, capsys, patch_formula):
         caps = (3, 1, 4, 1, 5, 9, 2, 6)
@@ -297,35 +299,6 @@ class TestPeel:
                              "--caps", ",".join(map(str, caps))])
             assert code == 2
             assert "overclaims" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("pname,gname,key", [
-        ("cq3", "k2", "cq3"), ("l4", "k2", "l4"), ("q33", "c4", "q33"),
-        ("cq3", "c4", "cq3"), ("k2_3", "k2", "km_n"),
-    ])
-    def test_count_calls_are_bounded(self, pname, gname, key):
-        # no registry pair peels: each is laid out by wrap-around or by
-        # greedy, so peel takes the bound count directly, and cq3's 12
-        # edges and q33/c4's 36 embeddings still hold it to its bound
-        entry = formulas.PAIRS[key, nc.parse_topology(gname)]
-        assert (entry.sides is None) != (entry.order is None)
-        embeddings = nc.enumerate_embeddings(expanded(pname), expanded(gname))
-        real = formulas._resolve(pname, gname)[1]
-        calls = 0
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return real(*args)
-
-        m = len(embeddings)
-        n = nc.parse_topology(pname).vertex_count
-        for caps in random_vectors(f"{pname}/{gname} calls", 100, n, 300):
-            want = nc.vmcap(pname, gname, caps).count
-            calls = 0
-            pl = peel(counted, embeddings, caps)
-            c = min(want, max(caps))
-            assert calls <= 1 + m * (1 + (c - 1).bit_length()), caps
-            assert pl.count == want, caps
 
     def test_host_past_the_enumeration_limit(self, monkeypatch):
         # laid out by wrap-around, with no graph built
@@ -492,9 +465,11 @@ class TestRunLength:
 
 
 def bisection_peel(count, embeddings, b):
-    """Runs of the peel that bisects below each failed top probe without
-    reading its shortfall: the reference the shortfall bound must agree
-    with, call for call at most."""
+    """Runs peeled from an exact count by probing it: for each embedding
+    e in turn, the most copies t with count(r - t·e) == count(r) - t, r
+    the residual, found by probing t at its top and bisecting below it.
+    The reference the one-pass floor(LP) layout must match run for run.
+    """
     residual = list(b)
     left = count(residual)
 
@@ -532,19 +507,6 @@ def bisection_peel(count, embeddings, b):
     return tuple(runs)
 
 
-class Counted:
-    """A count that tallies its calls and checks each probe is a residual."""
-
-    def __init__(self, count):
-        self.count = count
-        self.calls = 0
-
-    def __call__(self, b):
-        assert min(b) >= 0, b
-        self.calls += 1
-        return self.count(b)
-
-
 def peel_vectors(seed, n, count=40):
     """Zeros, entries to 300 and entries to 2^32-1, mixed in each vector."""
     rng = random.Random(seed)
@@ -555,34 +517,38 @@ def peel_vectors(seed, n, count=40):
     ]
 
 
-class TestShortfallPeel:
-    """The shortfall bound changes the probes, never the runs."""
+def solver_spelling(host, guest):
+    """An id of host's graph that binds the solver for guest: the host
+    itself, or another spelling where the host has a formula (k4_4/c4
+    where q33/c4 has one)."""
+    return next(pid for pid in [host, *every_id(oracle.MAX_ORACLE_VERTICES)]
+                if nc.canonical_id(pid) == host and formulas._entry(pid, guest) is None)
 
-    @pytest.mark.parametrize("pname,gname", INSTANCE_PAIRS)
-    def test_runs_and_calls_against_bisection(self, pname, gname):
-        count = nc.closed_form_evaluator(pname, gname)
-        embeddings = nc.enumerate_embeddings(expanded(pname), expanded(gname))
-        n = nc.parse_topology(pname).vertex_count
-        new_calls = old_calls = 0
-        for caps in peel_vectors(f"{pname}/{gname} shortfall", n):
-            new, old = Counted(count), Counted(count)
-            runs = peel(new, embeddings, caps).runs
-            assert runs == bisection_peel(old, embeddings, caps), caps
-            assert new.calls <= old.calls, caps
-            new_calls += new.calls
-            old_calls += old.calls
-        if (pname, gname) in (("cq3", "k2"), ("q33", "c4")):
-            assert new_calls < old_calls
 
-    @pytest.mark.parametrize("inexact", [
-        lambda b: 999,
-        lambda b: nc.vmcap_cq3_k2(b) + 1,
-    ], ids=["constant", "plus-one"])
-    def test_inexact_count_overclaims_within_the_bound(self, inexact):
-        embeddings = nc.enumerate_embeddings(expanded("cq3"), expanded("k2"))
-        for caps in peel_vectors("cq3/k2 inexact", 8, 20) + [(0,) * 8]:
-            counted = Counted(inexact)
+class TestFloorLpLayout:
+    """The witness of every pair counted by floor(LP): one pass over the
+    embeddings, each capped by the root LP terms."""
+
+    def test_runs_match_the_bisection_peel(self):
+        for host, guest in formulas.lp_pairs():
+            pid = solver_spelling(host, guest)
+            h, g = nc.expand_topology(pid), nc.expand_topology(guest)
+            count = oracle.floor_lp(h, g)
+            embeddings = nc.enumerate_embeddings(h, g)
+            n = pid.vertex_count
+            for caps in peel_vectors(f"{pid}/{guest} layout", n, 12) + [
+                (0,) * n, (TOP,) * n,
+            ]:
+                runs = nc.place_vnuma(pid, guest, caps).runs
+                assert runs == bisection_peel(count, embeddings, caps), (pid, caps)
+
+    def test_gap_pair_overclaims(self):
+        # cq3/star3's floor(LP) is one above its count at each vector its
+        # proof refuses, so the layout leaves a copy over
+        layout = oracle.floor_lp_layout(expanded("cq3"), expanded("star3"))
+        for caps in ((1,) * 8, (1, 1, 1, 1, 2, 2, 2, 2), (1, 1, 2, 2, 2, 2, 1, 1),
+                     (2, 2, 1, 1, 1, 1, 2, 2), (2, 2, 2, 2, 1, 1, 1, 1)):
             with pytest.raises(nc.PlacementError, match="overclaims"):
-                peel(counted, embeddings, caps)
-            bound = 1 + len(embeddings) * (1 + max(caps).bit_length())
-            assert counted.calls <= bound, caps
+                layout(caps)
+            assert nc.place_vnuma("cq3", "star3", caps).count == (
+                nc.vmcap("cq3", "star3", caps).count)

@@ -245,8 +245,8 @@ def test_field_minimum_refuses_terms_past_64_bits():
         oracle._field_min(((((0, 1), (7, 1)), 1), (((3, 1),), 1 << 40)), 8)
 
 
-def test_a_proved_pair_peels_its_witness_at_any_magnitude(monkeypatch):
-    # floor(LP) is exact at every vector, so peeling it needs no solver
+def test_a_proved_pair_lays_out_its_witness_at_any_magnitude(monkeypatch):
+    # floor(LP) is exact at every vector, so its layout needs no solver
     def refuse(*args):
         raise AssertionError("a pair_solver was built")
 
