@@ -552,3 +552,37 @@ class TestFloorLpLayout:
                 layout(caps)
             assert nc.place_vnuma("cq3", "star3", caps).count == (
                 nc.vmcap("cq3", "star3", caps).count)
+
+
+class TestShortfallPeel:
+    """An inexact count is laid out in full or refused, never short, and
+    read once."""
+
+    @pytest.mark.parametrize("inexact", [
+        lambda b: 999,
+        lambda b: nc.vmcap_cq3_k2(b) + 1,
+    ], ids=["constant", "plus-one"])
+    def test_inexact_count_overclaims_within_the_bound(self, inexact, patch_formula):
+        calls = []
+
+        def counted(b):
+            assert min(b) >= 0, b
+            calls.append(b)
+            return inexact(b)
+
+        patch_formula("cq3", "k2", counted)
+        refused = 0
+        for caps in peel_vectors("cq3/k2 inexact", 8, 20) + [(0,) * 8]:
+            calls.clear()
+            if inexact(caps) > nc.vmcap_cq3_k2(caps):
+                with pytest.raises(nc.PlacementError, match="overclaims"):
+                    nc.place_vnuma("cq3", "k2", caps)
+                refused += 1
+            else:
+                # 999 under a larger count: the pass places the copies claimed
+                pl = nc.place_vnuma("cq3", "k2", caps)
+                assert pl.count == inexact(caps), caps
+                nc.verify_placement(expanded("cq3"), expanded("k2"), caps, pl)
+            # cq3/k2's greedy pass reads the count once, probing no residual
+            assert calls == [caps], caps
+        assert refused >= 2
