@@ -21,9 +21,11 @@ vmcap binds it (k1_2 as star2).  With no pair named, each registry
 instance is swept over its own range, then formulas.FULL_RANGE, or over
 the one sweep --max-cap and --samples give.  Then every graph pair that
 vmcap counts by floor(LP) (formulas.lp_pairs, 225 pairs, named by
-canonical ids) is proved: 244 lines, in about 15 s on two cores.  The
-prover stops at 8 host nodes, so a host family's formula is checked on
-its instances of 8 nodes or fewer.
+canonical ids) is proved: 244 lines.  The whole run takes about 19 s
+wall, of which the 225 proofs take about 15 s (Python 3.11.7, one
+process on a 2-core x86-64 machine).  The prover stops at 8 host
+nodes, so a host family's formula is checked on its instances of 8
+nodes or fewer.
 `place` prints the witness as runs, {"count": N, "runs": [[[node, ...],
 copies], ...]}: each run is a node group and how many guests it
 carries.  Timing is the benchmark's job (capbench/run.py).

@@ -5,15 +5,16 @@ kind fit a host topology given per-node counts b (canonical label order).
 PAIRS registers each formula with the sweep that checks it, and the
 order of its witness, against the pair's floor(LP), which `numacap
 verify` proves is the count (numacap.rounding).  _resolve binds every
-pair once to a count: its registry entry's, or the solver's when it has
-none.  The solver's count is floor(LP) alone on every pair but the
-LP_GAPS graphs, which the search counts.  vmcap() validates b and calls
-that binding, and closed_form_evaluator() returns the count behind the
-same check; a bound count does not check b again.  The placement module
-binds each pair's witness from the same registry and count.
+pair once to a count: its registry entry's, or, for a pair with none,
+the count of oracle.bind, which owns the rule for such pairs: floor(LP)
+alone, or the search on the oracle.LP_GAPS graphs.  vmcap() validates b
+and calls that binding, and closed_form_evaluator() returns the count
+behind the same check; a bound count does not check b again.  The
+placement module binds each pair's witness from the same registry and
+count, or from oracle.bind.
 
-Nothing here imports the solver or the placement module: bind_solver
-imports the solver when it binds the first pair that needs it, so a
+Nothing here imports the solver or the placement module: _resolve
+imports the solver when it binds the first pair with no formula, so a
 closed-form count loads neither.
 """
 
@@ -25,19 +26,14 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Unio
 from .errors import DimensionError, TopologyError
 from .topology import (
     C4,
-    CQ3,
     K2,
     MAX_CAPACITY,
-    Q33,
     Graph,
     TopologyId,
     as_topology_id,
     canonical_id,
     check_capacities,
     every_id,
-    expand_topology,
-    km_n,
-    star,
 )
 
 if TYPE_CHECKING:
@@ -485,16 +481,6 @@ PAIRS: dict[tuple[str, Optional[TopologyId]], Pair] = {
     ),
 }
 
-# The solver pairs, by canonical host and guest, where rounding.prove
-# refuses floor(LP): the count is below it at some vector.  These 7 graph
-# pairs, 34 id spellings, are left to the search and its sum limit.  Every
-# other solver pair is counted by floor(LP), the smallest root term of its
-# dual vertices, which a no-pair `numacap verify` proves is the count.
-LP_GAPS = frozenset({
-    (CQ3, star(3)), (Q33, km_n(2, 4)), (Q33, star(3)), (Q33, star(4)),
-    (km_n(3, 3), star(3)), (km_n(3, 4), star(3)), (km_n(3, 5), star(3)),
-})
-
 # A guest of its host's shape has one embedding, all n nodes, as the n-clique
 # has in K_n: min(b) copies of (1..n).
 SAME_SHAPE = Pair(
@@ -529,48 +515,6 @@ def _bind(pair: Pair, pid: TopologyId, gid: TopologyId):
     return partial(pair.count, *args) if args else pair.count
 
 
-def searched(pid: TopologyId, gid: TopologyId) -> bool:
-    """Whether the search counts the solver pair pid/gid: its graphs are
-    in LP_GAPS, where floor(LP) is not the count."""
-    return (canonical_id(pid), canonical_id(gid)) in LP_GAPS
-
-
-def bind_solver(pid: TopologyId, gid: TopologyId) -> Callable[[Sequence[int]], int]:
-    """The exhaustive solver's count for a pair; imports the solver.
-
-    Unless the pair is searched, the count is oracle.floor_lp's field
-    minimum on the host's own labels, looked up on the first call, after
-    b passed its checks, and kept, with no sum limit; the proof makes it
-    exact at every vector, and no solve is built.  A searched pair calls
-    its one oracle.pair_solver solve, looked up with its graphs on the
-    first call and kept.  A host past the solver's node limit is refused
-    with no graph built.
-    """
-    from . import oracle
-
-    if pid.vertex_count > oracle.MAX_ORACLE_VERTICES:
-        return oracle.refuse_host
-    if not searched(pid, gid):
-        lp = None
-
-        def lp_count(b):
-            nonlocal lp
-            if lp is None:
-                lp = oracle.floor_lp(expand_topology(pid), expand_topology(gid))
-            return lp(b)
-
-        return lp_count
-    solve = None
-
-    def count(b):
-        nonlocal solve
-        if solve is None:
-            solve = oracle.pair_solver(expand_topology(pid), expand_topology(gid))
-        return solve(b)[0]
-
-    return count
-
-
 def _checked(count: Callable[[Sequence[int]], int], n: int):
     def evaluate(b: Sequence[int]) -> int:
         return count(check_capacities(b, n))
@@ -591,11 +535,11 @@ def _entry(pid: TopologyId, guest: TopologyId) -> Optional[Pair]:
 
 def lp_pairs() -> list[tuple[TopologyId, TopologyId]]:
     """The canonical (host, guest) of every id pair of at most
-    MAX_ORACLE_VERTICES nodes that binds the solver, LP_GAPS left out:
+    MAX_ORACLE_VERTICES nodes that binds the solver, oracle.LP_GAPS left out:
     the pairs whose floor(LP) count a no-pair `numacap verify` proves.
     A graph pair is here when any spelling reaches the solver, as
     k4_4/c4 does where q33/c4 has a formula."""
-    from .oracle import MAX_ORACLE_VERTICES
+    from .oracle import LP_GAPS, MAX_ORACLE_VERTICES
 
     ids = every_id(MAX_ORACLE_VERTICES)
     pairs = {(canonical_id(host), canonical_id(guest))
@@ -613,9 +557,9 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     canonicalised (topology.canonical_id); the host keeps its own id,
     whose labels index the vector.  A single-node guest raises.  A
     registry entry (_entry) binds its closed form, any other pair the
-    exhaustive solver (bind_solver), whose count is floor(LP) off
-    LP_GAPS.  count reads a checked vector; evaluator is a closed form's
-    count behind check_capacities, and None for the solver.
+    solver's count (oracle.bind), which is floor(LP) off LP_GAPS.  count
+    reads a checked vector; evaluator is a closed form's count behind
+    check_capacities, and None for the solver.
     No binding expands a graph here.  A solver binding looks up its
     graphs, and its solve, on its first call, after the caller has
     checked b, and keeps them, and refuses a host past its node limit
@@ -631,7 +575,9 @@ def _resolve(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
         )
     pair = _entry(pid, guest)
     if pair is None:
-        return n, bind_solver(pid, guest), "oracle", None
+        from .oracle import bind
+
+        return n, bind(pid, guest)[0], "oracle", None
     count = _bind(pair, pid, guest)
     return n, count, "closed-form", _checked(count, n)
 

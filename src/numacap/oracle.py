@@ -21,11 +21,13 @@ them all, and only the terms that bind are read back and divided.
 The root bound is floor_lp, the root terms' minimum over unsigned
 fields (_field_min); it is also the count of every pair of at most
 MAX_ORACLE_VERTICES nodes but the 7 graph pairs, 34 id spellings, where
-numacap.rounding refuses it (formulas.LP_GAPS).  So the search, and its
-limit of MAX_ORACLE_TOTAL_CAPACITY on sum(b), serve only those pairs and
+numacap.rounding refuses it (LP_GAPS).  So the search, and its limit of
+MAX_ORACLE_TOTAL_CAPACITY on sum(b), serve only those pairs and
 oracle_vmcap.  The other pairs' witnesses take the cuts on the root
 terms alone, at any magnitude: one pass over the embeddings, each capped
-by them, lays out floor(LP) (floor_lp_layout).
+by them, lays out floor(LP) (floor_lp_layout).  bind gives a pair with
+no formula its count and witness by that rule, and is where vmcap and
+place_vnuma reach the solver.
 
 Each pair's solve is built once (pair_solver).  It runs the descending
 target search: find(idx, residual, need) asks whether the embeddings
@@ -52,7 +54,19 @@ from operator import mul
 from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from .errors import PlacementError, ScaleLimitError
-from .topology import MAX_CAPACITY, Graph, check_capacities, enumerate_embeddings
+from .topology import (
+    CQ3,
+    MAX_CAPACITY,
+    Q33,
+    Graph,
+    TopologyId,
+    canonical_id,
+    check_capacities,
+    enumerate_embeddings,
+    expand_topology,
+    km_n,
+    star,
+)
 
 MAX_ORACLE_VERTICES = 8
 MAX_ORACLE_TOTAL_CAPACITY = 200
@@ -218,6 +232,60 @@ def _cuts(term_lists: list, verts, total: int, n: int) -> tuple:
               width, n)
         for terms, vs in zip(term_lists, map(set, verts))
     )
+
+
+# The solver pairs, by canonical host and guest, where rounding.prove
+# refuses floor(LP): the count is below it at some vector.  These 7 graph
+# pairs, 34 id spellings, are left to the search and its sum limit.  Every
+# other solver pair is counted by floor(LP), the smallest root term of its
+# dual vertices, which a no-pair `numacap verify` proves is the count.
+LP_GAPS = frozenset({
+    (CQ3, star(3)), (Q33, km_n(2, 4)), (Q33, star(3)), (Q33, star(4)),
+    (km_n(3, 3), star(3)), (km_n(3, 4), star(3)), (km_n(3, 5), star(3)),
+})
+
+
+def bind(pid: TopologyId, gid: TopologyId) -> tuple:
+    """(count, runs) for host id pid and a canonical guest gid that has no
+    formula, each reading a vector check_capacities has passed.
+
+    Off LP_GAPS, count is floor_lp, with no sum limit, and runs lays it
+    out by floor_lp_layout's one pass; an LP_GAPS pair reads its one
+    pair_solver solve for both.  runs are the (embedding, copies) of the
+    rule's multiplicities.  Each closure looks up its rule, with the
+    pair's graphs, on its first call and keeps it, so binding builds no
+    graph; a host past MAX_ORACLE_VERTICES is refused by both, with no
+    graph built.
+    """
+    if pid.vertex_count > MAX_ORACLE_VERTICES:
+        return refuse_host, refuse_host
+    gap = (canonical_id(pid), canonical_id(gid)) in LP_GAPS
+    rule = solve = embeddings = None
+    # one count closure per rule, so a floor(LP) call makes no cell and
+    # tests no flag
+    if gap:
+        def count(b):
+            nonlocal rule
+            if rule is None:
+                rule = pair_solver(expand_topology(pid), expand_topology(gid))
+            return rule(b)[0]
+    else:
+        def count(b):
+            nonlocal rule
+            if rule is None:
+                rule = floor_lp(expand_topology(pid), expand_topology(gid))
+            return rule(b)
+
+    def runs(b):
+        nonlocal solve, embeddings
+        if solve is None:
+            host, guest = expand_topology(pid), expand_topology(gid)
+            solve = (pair_solver if gap else floor_lp_layout)(host, guest)
+            embeddings = enumerate_embeddings(host, guest)
+        # each embedding is a tuple, used once with copies >= 1
+        return tuple([(embeddings[i], t) for i, t in solve(b)[1]])
+
+    return count, runs
 
 
 def floor_lp(host: Graph, guest: Graph) -> Callable[[Sequence[int]], int]:

@@ -9,25 +9,25 @@ explicit step, bounded by MAX_EXPANDED_GROUPS.  `wrap` lays out the
 count of a pair whose count is a minimum over sides of clique counts
 (complete and complete bipartite hosts) by wrap-around, and `greedy`
 fills a fixed order of groups on which first-come is optimal (the
-ladder's and crossed cube's pairs and the crossed cube's 4-cycles).  A
-solver pair's witness is the runs of oracle.floor_lp_layout's one pass
-or, on an LP_GAPS pair, of the search.  The pair registry in the
-formulas module names each closed pair's sides or greedy order, and
-place_vnuma binds each pair's witness once, from that registry and the
-pair's bound count; place_k2 and place_c4_vnuma ask it for the witness
-of a k2 or c4 guest on a named host.
+ladder's and crossed cube's pairs and the crossed cube's 4-cycles).
+The pair registry in the formulas module names each closed pair's sides
+or greedy order, and place_vnuma binds each pair's witness once, from
+that registry and the pair's bound count.  A pair with no formula takes
+its runs from oracle.bind, which also gives its count: floor(LP)'s
+one-pass layout, or the search's on an LP_GAPS pair.  place_k2 and
+place_c4_vnuma ask place_vnuma for the witness of a k2 or c4 guest on a
+named host.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Sequence, Union
 
 from . import formulas
 from .errors import PlacementError, ScaleLimitError
 from .topology import (
-    MAX_ENUMERATION_VERTICES,
     Graph,
     TopologyId,
     _frozen_del,
@@ -37,8 +37,6 @@ from .topology import (
     canonical_id,
     check_capacities,
     enumerate_embeddings,
-    expand_topology,
-    refuse_enumeration,
 )
 
 # the most groups `matches` and `as_lists` expand one placement to
@@ -246,40 +244,6 @@ def place_kn_kk(n: int, k: int, b: Sequence[int]) -> Placement:
     return wrap(((range(1, n + 1), k),), formulas.vmcap_kn_kk_rec(n, k, caps), caps)
 
 
-def _solver_witness(pid: TopologyId, gid: TopologyId):
-    """The witness of a pair the solver counts: its rule's multiplicities
-    as runs over the pair's embeddings.
-
-    Off LP_GAPS floor(LP) is the count at every vector, and its one-pass
-    layout (oracle.floor_lp_layout) places it; an LP_GAPS pair reads its
-    one oracle.pair_solver solve.  The rule is looked up with the
-    embeddings on the first call and kept.  A host past the solver's
-    node limit is refused with no graph built, past the enumeration
-    limit as the enumeration refuses it.
-    """
-    from . import oracle
-
-    n = pid.vertex_count
-    if n > oracle.MAX_ORACLE_VERTICES:
-        if n > MAX_ENUMERATION_VERTICES:
-            return partial(refuse_enumeration, n)
-        return oracle.refuse_host
-    rule = oracle.pair_solver if formulas.searched(pid, gid) else oracle.floor_lp_layout
-    solve = embeddings = None
-
-    def witness(b):
-        nonlocal solve, embeddings
-        if solve is None:
-            host, guest = expand_topology(pid), expand_topology(gid)
-            solve = rule(host, guest)
-            embeddings = enumerate_embeddings(host, guest)
-        # each embedding is a tuple, used once with copies >= 1
-        return Placement._canonical(
-            tuple([(embeddings[i], t) for i, t in solve(b)[1]]))
-
-    return witness
-
-
 @lru_cache(maxsize=1024)
 def _bind(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     """(host vertex count, witness): the pair's witness of its bound count.
@@ -287,15 +251,22 @@ def _bind(pnuma: Union[TopologyId, str], vnuma: Union[TopologyId, str]):
     Memoised as formulas._resolve is, on whose binding it builds: a
     registry pair lays its count out by wrap-around from its sides or by
     greedy over its order, building no graph; any other pair takes the
-    solver's witness (_solver_witness).  The witness reads a checked
-    vector.
+    runs of the solver's rule (oracle.bind), which imports the solver
+    on the first such pair.  The witness reads a checked vector.
     """
     n, count, _, _ = formulas._resolved(pnuma, vnuma)
     pid = as_topology_id(pnuma)
     gid = canonical_id(as_topology_id(vnuma))
     pair = formulas._entry(pid, gid)
     if pair is None:
-        return n, _solver_witness(pid, gid)
+        from .oracle import bind
+
+        runs = bind(pid, gid)[1]
+
+        def witness(b):
+            return Placement._canonical(runs(b))
+
+        return n, witness
     if pair.sides is not None:
         sides = pair.sides(*formulas.entry_args(pair, pid, gid))
 
@@ -323,9 +294,12 @@ def place_vnuma(
 
     A closed pair takes its registry witness: a complete or complete
     bipartite host's laid out by wrap-around on a host of any size, and
-    l4/k2's, cq3/k2's and cq3/c4's by one greedy pass.  A solver pair
-    takes floor(LP)'s one-pass layout at any magnitude, and an LP_GAPS
-    pair the search's, which raises ScaleLimitError where vmcap does.
+    l4/k2's, cq3/k2's and cq3/c4's by one greedy pass.  A pair with no
+    formula takes the runs oracle.bind gives with its count:
+    floor(LP)'s one-pass layout at any magnitude, and on an LP_GAPS pair
+    the search's.  Either raises ScaleLimitError where vmcap does, with
+    the same message, on a host past 8 nodes or past the search's sum
+    limit.
     """
     try:
         n, witness = _bind(pnuma, vnuma)

@@ -379,8 +379,8 @@ def _expand(tid: TopologyId) -> Graph:
     return Graph(m + n, frozenset(edges), name=str(tid))
 
 
-def refuse_enumeration(vertex_count: int, *_) -> NoReturn:
-    """enumerate_embeddings' refusal of a host; ignores later arguments."""
+def refuse_enumeration(vertex_count: int) -> NoReturn:
+    """enumerate_embeddings' refusal of a host of vertex_count nodes."""
     raise ScaleLimitError(
         f"embedding enumeration supports at most "
         f"{MAX_ENUMERATION_VERTICES} vertices, got {vertex_count}"

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import numacap as nc
-from numacap import formulas
-from numacap.oracle import _pair_statics, pair_solver
+from numacap import formulas, oracle
+from numacap.oracle import _pair_statics, floor_lp_layout, pair_solver
 from conftest import (
     clear_bindings,
     CQ3_SWAP,
@@ -297,6 +297,7 @@ class TestDispatch:
         built = count_graphs(monkeypatch)
         statics = _pair_statics.cache_info()
         solvers = pair_solver.cache_info()
+        layouts = floor_lp_layout.cache_info()
         for pname, gname in pairs:
             for b in random_vectors(f"{pname}/{gname} bound once", 50, 8, 6):
                 assert nc.vmcap(pname, gname, b).via == "oracle"
@@ -305,6 +306,7 @@ class TestDispatch:
         assert built == [0]
         assert _pair_statics.cache_info() == statics
         assert pair_solver.cache_info() == solvers
+        assert floor_lp_layout.cache_info() == layouts
 
     def test_binding_a_solver_pair_builds_no_graph(self, monkeypatch):
         # resolving, or rejecting b, must not build a host graph whose
@@ -320,11 +322,13 @@ class TestDispatch:
         assert built == [0]
 
     @pytest.mark.parametrize("front_end,pnuma,vnuma,message", [
-        # the solver's count, and its witness, which enumerates first
+        # the solver's count, and its witness, refused by one rule
         (nc.vmcap, "k40_40", "c4", "oracle supports hosts up to 8 vertices"),
         (nc.place_vnuma, "k5_5", "c4", "oracle supports hosts up to 8 vertices"),
-        (nc.place_vnuma, "k40_40", "c4",
-         "embedding enumeration supports at most 12 vertices, got 80"),
+        (nc.place_vnuma, "k40_40", "c4", "oracle supports hosts up to 8 vertices"),
+        # 13 nodes, one past the enumeration's limit
+        (nc.vmcap, "k6_7", "c4", "oracle supports hosts up to 8 vertices"),
+        (nc.place_vnuma, "k6_7", "c4", "oracle supports hosts up to 8 vertices"),
         # a wrap-around witness answers, past any node limit
         (nc.place_vnuma, "k40_40", "k2", None),
     ])
@@ -363,8 +367,8 @@ class TestDispatch:
         # refuses, with the same words
         # a solver pair is counted by floor(LP), with no sum limit, so
         # the count's case is a pair in LP_GAPS
-        assert (nc.CQ3, nc.star(3)) in formulas.LP_GAPS
-        count = formulas.bind_solver(nc.CQ3, nc.star(3))
+        assert (nc.CQ3, nc.star(3)) in oracle.LP_GAPS
+        count = oracle.bind(nc.CQ3, nc.star(3))[0]
         assert count((25,) * 8) == nc.oracle_vmcap(
             nc.expand_topology("cq3"), nc.expand_topology("k1_3"), (25,) * 8
         ).count
@@ -383,14 +387,14 @@ class TestDispatch:
         assert str(info.value) == "oracle supports total capacity up to 200, got 208"
         # l4/c4 is in the table: its count passes the limit, and so does
         # its witness, laid out from that count
-        assert formulas.bind_solver(nc.L4, nc.C4)((26,) * 8) == 52
+        assert oracle.bind(nc.L4, nc.C4)[0]((26,) * 8) == 52
         assert nc.vmcap("l4", "c4", (26,) * 8) == (52, "oracle")
         placement = nc.place_vnuma("l4", "c4", (26,) * 8)
         assert placement.count == 52
         nc.verify_placement(
             nc.expand_topology("l4"), nc.expand_topology("c4"), (26,) * 8, placement
         )
-        nine = formulas.bind_solver(nc.km_n(4, 5), nc.C4)
+        nine = oracle.bind(nc.km_n(4, 5), nc.C4)[0]
         k4_5_c4 = partial(
             nc.oracle_vmcap, nc.expand_topology("k4_5"), nc.expand_topology("c4")
         )

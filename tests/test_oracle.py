@@ -600,7 +600,7 @@ class TestFullRange:
         assert all(u <= c for u, c in zip(used, caps))
 
     # exact counts where floor(LP) is one above the count, so cq3/k1_3
-    # is in formulas.LP_GAPS; the counts are the plain search's
+    # is in oracle.LP_GAPS; the counts are the plain search's
     @pytest.mark.parametrize("caps,count,lp", [
         ((1,) * 8, 1, 2),
         ((2, 2, 2, 2, 1, 1, 1, 1), 2, 3),

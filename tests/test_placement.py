@@ -554,6 +554,52 @@ class TestFloorLpLayout:
                 nc.vmcap("cq3", "star3", caps).count)
 
 
+def composition(seed, n, total):
+    """A seeded vector of n entries that sum to total."""
+    rng = random.Random(seed)
+    cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+    return tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
+
+
+# every id pair that spells a graph pair of oracle.LP_GAPS
+GAP_SPELLINGS = [(h, g) for h in every_id(oracle.MAX_ORACLE_VERTICES)
+                 for g in every_id(oracle.MAX_ORACLE_VERTICES)
+                 if (nc.canonical_id(h), nc.canonical_id(g)) in oracle.LP_GAPS]
+
+
+class TestSolverBinding:
+    """A pair with no formula takes its count and its witness from one
+    binding, oracle.bind, whichever way its ids are spelt."""
+
+    def test_gap_spellings_place_their_count(self):
+        assert len(GAP_SPELLINGS) == 34
+        for pid, gid in GAP_SPELLINGS:
+            n = pid.vertex_count
+            for caps in ((1,) * n, composition(f"{pid}/{gid} sum 40", n, 40)):
+                result = nc.vmcap(pid, gid, caps)
+                assert result.via == "oracle", (pid, gid)
+                placement = nc.place_vnuma(pid, gid, caps)
+                assert placement.count == result.count, (pid, gid, caps)
+                nc.verify_placement(nc.expand_topology(pid), nc.expand_topology(gid),
+                                    caps, placement)
+            caps = composition(f"{pid}/{gid} sum 201", n, 201)
+            for front_end in (nc.vmcap, nc.place_vnuma):
+                with pytest.raises(nc.ScaleLimitError) as info:
+                    front_end(pid, gid, caps)
+                assert str(info.value) == (
+                    "oracle supports total capacity up to 200, got 201")
+
+    def test_star_spellings_place_the_same_count_at_full_range(self):
+        # star3/star2 is counted by floor(LP), with no sum limit
+        caps = (TOP,) * 4
+        counts = {nc.vmcap(pname, "k1_2", caps) for pname in ("star3", "k1_3", "k3_1")}
+        assert counts == {(TOP, "oracle")}
+        for pname in ("star3", "k1_3", "k3_1"):
+            placement = nc.place_vnuma(pname, "k1_2", caps)
+            assert placement.count == TOP, pname
+            check(pname, "k1_2", caps, placement)
+
+
 class TestShortfallPeel:
     """An inexact count is laid out in full or refused, never short, and
     read once."""

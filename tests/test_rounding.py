@@ -163,11 +163,11 @@ def test_gap_pairs_are_refused(host, guest, failing):
 
 def test_the_gaps_are_the_listed_pairs():
     listed = {(nc.parse_topology(h), nc.parse_topology(g)) for h, g, _ in GAPS}
-    assert listed == formulas.LP_GAPS
+    assert listed == oracle.LP_GAPS
     # 34 id pairs spell them
     ids = nc.topology.every_id(8)
     spellings = [(h, g) for h in ids for g in ids
-                 if (nc.canonical_id(h), nc.canonical_id(g)) in formulas.LP_GAPS]
+                 if (nc.canonical_id(h), nc.canonical_id(g)) in oracle.LP_GAPS]
     assert len(spellings) == 34
 
 
@@ -203,7 +203,7 @@ def test_wide_root_is_the_plain_minimum(host, guest):
     n, k = h.vertex_count, g.vertex_count
     count = oracle.floor_lp(h, g)
     key = (nc.canonical_id(host), nc.canonical_id(guest))
-    proved = key not in formulas.LP_GAPS and nc.closed_form_evaluator(host, guest) is None
+    proved = key not in oracle.LP_GAPS and nc.closed_form_evaluator(host, guest) is None
     vectors = wide_vectors(f"{host}/{guest} wide", n)
     vectors += switch_vectors(scaled_top(host, guest), n, f"{host}/{guest}")
     for b in vectors:
