@@ -37,9 +37,14 @@ index, and the count is the first target, from the root bound down,
 that packs.
 
 A node where find fails stores need - 1 in the memo under its key, the
-index and the alive residuals.  Those fix the node's optimum, so the
-entry bounds it whatever vector the search started from.  The memo
-starts empty on every call, so nothing a call learns outlives it.
+index and the whole residual packed one byte per entry.  Those fix the
+node's optimum, so the entry bounds it whatever vector the search
+started from.  The key and the cuts' field width both rest on
+MAX_ORACLE_TOTAL_CAPACITY: an entry past 255 cannot be packed and
+raises ValueError, so raising that limit must change both.  The cuts
+are the search's own: pair_solver packs them, and only the LP_GAPS
+pairs reach it from vmcap.  The memo starts empty on every call, so
+nothing a call learns outlives it.
 _plain_search answers the same question by a plain recursion bounded
 only by floor(residual sum / k), with no LP term or memo: slow, but an
 independent check of the search.
@@ -108,16 +113,13 @@ def oracle_vmcap(
 
 
 class _PairStatics(NamedTuple):
-    """Capacity-independent search structures for one (host, guest) pair."""
+    """Capacity-independent tables of one (host, guest) pair, read by
+    floor(LP), its layout, the prover and the plain search."""
 
     verts: tuple[tuple[int, ...], ...]  # 0-based copies of embeddings
-    alive: tuple[tuple[int, ...], ...]  # vertices appearing in verts[i:]
     # per index i: the vertices of the covering dual P_i as (W, D), W the
     # nonzero (vertex, weight) pairs; each reads copies <= sum(W_v r_v) // D
     bound_terms: tuple
-    # per index i: bound_terms[i + 1] packed by _pack, each term with its
-    # slope W(verts[i]) - D, the factor of t in find's cut on embedding i
-    cuts: tuple
     k: int
 
 
@@ -196,26 +198,15 @@ def _pair_statics(host: Graph, guest: Graph) -> _PairStatics:
         for c in range(n)
     ]
     rays.append(((0,) * n + (1,), signs ^ (1 << n), ((), 1)))
-    alive: list[tuple[int, ...]] = [()] * (m + 1)
     bound_terms: list[tuple] = [(((), 1),)] * (m + 1)
-    alive_mask = 0
     for i in range(m - 1, -1, -1):
         # y(emb) - s >= 0
         row = [(n, -1)]
         for v in verts[i]:
             row.append((v, 1))
-            alive_mask |= 1 << v
         rays = _cut(rays, row, 1 << (dim + i), dim, _term)
-        alive[i] = tuple(v for v in range(n) if alive_mask >> v & 1)
         bound_terms[i] = tuple([term for _, _, term in rays if term])
-    return _PairStatics(
-        verts=verts,
-        alive=tuple(alive),
-        bound_terms=tuple(bound_terms),
-        # sum(r), need and hi <= MAX_ORACLE_TOTAL_CAPACITY, as the memo key assumes
-        cuts=_cuts(bound_terms[1:], verts, MAX_ORACLE_TOTAL_CAPACITY, n),
-        k=k,
-    )
+    return _PairStatics(verts=verts, bound_terms=tuple(bound_terms), k=k)
 
 
 def _cuts(term_lists: list, verts, total: int, n: int) -> tuple:
@@ -453,45 +444,44 @@ def _cut_range(pack: tuple, residual: Sequence[int], need: int, hi: int):
 @lru_cache(maxsize=256)
 def pair_solver(host: Graph, guest: Graph) -> Callable[[tuple[int, ...]], tuple]:
     """The pair's solve(b) -> (count, multiplicities), built once over its
-    statics; b is a tuple in the host's labels that check_capacities has
-    passed.  A host past MAX_ORACLE_VERTICES is refused before any
-    statics are built, and solve refuses sum(b) > MAX_ORACLE_TOTAL_CAPACITY,
-    except on a pair with no embedding, where it is (0, ()) at any vector.
+    statics and its search cuts; b is a tuple in the host's labels that
+    check_capacities has passed.  A host past MAX_ORACLE_VERTICES is
+    refused before any statics are built, and solve refuses
+    sum(b) > MAX_ORACLE_TOTAL_CAPACITY, except on a pair with no
+    embedding, where it is (0, ()) at any vector.
     """
     if host.vertex_count > MAX_ORACLE_VERTICES:
         refuse_host()
     statics = _pair_statics(host, guest)
-    if not statics.verts:
+    verts = statics.verts
+    if not verts:
         return lambda b: (0, ())
     root = floor_lp(host, guest)
+    # per index i: bound_terms[i + 1] packed with the slopes W(verts[i]) - D,
+    # the factors of t in find's cut on embedding i; sum(r), need and hi
+    # are at most MAX_ORACLE_TOTAL_CAPACITY, as the memo key assumes too
+    cuts = _cuts(statics.bound_terms[1:], verts, MAX_ORACLE_TOTAL_CAPACITY,
+                 host.vertex_count)
 
     def solve(b: tuple[int, ...]):
         total = sum(b)
         if total > MAX_ORACLE_TOTAL_CAPACITY:
             refuse_total(total)
-        return _descend(statics, b, root(b), {})
+        return _descend(verts, cuts, b, root(b), {})
 
     return solve
 
 
-def _descend(statics: _PairStatics, start: tuple[int, ...], need: int, memo: dict):
+def _descend(verts: tuple, cuts: tuple, start: tuple[int, ...], need: int,
+             memo: dict):
     """(count, multiplicities): the first target from `need` down that the
-    embeddings pack, by a depth-first search that tries each multiplicity
-    from high to low and learns in `memo` where it fails."""
-    verts = statics.verts
-    alive = statics.alive
-    cuts = statics.cuts
+    embeddings verts pack under their packed cuts, by a depth-first search
+    that tries each multiplicity from high to low and learns in `memo`
+    where it fails."""
     m = len(verts)
-
-    def key_of(idx: int, residual: tuple[int, ...]) -> int:
-        # the alive residuals packed into one int: entries stay under 256
-        # because total capacity is capped at 200, which the cut fields'
-        # width rests on too, so raising that cap widens both; the nonzero
-        # idx+1 prefix byte keeps keys of different lengths distinct
-        key = idx + 1
-        for v in alive[idx]:
-            key = (key << 8) | residual[v]
-        return key
+    # a key is the index above the residual's bytes, one per entry, so an
+    # entry past 255 raises ValueError; sum(start) <= 200 rules that out
+    shift = 8 * len(start)
 
     def find(idx: int, residual: tuple[int, ...], need: int, path: list) -> bool:
         """Whether verts[idx:] packs need >= 1 copies into residual; on
@@ -509,8 +499,8 @@ def _descend(statics: _PairStatics, start: tuple[int, ...], need: int, memo: dic
             # residual; such a pass-through stores nothing, and no entry
             # holds its key (an entry's node had residual on all of vs)
             idx += 1
-        key = key_of(idx, residual) if memo else None
-        if key is not None and memo.get(key, need) < need:
+        key = idx << shift | int.from_bytes(bytes(residual), "little")
+        if memo.get(key, need) < need:
             return False
         if idx + 1 < m:
             # t copies of embedding idx leave need - t copies to idx + 1,
@@ -534,7 +524,7 @@ def _descend(statics: _PairStatics, start: tuple[int, ...], need: int, memo: dic
             # it, is t >= need: it takes every copy left or fails
             path.append((idx, need))
             return True
-        memo[key_of(idx, residual) if key is None else key] = need - 1
+        memo[key] = need - 1
         return False
 
     path: list = []

@@ -134,9 +134,9 @@ class TestCheckedOnce:
             (nc.OracleSolution(3, ((0, 2), (4, 1))),
              "OracleSolution(count=3, multiplicities=((0, 2), (4, 1)))",
              (3, ((0, 2), (4, 1)))),
-            (_PairStatics(((0, 1),), ((0, 1),), ((),), ((),), 2),
-             "_PairStatics(verts=((0, 1),), alive=((0, 1),), bound_terms=((),),"
-             " cuts=((),), k=2)", (((0, 1),), ((0, 1),), ((),), ((),), 2)),
+            (_PairStatics(((0, 1),), ((),), 2),
+             "_PairStatics(verts=((0, 1),), bound_terms=((),), k=2)",
+             (((0, 1),), ((),), 2)),
             (nc.Placement.from_runs([((1, 2), 3), ((3, 4), 1)]),
              "Placement(runs=(((1, 2), 3), ((3, 4), 1)))",
              ((((1, 2), 3), ((3, 4), 1)),)),

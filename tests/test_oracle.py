@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -19,12 +20,19 @@ from conftest import (
     all_vectors,
     apply_vertex_map,
     bounded_sum_vectors,
+    clear_bindings,
     random_vectors,
 )
 
 
 def expanded(name):
     return nc.expand_topology(nc.parse_topology(name))
+
+
+def search_cuts(statics, n):
+    """The search's packed cuts, built as pair_solver builds them."""
+    return _cuts(statics.bound_terms[1:], statics.verts,
+                 oracle.MAX_ORACLE_TOTAL_CAPACITY, n)
 
 
 def plain(host, guest, caps):
@@ -217,8 +225,8 @@ def closed_sets_by_definition(statics, idx):
     c(R) is the most vertices one remaining embedding has in R, and R is
     closed when adding any alive vertex raises c(R)."""
     k = statics.k
-    alive = statics.alive[idx]
     remaining = [set(vs) for vs in statics.verts[idx:]]
+    alive = sorted(set().union(*remaining))
 
     def cover(r):
         return max((len(s & r) for s in remaining), default=0)
@@ -301,7 +309,7 @@ class TestSubsetCoverBound:
         host, guest = expanded(pname), expanded(gname)
         statics = _pair_statics(host, guest)
         closed = closed_sets_by_definition(statics, 0)
-        alive = statics.alive[0]
+        alive = sorted(set().union(*statics.verts))
         for caps in random_vectors(f"{pname}/{gname} lp", 40, host.vertex_count, 30):
             total = sum(caps[v] for v in alive)
             cover = min(
@@ -359,9 +367,9 @@ class TestSubsetCoverBound:
         real = oracle._descend
         states = 0
 
-        def spy(statics, start, need, memo):
+        def spy(verts, cuts, start, need, memo):
             nonlocal states
-            result = real(statics, start, need, memo)
+            result = real(verts, cuts, start, need, memo)
             states += len(memo)
             return result
 
@@ -421,6 +429,7 @@ class TestPackedCuts:
         host, guest = expanded(pname), expanded(gname)
         statics = _pair_statics(host, guest)
         n = host.vertex_count
+        cuts = search_cuts(statics, n)
         top = nc.oracle.MAX_ORACLE_TOTAL_CAPACITY
         rng = random.Random(f"{pname}/{gname} packed")
         drawn = [
@@ -438,7 +447,7 @@ class TestPackedCuts:
             cases += [(b, rng.randint(1, top)) for b in rng.sample(drawn, 4)]
             for residual, need in cases:
                 hi = min(need, *(residual[v] for v in vs))
-                lo, hi = _cut_range(statics.cuts[idx], residual, need, hi)
+                lo, hi = _cut_range(cuts[idx], residual, need, hi)
                 want_lo, want_hi = cut_by_terms(statics, idx, residual, need)
                 # once hi < lo no t passes, and lo may stop short
                 assert (lo, hi) == (want_lo, want_hi) or (
@@ -591,7 +600,9 @@ class TestFullRange:
         assert min(root_terms(host, guest, caps)) == 30
         # the first branch from 30 stops short, and the memo learns where
         memo = {}
-        assert oracle._descend(_pair_statics(host, guest), caps, 30, memo)[0] == 29
+        statics = _pair_statics(host, guest)
+        cuts = search_cuts(statics, host.vertex_count)
+        assert oracle._descend(statics.verts, cuts, caps, 30, memo)[0] == 29
         assert memo
         sol = nc.oracle_vmcap(host, guest, caps)
         assert sol.count == 29
@@ -612,6 +623,29 @@ class TestFullRange:
         assert nc.oracle_vmcap(host, guest, caps).count == count
         assert nc.vmcap("cq3", "k1_3", caps) == nc.VmcapResult(count, "oracle")
 
+    # exact counts of two gap pairs at the search's sum wall, where the
+    # memo keys pack the largest entries; cq3/star3's 49 is the plain
+    # search's, which takes over a minute there, so only k3_3/star3 is
+    # checked against it here
+    @pytest.mark.parametrize("pname,caps,count,lp,checked", [
+        ("cq3", (25,) * 8, 49, 50, False),
+        ("k3_3", (34, 33, 33, 34, 33, 33), 50, 50, True),
+    ], ids=["cq3_star3", "k3_3_star3"])
+    def test_gap_rows_at_the_sum_wall(self, pname, caps, count, lp, checked):
+        host, guest = expanded(pname), expanded("star3")
+        assert sum(caps) == oracle.MAX_ORACLE_TOTAL_CAPACITY
+        assert min(root_terms(host, guest, caps)) == lp
+        if checked:
+            assert plain(host, guest, caps)[0] == count
+        assert nc.vmcap(pname, "star3", caps) == nc.VmcapResult(count, "oracle")
+        placement = nc.place_vnuma(pname, "star3", caps)
+        nc.verify_placement(host, guest, caps, placement)
+        assert placement.count == count
+        over = (caps[0] + 1,) + caps[1:]
+        with pytest.raises(nc.ScaleLimitError) as info:
+            nc.vmcap(pname, "star3", over)
+        assert str(info.value) == "oracle supports total capacity up to 200, got 201"
+
 
 # capbench's solver-fallback pool
 POOL_PAIRS = [
@@ -621,15 +655,40 @@ POOL_PAIRS = [
 ]
 
 
+# the pool's five pairs with no formula, all counted by floor(LP)
+FLOOR_LP_POOL = [
+    ("l4", "c4"), ("star4", "k1_2"), ("cq3", "k1_2"), ("l4", "k1_2"), ("k2_3", "c4"),
+]
+
+
+def test_floor_lp_pairs_build_no_search_state(monkeypatch):
+    # a fresh solver cache, and every pair bound anew, so each pair's
+    # first count and witness are watched: neither builds a solve
+    solvers = lru_cache(maxsize=256)(oracle.pair_solver.__wrapped__)
+    monkeypatch.setattr(oracle, "pair_solver", solvers)
+    clear_bindings()
+    for pname, gname in FLOOR_LP_POOL:
+        host, guest = expanded(pname), expanded(gname)
+        caps = compositions(f"{pname}/{gname} no search", 1, 120, host.vertex_count)[0]
+        count = oracle.floor_lp(host, guest)(caps)
+        assert nc.vmcap(pname, gname, caps) == nc.VmcapResult(count, "oracle")
+        placement = nc.place_vnuma(pname, gname, caps)
+        nc.verify_placement(host, guest, caps, placement)
+        assert placement.count == count
+        assert _pair_statics(host, guest)._fields == ("verts", "bound_terms", "k")
+    assert solvers.cache_info().currsize == 0
+
+
 def gap_vectors(count):
     """k3_5/k1_3 vectors, entries 0..6, on which the search's first
     branch from floor(LP) fails, so it stores memo entries."""
     host, guest = expanded("k3_5"), expanded("k1_3")
     statics, root = _pair_statics(host, guest), oracle.floor_lp(host, guest)
+    cuts = search_cuts(statics, host.vertex_count)
     out = []
     for caps in random_vectors("k3_5/k1_3 gap", 2000, 8, 6):
         memo = {}
-        oracle._descend(statics, caps, root(caps), memo)
+        oracle._descend(statics.verts, cuts, caps, root(caps), memo)
         if memo:
             out.append(caps)
             if len(out) == count:
@@ -637,11 +696,10 @@ def gap_vectors(count):
     raise AssertionError(f"found {len(out)} gap vectors, wanted {count}")
 
 
-def dive(statics, start, need):
+def dive(verts, cuts, start, need):
     """find's first branch alone: at each index the top of _cut_range,
     with no memo and no backtracking.  The (index, multiplicity) pairs
     once `need` copies are placed, or None where a range is empty."""
-    verts, cuts = statics.verts, statics.cuts
     residual, path = list(start), []
     for idx, vs in enumerate(verts):
         hi = min([need] + [residual[v] for v in vs])
@@ -676,6 +734,7 @@ class TestDive:
         # EXACT_VALUE_COUNTS
         host, guest = expanded(pname), expanded(gname)
         statics, root = _pair_statics(host, guest), oracle.floor_lp(host, guest)
+        cuts = search_cuts(statics, host.vertex_count)
         dived = 0
         for caps in [
             caps
@@ -685,7 +744,7 @@ class TestDive:
         ]:
             answer = nc.oracle_vmcap(host, guest, caps)
             need = root(caps)
-            path = dive(statics, caps, need) if need else []
+            path = dive(statics.verts, cuts, caps, need) if need else []
             if path is not None:
                 dived += 1
                 assert answer == nc.OracleSolution(need, tuple(path)), caps
@@ -697,9 +756,9 @@ class TestDive:
         real = oracle._descend
         entries, learned = [], []
 
-        def spy(statics, start, need, memo):
+        def spy(verts, cuts, start, need, memo):
             entries.append(len(memo))
-            result = real(statics, start, need, memo)
+            result = real(verts, cuts, start, need, memo)
             learned.append(len(memo))
             return result
 
@@ -719,12 +778,11 @@ class TestDive:
         host, guest = expanded("cq3"), expanded("k1_2")
         exact = _pair_statics(host, guest)
         n, k = host.vertex_count, exact.k
-        width = exact.cuts[0][6]  # _pack's field width
+        cuts = search_cuts(exact, n)
+        width = cuts[0][6]  # _pack's field width
         root = oracle.floor_lp(host, guest)
         cover = ((tuple((v, 1) for v in range(n)), k),)
-        loose = exact._replace(
-            cuts=tuple(_pack(cover, [0], width, n) for _ in exact.cuts)
-        )
+        loose = tuple(_pack(cover, [0], width, n) for _ in cuts)
         refused = 0
         for caps in random_vectors("cq3/k1_2 loose cuts", 300, n, 4):
             need = root(caps)
@@ -732,7 +790,7 @@ class TestDive:
                 continue
             want = nc.oracle_vmcap(host, guest, caps).count
             memo = {}
-            count, mults = oracle._descend(loose, caps, need, memo)
+            count, mults = oracle._descend(exact.verts, loose, caps, need, memo)
             refused += bool(memo)
             assert count == want, caps
             sol = nc.OracleSolution(count, mults)
